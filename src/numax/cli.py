@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -28,8 +28,7 @@ from .dual_optimizers import (
     GAConfig,
     NuPIConfig,
     UMConfig,
-    nupi_config_warnings,
-    um_config_warnings,
+    dual_config_warnings,
 )
 from .loop import (
     LoopConfig,
@@ -167,7 +166,7 @@ def _loop_config(config, dual_config) -> LoopConfig:
         raise ConfigurationError(
             f"[loop] primal_kind must be gd|gd-momentum|adam, got {kind_raw!r}") from exc
     tol_raw = config["loop"]["stop_tolerance"]
-    tol = float(tol_raw) if tol_raw else None
+    tol = _parse_float(config, "loop", "stop_tolerance") if tol_raw else None
     return LoopConfig(
         scheme=scheme,
         max_steps=_parse_int(config, "loop", "max_steps"),
@@ -203,15 +202,17 @@ def _load_qp_json(path) -> QPSystem:
     for field in ("H", "A", "b"):
         if field not in payload:
             raise ConfigurationError(f"QP file {path} is missing key {field!r}")
-    n = len(payload["H"])
-    return QPSystem(H=payload["H"], A=payload["A"], b=payload["b"],
-                    c_lin=payload.get("c", [0.0] * n),
-                    kp=float(payload.get("kp", 0.0)), ki=float(payload.get("ki", 1.0)))
+    try:
+        n = len(payload["H"])
+        return QPSystem(H=payload["H"], A=payload["A"], b=payload["b"],
+                        c_lin=payload.get("c", [0.0] * n),
+                        kp=float(payload.get("kp", 0.0)), ki=float(payload.get("ki", 1.0)))
+    except (ValueError, TypeError) as exc:
+        raise ConfigurationError(f"QP file {path} is malformed: {exc}") from exc
 
 
 def _build_problem(config, seed: int) -> ProblemBundle:
     kind = config["problem"]["kind"].lower()
-    x0_raw = config["problem"]["x0"]
     if kind == "svm":
         path = config["problem"]["path"] or iris_csv_path()
         data = load_dataset_csv(path)
@@ -237,12 +238,12 @@ def _build_problem(config, seed: int) -> ProblemBundle:
         bundle = ProblemBundle(kind=kind, problem=problem, x0=np.zeros(problem.dim_primal))
     else:
         raise ConfigurationError(f"[problem] kind must be svm|benchmark2d|qp, got {kind!r}")
-    if x0_raw:
-        x0 = np.array([float(tok) for tok in x0_raw.split(",")])
-        if x0.size != bundle.problem.dim_primal:
+    if config["problem"]["x0"]:
+        x0 = _parse_float_list(config, "problem", "x0")
+        if len(x0) != bundle.problem.dim_primal:
             raise ConfigurationError(
-                f"[problem] x0 has {x0.size} entries, problem has {bundle.problem.dim_primal}")
-        bundle.x0 = x0
+                f"[problem] x0 has {len(x0)} entries, problem has {bundle.problem.dim_primal}")
+        bundle.x0 = np.array(x0)
     return bundle
 
 
@@ -257,6 +258,7 @@ def _resolve_output_dir(config, cli_value) -> Path:
 _METRICS = ("dist_to_lambda_star", "max_violation", "overshoot")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergent cells are flagged by the caller
 def _compute_metric(metric: str, trajectory: Trajectory, lambda_star) -> float:
     final = trajectory.final
     if metric == "dist_to_lambda_star":
@@ -286,14 +288,6 @@ def _echo_config(config, path: Path) -> None:
     path.write_text("\n".join(lines))
 
 
-def _config_warnings(dual_config) -> list:
-    if isinstance(dual_config, NuPIConfig):
-        return nupi_config_warnings(dual_config)
-    if isinstance(dual_config, UMConfig):
-        return um_config_warnings(dual_config)
-    return []
-
-
 def cmd_run(args) -> int:
     config = _load_config(args.config, args.overrides)
     seed = _parse_int(config, "run", "seed")
@@ -305,7 +299,7 @@ def cmd_run(args) -> int:
     bundle = _build_problem(config, seed)
     out_dir = _resolve_output_dir(config, args.output_dir)
 
-    for warning in _config_warnings(dual_config):
+    for warning in dual_config_warnings(dual_config):
         print(f"warning: {warning}", file=sys.stderr)
 
     lambda_star = None
@@ -348,27 +342,16 @@ def cmd_run(args) -> int:
 
 
 def _grid_worker(payload):
-    """Run one grid cell; crashes are recorded in-row so the grid continues."""
-    (kind, problem_payload, loop_payload, cell, metric, lambda_star) = payload
+    """Run one grid cell: `numax run`'s problem and loop settings with the
+    cell's nuPI gains. Problems hold closures, so each worker rebuilds its
+    own. Crashes are recorded in-row so the grid continues."""
+    config, seed, loop_config, cell, metric, lambda_star = payload
     kp, ki, nu = cell
     try:
-        bundle = _rebuild_problem(kind, problem_payload)
-        dual_config = NuPIConfig(nu=nu, kp=kp, ki=ki)
-        loop_config = LoopConfig(
-            scheme=Scheme(loop_payload["scheme"]),
-            max_steps=loop_payload["max_steps"],
-            dual_optimizer=dual_config,
-            primal_optimizer=PrimalOptimizerConfig(
-                kind=PrimalKind(loop_payload["primal_kind"]),
-                step_size=loop_payload["primal_step_size"],
-                momentum=loop_payload["primal_momentum"],
-            ),
-            dual_restarts=loop_payload["dual_restarts"],
-            record_every=loop_payload["record_every"],
-            stop_tolerance=loop_payload["stop_tolerance"],
-        )
+        bundle = _build_problem(config, seed)
+        cell_config = replace(loop_config, dual_optimizer=NuPIConfig(nu=nu, kp=kp, ki=ki))
         duals0 = DualVector.zeros(bundle.problem.num_ineq, bundle.problem.num_eq)
-        trajectory = run(bundle.problem, bundle.x0, duals0, loop_config)
+        trajectory = run(bundle.problem, bundle.x0, duals0, cell_config)
         value = _compute_metric(metric, trajectory, lambda_star)
     except Exception as exc:  # recorded in-row, grid continues
         return (kp, ki, nu, float("nan"), 1, f"{type(exc).__name__}: {exc}")
@@ -376,23 +359,9 @@ def _grid_worker(payload):
     return (kp, ki, nu, value, diverged, "")
 
 
-def _rebuild_problem(kind, payload) -> ProblemBundle:
-    if kind == "svm":
-        from .problems import SvmDataset
-        data = SvmDataset(points=payload["points"], labels=payload["labels"])
-        problem = build_svm_problem(data)
-        return ProblemBundle(kind=kind, problem=problem, x0=np.asarray(payload["x0"]),
-                             train_data=data)
-    if kind == "benchmark2d":
-        return ProblemBundle(kind=kind, problem=build_2d_benchmark(),
-                             x0=np.asarray(payload["x0"]))
-    sys_qp = QPSystem(H=payload["H"], A=payload["A"], b=payload["b"],
-                      c_lin=payload["c_lin"], kp=0.0, ki=1.0)
-    return ProblemBundle(kind=kind, problem=build_qp_problem(sys_qp),
-                         x0=np.asarray(payload["x0"]))
-
-
 def cmd_grid(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
     config = _load_config(args.config, args.overrides)
     seed = _parse_int(config, "run", "seed")
     metric = config["run"]["metric"].lower()
@@ -413,6 +382,7 @@ def cmd_grid(args) -> int:
     if step_list:
         config["loop"]["primal_step_size"] = repr(step_list[0])
 
+    loop_config = _loop_config(config, _dual_config(config))
     bundle = _build_problem(config, seed)
     out_dir = _resolve_output_dir(config, args.output_dir)
 
@@ -420,32 +390,10 @@ def cmd_grid(args) -> int:
     if bundle.kind == "svm":
         lambda_star = svm_dual_oracle(bundle.train_data).lam
 
-    if bundle.kind == "svm":
-        problem_payload = {"points": bundle.train_data.points,
-                           "labels": bundle.train_data.labels, "x0": bundle.x0}
-    elif bundle.kind == "benchmark2d":
-        problem_payload = {"x0": bundle.x0}
-    else:
-        qp = _load_qp_json(config["problem"]["path"])
-        problem_payload = {"H": qp.H, "A": qp.A, "b": qp.b, "c_lin": qp.c_lin, "x0": bundle.x0}
-
-    tol_raw = config["loop"]["stop_tolerance"]
-    loop_payload = {
-        "scheme": config["loop"]["scheme"].lower(),
-        "max_steps": _parse_int(config, "loop", "max_steps"),
-        "primal_kind": config["loop"]["primal_kind"].lower(),
-        "primal_step_size": _parse_float(config, "loop", "primal_step_size"),
-        "primal_momentum": _parse_float(config, "loop", "primal_momentum"),
-        "dual_restarts": _parse_bool(config, "loop", "dual_restarts"),
-        "record_every": _parse_int(config, "loop", "record_every"),
-        "stop_tolerance": float(tol_raw) if tol_raw else None,
-    }
-
     cells = [(kp, ki, nu) for kp in kp_values for ki in ki_values for nu in nu_values]
-    payloads = [(bundle.kind, problem_payload, loop_payload, cell, metric, lambda_star)
-                for cell in cells]
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(cells) > 1:
+    payloads = [(config, seed, loop_config, cell, metric, lambda_star) for cell in cells]
+    jobs = min(args.jobs or os.cpu_count() or 1, len(cells))
+    if jobs > 1:
         with Pool(processes=jobs) as pool:
             rows = pool.map(_grid_worker, payloads)
     else:
@@ -590,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--config", help="INI-style run configuration with a [grid] section")
     p_grid.add_argument("--output-dir")
     p_grid.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: available cores)")
+                        help="worker processes, >= 1 (default: available cores)")
 
     p_sweep = sub.add_parser("sweep-regime", help="eigenvalue/damping sweep over kp "
                              "for the 1D constrained QP")

@@ -20,6 +20,7 @@ kp = 0 gives plain gradient ascent with step ki.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
@@ -243,46 +244,42 @@ def adam_dual_step(state: AdamState, config: AdamConfig, error) -> AdamState:
     return AdamState(theta=theta, m=m, v=v, step_count=t)
 
 
-# Tagged-union dispatch used by the optimization loop and the CLI.
+# Dispatch used by the optimization loop and the CLI: one rule per config
+# type, (init, step, soft warnings).
 
 DualOptimizerConfig = NuPIConfig | UMConfig | GAConfig | AdamConfig
 
+_RULES = {
+    NuPIConfig: (init_nupi, nupi_step, nupi_config_warnings),
+    UMConfig: (init_um, um_step, um_config_warnings),
+    GAConfig: (init_ga, lambda state, config, e: ga_step(state, config.step_size, e),
+               lambda _config: []),
+    AdamConfig: (init_adam, adam_dual_step, lambda _config: []),
+}
+
+
+def _rule(config: DualOptimizerConfig) -> tuple:
+    try:
+        return _RULES[type(config)]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown dual optimizer config: {type(config).__name__}") from None
+
 
 def make_dual_state(config: DualOptimizerConfig, theta0):
-    if isinstance(config, NuPIConfig):
-        return init_nupi(theta0)
-    if isinstance(config, UMConfig):
-        return init_um(theta0)
-    if isinstance(config, GAConfig):
-        return init_ga(theta0)
-    if isinstance(config, AdamConfig):
-        return init_adam(theta0)
-    raise ConfigurationError(f"unknown dual optimizer config: {type(config).__name__}")
+    return _rule(config)[0](theta0)
 
 
 def dual_step(state, config: DualOptimizerConfig, error):
-    if isinstance(config, NuPIConfig):
-        return nupi_step(state, config, error)
-    if isinstance(config, UMConfig):
-        return um_step(state, config, error)
-    if isinstance(config, GAConfig):
-        return ga_step(state, config.step_size, error)
-    if isinstance(config, AdamConfig):
-        return adam_dual_step(state, config, error)
-    raise ConfigurationError(f"unknown dual optimizer config: {type(config).__name__}")
+    return _rule(config)[1](state, config, error)
+
+
+def dual_config_warnings(config: DualOptimizerConfig) -> list:
+    """Soft-validation messages for a dual optimizer config ([] if none)."""
+    return _rule(config)[2](config)
 
 
 def replace_theta(state, theta: np.ndarray):
     """Rebuild an optimizer state with theta swapped (used for projection and
     dual restarts); controller bookkeeping (xi, phi, moments) is untouched."""
-    if isinstance(state, NuPIState):
-        return NuPIState(theta=theta, xi=state.xi,
-                         prev_initialized=state.prev_initialized,
-                         step_count=state.step_count)
-    if isinstance(state, UMState):
-        return UMState(theta=theta, phi=state.phi)
-    if isinstance(state, GAState):
-        return GAState(theta=theta)
-    if isinstance(state, AdamState):
-        return AdamState(theta=theta, m=state.m, v=state.v, step_count=state.step_count)
-    raise ConfigurationError(f"unknown dual optimizer state: {type(state).__name__}")
+    return dataclasses.replace(state, theta=theta)

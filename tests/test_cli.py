@@ -3,8 +3,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from numax import read_trajectory_csv
+from numax import cli, read_trajectory_csv
 from numax.cli import main, read_grid_csv, read_regime_sweep_csv
 
 
@@ -242,6 +243,79 @@ class TestGrid:
         config.write_text(config.read_text().replace("kind = nupi", "kind = ga"))
         assert main(["grid", "--config", str(config),
                      "--output-dir", str(tmp_path / "out")]) == 2
+
+
+class TestGridMatchesRun:
+    def test_cell_metric_equals_run_metric(self, tmp_path):
+        config = tmp_path / "grid.ini"
+        write_svm_config(config, max_steps=120)
+        assert main(["grid", "--config", str(config), "--output-dir", str(tmp_path / "grid"),
+                     "--grid.nu", "0.3", "--jobs", "1"]) == 0
+        cells = {(r[0], r[1], r[2]): r[3] for r in read_grid_csv(tmp_path / "grid" / "grid.csv")}
+        assert main(["run", "--config", str(config), "--output-dir", str(tmp_path / "run"),
+                     "--dual.kp", "1", "--dual.ki", "0.1", "--dual.nu", "0.3"]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert cells[(1.0, 0.1, 0.3)] == summary["metric_value"]
+
+    def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(cli, "Pool", SerialPool)
+        config = tmp_path / "grid.ini"
+        write_svm_config(config, max_steps=10)
+        assert main(["grid", "--config", str(config), "--output-dir", str(tmp_path / "out"),
+                     "--grid.kp", "0,1", "--grid.ki", "0.01", "--jobs", "3"]) == 0
+        assert started == [2]
+        assert len(read_grid_csv(tmp_path / "out" / "grid.csv")) == 2
+
+
+def _ragged_qp_args(tmp_path):
+    qp_file = tmp_path / "ragged.json"
+    qp_file.write_text(json.dumps({"H": [[1.0, 0.0], [0.0]], "A": [[1.0, 0.0]], "b": [1.0]}))
+    return ["--problem.kind", "qp", "--problem.path", str(qp_file)]
+
+
+_BAD_SETTINGS = {
+    "max_steps_zero": ["--loop.max_steps", "0"],
+    "unknown_scheme": ["--loop.scheme", "bogus"],
+    "negative_primal_step": ["--loop.primal_step_size", "-1"],
+    "non_numeric_tolerance": ["--loop.stop_tolerance", "abc"],
+    "non_numeric_x0": ["--problem.x0", "a,b"],
+    "ragged_qp_file": _ragged_qp_args,
+}
+_MALFORMED = ([(command, name) for command in ("run", "grid") for name in _BAD_SETTINGS]
+              + [("grid", "jobs_zero"), ("grid", "jobs_negative")])
+
+
+@pytest.mark.parametrize("command,case", _MALFORMED, ids=[f"{c}-{n}" for c, n in _MALFORMED])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, case):
+    config = tmp_path / "run.ini"
+    write_svm_config(config, max_steps=10)
+    if case.startswith("jobs_"):
+        extra = ["--jobs", "0" if case == "jobs_zero" else "-1"]
+    else:
+        bad = _BAD_SETTINGS[case]
+        extra = bad(tmp_path) if callable(bad) else bad
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--output-dir", str(out)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (out / "grid.csv").exists() and not (out / "summary.json").exists()
 
 
 class TestSweepRegime:

@@ -7,23 +7,31 @@ from numax import (
     AdamConfig,
     ConfigurationError,
     DualVector,
+    GAConfig,
     NuPIConfig,
     NumericalError,
     UMConfig,
     Xi0Policy,
     adam_dual_step,
     apply_dual_restarts,
+    dual_step,
     ga_step,
     init_adam,
     init_ga,
     init_nupi,
     init_um,
+    make_dual_state,
     map_um_to_nupi,
     nupi_step,
     project_duals,
     um_step,
 )
-from numax.dual_optimizers import nupi_config_warnings, um_config_warnings
+from numax.dual_optimizers import (
+    dual_config_warnings,
+    nupi_config_warnings,
+    replace_theta,
+    um_config_warnings,
+)
 
 
 def run_nupi(config, errors, theta0=0.0):
@@ -284,3 +292,38 @@ class TestAdamDualStep:
     def test_non_finite_rejected(self):
         with pytest.raises(NumericalError):
             adam_dual_step(init_adam([0.0]), AdamConfig(step_size=0.1), [np.inf])
+
+
+class TestDispatchTable:
+    CONFIGS = [NuPIConfig(nu=0.5, kp=1.0, ki=0.1), UMConfig(alpha=0.1, beta=0.5, gamma=1.0),
+               GAConfig(step_size=0.1), AdamConfig(step_size=0.1)]
+
+    def test_unknown_config_rejected(self):
+        class Unknown:
+            pass
+
+        with pytest.raises(ConfigurationError, match="Unknown"):
+            make_dual_state(Unknown(), [0.0])
+        with pytest.raises(ConfigurationError, match="Unknown"):
+            dual_step(init_ga([0.0]), Unknown(), [1.0])
+        with pytest.raises(ConfigurationError, match="Unknown"):
+            dual_config_warnings(Unknown())
+
+    def test_warnings(self):
+        bad_nupi = NuPIConfig(nu=1.5, kp=1.0, ki=-0.1)
+        bad_um = UMConfig(alpha=0.5, beta=-0.5, gamma=1.0)
+        assert len(dual_config_warnings(bad_nupi)) == 2
+        assert dual_config_warnings(bad_nupi) == nupi_config_warnings(bad_nupi)
+        assert dual_config_warnings(bad_um) == um_config_warnings(bad_um) != []
+        assert dual_config_warnings(GAConfig(step_size=-1.0)) == []
+        assert dual_config_warnings(AdamConfig(step_size=-1.0)) == []
+
+    def test_replace_theta_keeps_controller_state(self):
+        for config in self.CONFIGS:
+            state = dual_step(make_dual_state(config, [0.5, 0.5]), config, [1.0, -1.0])
+            swapped = replace_theta(state, np.array([0.0, 0.0]))
+            assert type(swapped) is type(state)
+            assert swapped.theta.tolist() == [0.0, 0.0]
+            for name, value in vars(state).items():
+                if name != "theta":
+                    assert vars(swapped)[name] is value
