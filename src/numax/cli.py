@@ -100,12 +100,20 @@ def _load_config(path: str | None, overrides: list) -> dict:
     return config
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _parse_float(config, section, key):
     raw = config[section][key]
     try:
-        return float(raw)
+        return _finite_float(raw)
     except ValueError as exc:
-        raise ConfigurationError(f"[{section}] {key} must be a number, got {raw!r}") from exc
+        raise ConfigurationError(
+            f"[{section}] {key} must be a finite number, got {raw!r}") from exc
 
 
 def _parse_int(config, section, key):
@@ -126,13 +134,11 @@ def _parse_bool(config, section, key):
 
 
 def _parse_float_list(config, section, key):
-    raw = config[section][key]
-    if not raw:
-        return []
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        return [_finite_float(tok) for tok in config[section][key].split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigurationError(f"[{section}] {key} must be comma-separated numbers") from exc
+        raise ConfigurationError(
+            f"[{section}] {key} must be comma-separated finite numbers") from exc
 
 
 def _dual_config(config):

@@ -71,6 +71,15 @@ class ConstrainedProblem:
             as_vector(self.eval_eq(x), self.num_eq, "h(x)"),
         ])
 
+    def constraint_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Jc(x), checked to have shape (dim_primal, num_constraints)."""
+        jac = np.asarray(self.eval_constraint_jacobian(x), dtype=np.float64)
+        expected = (self.dim_primal, self.num_constraints)
+        if jac.shape != expected:
+            raise ConfigurationError(
+                f"constraint Jacobian must have shape {expected}, got {jac.shape}")
+        return jac
+
 
 @dataclass(frozen=True)
 class DualVector:
@@ -110,18 +119,24 @@ def _check_dual_dims(problem: ConstrainedProblem, duals: DualVector) -> None:
         )
 
 
+def lagrangian_value(f: float, g: np.ndarray, h: np.ndarray,
+                     lam: np.ndarray, mu: np.ndarray) -> float:
+    """f + lam . g + mu . h from already evaluated values, summed in that order."""
+    value = f
+    if lam.size:
+        value += float(lam @ g)
+    if mu.size:
+        value += float(mu @ h)
+    return value
+
+
 def evaluate_lagrangian(problem: ConstrainedProblem, x, duals: DualVector) -> float:
     """L(x, theta) = f(x) + lam . g(x) + mu . h(x)."""
     x = as_vector(x, problem.dim_primal, "x")
     _check_dual_dims(problem, duals)
-    value = float(problem.eval_objective(x))
-    if problem.num_ineq:
-        g = as_vector(problem.eval_ineq(x), problem.num_ineq, "g(x)")
-        value += float(duals.lam @ g)
-    if problem.num_eq:
-        h = as_vector(problem.eval_eq(x), problem.num_eq, "h(x)")
-        value += float(duals.mu @ h)
-    return value
+    c = problem.constraints(x)
+    m = problem.num_ineq
+    return lagrangian_value(float(problem.eval_objective(x)), c[:m], c[m:], duals.lam, duals.mu)
 
 
 def lagrangian_primal_gradient(problem: ConstrainedProblem, x, duals: DualVector) -> np.ndarray:
@@ -131,20 +146,23 @@ def lagrangian_primal_gradient(problem: ConstrainedProblem, x, duals: DualVector
     grad = as_vector(problem.eval_objective_grad(x), problem.dim_primal, "grad f(x)")
     if problem.num_constraints == 0:
         return grad
-    jac = np.asarray(problem.eval_constraint_jacobian(x), dtype=np.float64)
-    expected = (problem.dim_primal, problem.num_constraints)
-    if jac.shape != expected:
-        raise ConfigurationError(f"constraint Jacobian must have shape {expected}, got {jac.shape}")
-    return grad + jac @ duals.stacked
+    return grad + problem.constraint_jacobian(x) @ duals.stacked
+
+
+def project_theta(theta: np.ndarray, num_ineq: int) -> np.ndarray:
+    """Clamp the inequality block theta[:num_ineq] at zero; the equality
+    block is untouched. Idempotent, and normalizes -0.0 to +0.0."""
+    if num_ineq == 0:
+        return theta
+    lam = theta[:num_ineq]
+    return np.concatenate([np.where(lam > 0.0, lam, 0.0), theta[num_ineq:]])
 
 
 def project_duals(duals: DualVector) -> DualVector:
-    """Clamp inequality multipliers at zero; equality multipliers untouched.
-
-    Idempotent, and normalizes -0.0 to +0.0.
-    """
-    lam = np.where(duals.lam > 0.0, duals.lam, 0.0)
-    return DualVector(lam, duals.mu)
+    """Clamp inequality multipliers at zero (project_theta on the stacked
+    multipliers); equality multipliers untouched."""
+    num_ineq = duals.lam.size
+    return DualVector.from_stacked(project_theta(duals.stacked, num_ineq), num_ineq)
 
 
 # Central differences with per-coordinate step 1e-6 * max(1, |x_i|): the
@@ -153,16 +171,7 @@ FD_REL_STEP = 1e-6
 
 
 def central_difference_gradient(func: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.empty(x.size)
-    for i in range(x.size):
-        h = FD_REL_STEP * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (float(func(xp)) - float(func(xm))) / (2.0 * h)
-    return grad
+    return central_difference_jacobian(lambda z: float(func(z)), x, 1)[:, 0]
 
 
 def central_difference_jacobian(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -236,7 +245,7 @@ def validate_gradients(problem: ConstrainedProblem, num_points: int, seed: int,
         report.max_rel_error_objective = max(report.max_rel_error_objective,
                                              _rel_error(analytic_grad, fd_grad))
         if problem.num_constraints:
-            analytic_jac = np.asarray(problem.eval_constraint_jacobian(x), dtype=np.float64)
+            analytic_jac = problem.constraint_jacobian(x)
             fd_jac = central_difference_jacobian(problem.constraints, x, problem.num_constraints)
             if not np.all(np.isfinite(fd_jac)):
                 report.failures.append(f"non-finite constraint value near point {k}, x={x!r}")

@@ -231,17 +231,25 @@ def init_adam(theta0) -> AdamState:
                      step_count=0)
 
 
+def adam_moments(m: np.ndarray, v: np.ndarray, t: int, config: AdamConfig,
+                 direction: np.ndarray) -> tuple:
+    """Adam's moment update at step t >= 1, shared by the dual and primal
+    sides: returns (m, v, increment) with the bias-corrected increment
+    step_size * m_hat / (sqrt(v_hat) + eps). No finiteness check."""
+    m = config.beta1 * m + (1.0 - config.beta1) * direction
+    v = config.beta2 * v + (1.0 - config.beta2) * direction * direction
+    m_hat = m / (1.0 - config.beta1**t)
+    v_hat = v / (1.0 - config.beta2**t)
+    return m, v, config.step_size * m_hat / (np.sqrt(v_hat) + config.eps)
+
+
 def adam_dual_step(state: AdamState, config: AdamConfig, error) -> AdamState:
     """Bias-corrected adaptive-moment ascent using e_t as the ascent
     direction."""
     e = _checked_error(error, state.theta.size)
     t = state.step_count + 1
-    m = config.beta1 * state.m + (1.0 - config.beta1) * e
-    v = config.beta2 * state.v + (1.0 - config.beta2) * e * e
-    m_hat = m / (1.0 - config.beta1**t)
-    v_hat = v / (1.0 - config.beta2**t)
-    theta = state.theta + config.step_size * m_hat / (np.sqrt(v_hat) + config.eps)
-    return AdamState(theta=theta, m=m, v=v, step_count=t)
+    m, v, increment = adam_moments(state.m, state.v, t, config, e)
+    return AdamState(theta=state.theta + increment, m=m, v=v, step_count=t)
 
 
 # Dispatch used by the optimization loop and the CLI: one rule per config

@@ -2,7 +2,7 @@
 
 One iteration of the alternating scheme, with the dual error e_t = c(x_t):
 
-    evaluate g(x_t), h(x_t)                 (constraints measured once)
+    evaluate c(x_t) = [g(x_t), h(x_t)]      (constraints measured once)
     theta_{t+1} <- dual optimizer step on e_t
     theta_{t+1} <- project lambda block >= 0
     theta_{t+1} <- dual restarts (optional)
@@ -18,13 +18,20 @@ dual restarts: both rewrite the stored theta only, and the next update
 continues from the rewritten value, so the theta sequence is discontinuous
 at steps where the projection binds or a restart fires. Dual restarts
 likewise reset inequality multipliers without touching xi.
+
+The driver owns the iteration order, the primal step, recording and
+stopping; every rule it applies has one copy elsewhere. `core` holds the
+checked accessors for c(x) and its Jacobian, the Lagrangian
+(`lagrangian_value`) and the projection (`project_theta`);
+`dual_optimizers` holds the multiplier updates, the dual restarts and the
+Adam moment update (`adam_moments`), which the primal Adam also uses.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -34,9 +41,13 @@ from .core import (
     ConstrainedProblem,
     DualVector,
     as_vector,
+    lagrangian_value,
+    project_theta,
 )
 from .dual_optimizers import (
+    AdamConfig,
     DualOptimizerConfig,
+    adam_moments,
     dual_step,
     apply_dual_restarts,
     make_dual_state,
@@ -60,13 +71,10 @@ class PrimalOptimizerConfig:
     kind: PrimalKind
     step_size: float
     momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ConfigurationError("primal step_size must be positive")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ConfigurationError("primal step_size must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -121,47 +129,33 @@ class Trajectory:
         return np.array([getattr(rec, name) for rec in self.steps])
 
 
-class _CountingProblem:
-    """Wraps a problem's callables with evaluation counters (test surface)."""
+# Problem callables counted per run, keyed as in Trajectory.counters.
+_COUNTED = {"eval_objective": "objective", "eval_ineq": "ineq", "eval_eq": "eq",
+            "eval_objective_grad": "objective_grad", "eval_constraint_jacobian": "jacobian"}
 
-    def __init__(self, problem: ConstrainedProblem):
-        self.problem = problem
-        self.counts = {"objective": 0, "ineq": 0, "eq": 0,
-                       "objective_grad": 0, "jacobian": 0}
 
-    def objective(self, x):
-        self.counts["objective"] += 1
-        return float(self.problem.eval_objective(x))
+def _counted(problem: ConstrainedProblem) -> tuple:
+    """A copy of the problem whose five callables count their calls, and the counts."""
+    counts = dict.fromkeys(_COUNTED.values(), 0)
 
-    def ineq(self, x):
-        self.counts["ineq"] += 1
-        return as_vector(self.problem.eval_ineq(x), self.problem.num_ineq, "g(x)")
+    def counting(fn, key):
+        def call(x):
+            counts[key] += 1
+            return fn(x)
+        return call
 
-    def eq(self, x):
-        self.counts["eq"] += 1
-        return as_vector(self.problem.eval_eq(x), self.problem.num_eq, "h(x)")
-
-    def objective_grad(self, x):
-        self.counts["objective_grad"] += 1
-        return as_vector(self.problem.eval_objective_grad(x),
-                         self.problem.dim_primal, "grad f(x)")
-
-    def jacobian(self, x):
-        self.counts["jacobian"] += 1
-        jac = np.asarray(self.problem.eval_constraint_jacobian(x), dtype=np.float64)
-        expected = (self.problem.dim_primal, self.problem.num_constraints)
-        if jac.shape != expected:
-            raise ConfigurationError(
-                f"constraint Jacobian must have shape {expected}, got {jac.shape}")
-        return jac
+    return replace(problem, **{
+        name: counting(getattr(problem, name), key) for name, key in _COUNTED.items()}), counts
 
 
 class _PrimalOptimizer:
     """Gradient descent, heavy-ball momentum (v <- beta v + grad,
-    x <- x - eta v), or Adam on the primal variables."""
+    x <- x - eta v), or Adam (the dual side's `adam_moments` with
+    AdamConfig's default betas and eps) on the primal variables."""
 
     def __init__(self, config: PrimalOptimizerConfig, dim: int):
         self.config = config
+        self.adam = AdamConfig(step_size=config.step_size)
         self.velocity = np.zeros(dim)
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
@@ -175,48 +169,28 @@ class _PrimalOptimizer:
             self.velocity = cfg.momentum * self.velocity + grad
             return x - cfg.step_size * self.velocity
         self.t += 1
-        self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * grad
-        self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * grad * grad
-        m_hat = self.m / (1.0 - cfg.beta1**self.t)
-        v_hat = self.v / (1.0 - cfg.beta2**self.t)
-        return x - cfg.step_size * m_hat / (np.sqrt(v_hat) + cfg.eps)
-
-
-def _project_lambda_block(theta: np.ndarray, num_ineq: int) -> np.ndarray:
-    if num_ineq == 0:
-        return theta
-    lam = theta[:num_ineq]
-    return np.concatenate([np.where(lam > 0.0, lam, 0.0), theta[num_ineq:]])
+        self.m, self.v, increment = adam_moments(self.m, self.v, self.t, self.adam, grad)
+        return x - increment
 
 
 def _record(t, x, f, g, h, theta, num_ineq) -> StepRecord:
     lam, mu = theta[:num_ineq], theta[num_ineq:]
-    lagr = f
-    if lam.size:
-        lagr += float(lam @ g)
-    if mu.size:
-        lagr += float(mu @ h)
-    return StepRecord(t=t, x=x.copy(), f=f, g=g.copy(), h=h.copy(),
-                      lam=lam.copy(), mu=mu.copy(), lagrangian=lagr)
+    return StepRecord(t=t, x=x.copy(), f=f, g=g.copy(), h=h.copy(), lam=lam.copy(),
+                      mu=mu.copy(), lagrangian=lagrangian_value(f, g, h, lam, mu))
 
 
+# Overflow during a diverging run is detected and flagged as NON_FINITE
+# termination; suppress the numpy warnings it would otherwise emit.
+@np.errstate(over="ignore", invalid="ignore")
 def _run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig,
          simultaneous: bool) -> Trajectory:
-    # Overflow during a diverging run is detected and flagged as NON_FINITE
-    # termination; suppress the numpy warnings it would otherwise emit.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _run_inner(problem, x0, duals0, config, simultaneous)
-
-
-def _run_inner(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig,
-               simultaneous: bool) -> Trajectory:
     x = as_vector(x0, problem.dim_primal, "x0")
     if not np.all(np.isfinite(x)):
         raise ConfigurationError("x0 must be finite")
     if duals0.lam.size and np.any(duals0.lam < 0.0):
         raise ConfigurationError("initial inequality multipliers must be >= 0")
 
-    counted = _CountingProblem(problem)
+    problem, counts = _counted(problem)
     m = problem.num_ineq
     state = make_dual_state(config.dual_optimizer, duals0.stacked)
     primal = _PrimalOptimizer(config.primal_optimizer, problem.dim_primal)
@@ -228,16 +202,15 @@ def _run_inner(problem: ConstrainedProblem, x0, duals0: DualVector, config: Loop
     stopped_at = None
 
     for t in range(config.max_steps):
-        f = counted.objective(x)
-        g = counted.ineq(x)
-        h = counted.eq(x)
+        f = float(problem.eval_objective(x))
+        error = problem.constraints(x)
+        g, h = error[:m], error[m:]
         theta_t = state.theta
-        if not (np.isfinite(f) and np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+        if not (np.isfinite(f) and np.all(np.isfinite(error))):
             records.append(_record(t, x, f, g, h, theta_t, m))
             reason = TerminationReason.NON_FINITE
             break
 
-        error = np.concatenate([g, h])
         recording = t % config.record_every == 0
         if recording:
             records.append(_record(t, x, f, g, h, theta_t, m))
@@ -254,7 +227,7 @@ def _run_inner(problem: ConstrainedProblem, x0, duals0: DualVector, config: Loop
 
         if error.size:
             state = dual_step(state, config.dual_optimizer, error)
-            state = replace_theta(state, _project_lambda_block(state.theta, m))
+            state = replace_theta(state, project_theta(state.theta, m))
             if config.dual_restarts and m:
                 duals = apply_dual_restarts(DualVector.from_stacked(state.theta, m), g)
                 state = replace_theta(state, duals.stacked)
@@ -263,15 +236,14 @@ def _run_inner(problem: ConstrainedProblem, x0, duals0: DualVector, config: Loop
             last_dual_increment = 0.0
 
         theta_for_primal = theta_t if simultaneous else state.theta
-        grad = counted.objective_grad(x)
+        grad = as_vector(problem.eval_objective_grad(x), problem.dim_primal, "grad f(x)")
         if problem.num_constraints:
-            grad = grad + counted.jacobian(x) @ theta_for_primal
+            grad = grad + problem.constraint_jacobian(x) @ theta_for_primal
         x_next = primal.step(x, grad)
 
         if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(state.theta))):
-            bad = _record(t + 1, x_next, np.nan, np.full(m, np.nan),
-                          np.full(problem.num_eq, np.nan), state.theta, m)
-            records.append(bad)
+            records.append(_record(t + 1, x_next, np.nan, np.full(m, np.nan),
+                                   np.full(problem.num_eq, np.nan), state.theta, m))
             reason = TerminationReason.NON_FINITE
             break
         x = x_next
@@ -280,12 +252,11 @@ def _run_inner(problem: ConstrainedProblem, x0, duals0: DualVector, config: Loop
         # Terminal record of the final state (one extra evaluation).
         t_final = stopped_at if stopped_at is not None else config.max_steps
         if not records or records[-1].t < t_final:
-            f = counted.objective(x)
-            g = counted.ineq(x)
-            h = counted.eq(x)
-            records.append(_record(t_final, x, f, g, h, state.theta, m))
+            f = float(problem.eval_objective(x))
+            c = problem.constraints(x)
+            records.append(_record(t_final, x, f, c[:m], c[m:], state.theta, m))
 
-    return Trajectory(steps=records, terminated_reason=reason, counters=counted.counts)
+    return Trajectory(steps=records, terminated_reason=reason, counters=counts)
 
 
 def run_alternating(problem: ConstrainedProblem, x0, duals0: DualVector,

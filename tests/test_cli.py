@@ -295,20 +295,25 @@ _BAD_SETTINGS = {
     "non_numeric_tolerance": ["--loop.stop_tolerance", "abc"],
     "non_numeric_x0": ["--problem.x0", "a,b"],
     "ragged_qp_file": _ragged_qp_args,
+    "nan_primal_step": ["--loop.primal_step_size", "nan"],
+    "inf_ki": ["--dual.ki", "inf"],
+    "inf_x0": ["--problem.x0", "0,0,0,0,inf"],
+}
+_BAD_GRID_SETTINGS = {
+    "jobs_zero": ["--jobs", "0"],
+    "jobs_negative": ["--jobs", "-1"],
+    "nan_grid_kp": ["--grid.kp", "0,nan"],
 }
 _MALFORMED = ([(command, name) for command in ("run", "grid") for name in _BAD_SETTINGS]
-              + [("grid", "jobs_zero"), ("grid", "jobs_negative")])
+              + [("grid", name) for name in _BAD_GRID_SETTINGS])
 
 
 @pytest.mark.parametrize("command,case", _MALFORMED, ids=[f"{c}-{n}" for c, n in _MALFORMED])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, case):
     config = tmp_path / "run.ini"
     write_svm_config(config, max_steps=10)
-    if case.startswith("jobs_"):
-        extra = ["--jobs", "0" if case == "jobs_zero" else "-1"]
-    else:
-        bad = _BAD_SETTINGS[case]
-        extra = bad(tmp_path) if callable(bad) else bad
+    bad = {**_BAD_SETTINGS, **_BAD_GRID_SETTINGS}[case]
+    extra = bad(tmp_path) if callable(bad) else bad
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--output-dir", str(out)] + extra) == 2
     err = capsys.readouterr().err

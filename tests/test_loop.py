@@ -1,9 +1,13 @@
 """Tests for the alternating/simultaneous descent-ascent drivers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from numax import (
+    AdamConfig,
     ConfigurationError,
     ConstrainedProblem,
     DualVector,
@@ -14,11 +18,18 @@ from numax import (
     PrimalOptimizerConfig,
     Scheme,
     TerminationReason,
+    UMConfig,
+    adam_dual_step,
+    evaluate_lagrangian,
+    init_adam,
     read_trajectory_csv,
+    run,
     run_alternating,
     run_simultaneous,
+    validate_gradients,
     write_trajectory_csv,
 )
+from numax.loop import _PrimalOptimizer
 
 
 def gd(step):
@@ -45,6 +56,19 @@ def one_sided_line():
         eval_ineq=lambda x: np.array([1.0 - x[0]]),
         eval_eq=lambda x: np.zeros(0),
         eval_constraint_jacobian=lambda x: np.array([[-1.0]]),
+    )
+
+
+def two_sided_plane():
+    # min (x0 - 2)^2 + x1^2 s.t. 1 - x0 <= 0, x1 - 5 <= 0, x0 + x1 = 3; the
+    # unconstrained minimizer strictly satisfies both inequalities
+    return ConstrainedProblem(
+        dim_primal=2, num_ineq=2, num_eq=1,
+        eval_objective=lambda x: float((x[0] - 2.0) ** 2 + x[1] ** 2),
+        eval_objective_grad=lambda x: np.array([2.0 * (x[0] - 2.0), 2.0 * x[1]]),
+        eval_ineq=lambda x: np.array([1.0 - x[0], x[1] - 5.0]),
+        eval_eq=lambda x: np.array([x[0] + x[1] - 3.0]),
+        eval_constraint_jacobian=lambda x: np.array([[-1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
     )
 
 
@@ -138,7 +162,6 @@ class TestBilinearGame:
 
 class TestLoopMechanics:
     def test_lambda_nonnegative_for_every_dual_optimizer(self):
-        from numax import AdamConfig, UMConfig
         problem = one_sided_line()
         for dual in (GAConfig(step_size=0.3),
                      NuPIConfig(nu=0.0, kp=2.0, ki=0.3),
@@ -216,6 +239,55 @@ class TestLoopMechanics:
         with pytest.raises(ConfigurationError):
             LoopConfig(scheme=Scheme.ALTERNATING, max_steps=0,
                        dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
+        for step in (np.nan, np.inf, 0.0):
+            with pytest.raises(ConfigurationError, match="finite and positive"):
+                gd(step)
+
+    def test_wrong_jacobian_shape_rejected(self):
+        problem = dataclasses.replace(one_sided_line(),
+                                      eval_constraint_jacobian=lambda x: np.array([-1.0]))
+        config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5,
+                            dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
+        with pytest.raises(ConfigurationError, match="Jacobian"):
+            run(problem, [0.0], DualVector.zeros(1, 0), config)
+        with pytest.raises(ConfigurationError, match="Jacobian"):
+            validate_gradients(problem, num_points=1, seed=0)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("dual", [GAConfig(step_size=0.05),
+                                      NuPIConfig(nu=0.3, kp=1.0, ki=0.05),
+                                      UMConfig(alpha=0.05, beta=0.5, gamma=1.0),
+                                      AdamConfig(step_size=0.05)],
+                             ids=["ga", "nupi", "um", "adam"])
+    def test_record_lagrangian_is_cores(self, scheme, dual):
+        problem = two_sided_plane()
+        config = LoopConfig(scheme=scheme, max_steps=300, dual_optimizer=dual,
+                            primal_optimizer=gd(0.05), dual_restarts=True)
+        traj = run(problem, [0.0, 0.0], DualVector.zeros(2, 1), config)
+        assert traj.terminated_reason is TerminationReason.MAX_STEPS
+        assert any(rec.lam[0] > 0.0 for rec in traj.steps)
+        for rec in traj.steps:
+            expected = evaluate_lagrangian(problem, rec.x, DualVector(rec.lam, rec.mu))
+            assert rec.lagrangian == expected
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@given(dim=st.integers(1, 5), steps=st.integers(1, 30), eta=st.floats(1e-4, 1.0),
+       data=st.data())
+def test_primal_adam_step_is_dual_increment_negated(dim, steps, eta, data):
+    vectors = st.lists(_FINITE, min_size=dim, max_size=dim).map(np.array)
+    x = data.draw(vectors)
+    primal = _PrimalOptimizer(PrimalOptimizerConfig(kind=PrimalKind.ADAM, step_size=eta), dim)
+    dual = init_adam(np.zeros(dim))
+    for _ in range(steps):
+        grad = data.draw(vectors)
+        # from theta = 0 the dual step's theta is its increment
+        dual = adam_dual_step(dual, AdamConfig(step_size=eta), grad)
+        x_next = primal.step(x, grad)
+        np.testing.assert_array_equal(x_next, x - dual.theta)
+        x, dual = x_next, dataclasses.replace(dual, theta=np.zeros(dim))
 
 
 class TestTrajectoryCsv:
