@@ -100,6 +100,9 @@ class QPSystem:
         A = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
         b = np.atleast_1d(np.asarray(self.b, dtype=np.float64))
         c_lin = np.atleast_1d(np.asarray(self.c_lin, dtype=np.float64))
+        for name, value in dict(H=H, A=A, b=b, c_lin=c_lin, kp=self.kp, ki=self.ki).items():
+            if not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"{name} must be finite")
         n = H.shape[0]
         if H.shape != (n, n):
             raise ConfigurationError(f"H must be square, got {H.shape}")

@@ -276,11 +276,9 @@ def _compute_metric(metric: str, trajectory: Trajectory, lambda_star) -> float:
         viol_h = float(np.max(np.abs(final.h), initial=0.0))
         return max(viol_g, viol_h)
     if metric == "overshoot":
-        worst = 0.0
-        for rec in trajectory.steps:
-            if rec.g.size:
-                worst = max(worst, float(np.max(np.maximum(-rec.g, 0.0))))
-        return worst
+        # as a running max() over records: rows with a NaN are skipped, 0.0 beats -0.0
+        per_record = np.max(np.maximum(-trajectory.column("g"), 0.0), axis=1, initial=-np.inf)
+        return max(0.0, float(np.max(per_record[~np.isnan(per_record)], initial=0.0)))
     raise ConfigurationError(f"[run] metric must be one of {_METRICS}, got {metric!r}")
 
 

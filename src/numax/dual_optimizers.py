@@ -1,11 +1,12 @@
 """Update rules for Lagrange multipliers.
 
-All steps are pure functions state x error -> state operating componentwise
-on the stacked multiplier vector theta = [lam, mu]; there is no coupling
-across constraints. The error signal e_t is the vector of constraint
-violations c(x_t). None of the steps apply the nonnegativity projection:
-the driver projects the stored theta afterwards and the recursion continues
-from the projected value.
+Every rule acts componentwise on the stacked multiplier vector theta =
+[lam, mu], driven by the error e_t = c(x_t). Each rule is written once, as
+the `advance(config, e)` method that updates its mutable state in place
+from a checked error; the public `*_step` functions check the error and
+advance a copy (pure), `dual_step` advances the caller's state. No step
+projects: the driver writes the projected theta back into the state
+(`replace_theta`) and the recursion continues from it.
 
 The nuPI controller follows the recursion
 
@@ -20,7 +21,7 @@ kp = 0 gives plain gradient ascent with step ki.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,7 +73,7 @@ def nupi_config_warnings(config: NuPIConfig) -> list:
     return warnings
 
 
-@dataclass(frozen=True)
+@dataclass
 class NuPIState:
     """theta after `step_count` updates; xi is the error EMA (None before the
     first step, where the xi0 policy resolves it from e_0)."""
@@ -81,6 +82,18 @@ class NuPIState:
     xi: np.ndarray | None
     prev_initialized: bool
     step_count: int
+
+    def advance(self, config: NuPIConfig, e: np.ndarray) -> NuPIState:
+        if not self.prev_initialized:
+            xi0 = _resolve_xi0(config, e)
+            self.theta = self.theta + config.ki * e + config.kp * xi0
+            self.xi, self.prev_initialized, self.step_count = xi0, True, 1
+            return self
+        xi = self.xi  # xi_{t-1}
+        self.theta = self.theta + config.ki * e + config.kp * (1.0 - config.nu) * (e - xi)
+        self.xi = config.nu * xi + (1.0 - config.nu) * e
+        self.step_count += 1
+        return self
 
 
 def init_nupi(theta0) -> NuPIState:
@@ -105,16 +118,7 @@ def _resolve_xi0(config: NuPIConfig, e0: np.ndarray) -> np.ndarray:
 def nupi_step(state: NuPIState, config: NuPIConfig, error) -> NuPIState:
     """One nuPI update. At t = 0 resolves xi_0 and applies
     theta_1 = theta_0 + ki e_0 + kp xi_0 (xi retains xi_0)."""
-    e = _checked_error(error, state.theta.size)
-    if not state.prev_initialized:
-        xi0 = _resolve_xi0(config, e)
-        theta = state.theta + config.ki * e + config.kp * xi0
-        return NuPIState(theta=theta, xi=xi0, prev_initialized=True, step_count=1)
-    xi_prev = state.xi
-    theta = state.theta + config.ki * e + config.kp * (1.0 - config.nu) * (e - xi_prev)
-    xi = config.nu * xi_prev + (1.0 - config.nu) * e
-    return NuPIState(theta=theta, xi=xi, prev_initialized=True,
-                     step_count=state.step_count + 1)
+    return copy.copy(state).advance(config, _checked_error(error, state.theta.size))
 
 
 @dataclass(frozen=True)
@@ -136,10 +140,16 @@ def um_config_warnings(config: UMConfig) -> list:
     return warnings
 
 
-@dataclass(frozen=True)
+@dataclass
 class UMState:
     theta: np.ndarray
     phi: np.ndarray  # momentum buffer, zero at construction
+
+    def advance(self, config: UMConfig, e: np.ndarray) -> UMState:
+        phi = config.beta * self.phi + config.alpha * e
+        self.theta = self.theta + phi + config.beta * config.gamma * (phi - self.phi)
+        self.phi = phi
+        return self
 
 
 def init_um(theta0) -> UMState:
@@ -150,10 +160,7 @@ def init_um(theta0) -> UMState:
 def um_step(state: UMState, config: UMConfig, error) -> UMState:
     """phi_{t+1} = beta phi_t + alpha e_t;
     theta_{t+1} = theta_t + phi_{t+1} + beta gamma (phi_{t+1} - phi_t)."""
-    e = _checked_error(error, state.theta.size)
-    phi = config.beta * state.phi + config.alpha * e
-    theta = state.theta + phi + config.beta * config.gamma * (phi - state.phi)
-    return UMState(theta=theta, phi=phi)
+    return copy.copy(state).advance(config, _checked_error(error, state.theta.size))
 
 
 def map_um_to_nupi(config: UMConfig) -> NuPIConfig:
@@ -182,9 +189,13 @@ class GAConfig:
     step_size: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class GAState:
     theta: np.ndarray
+
+    def advance(self, config: GAConfig, e: np.ndarray) -> GAState:
+        self.theta = self.theta + config.step_size * e
+        return self
 
 
 def init_ga(theta0) -> GAState:
@@ -193,8 +204,7 @@ def init_ga(theta0) -> GAState:
 
 def ga_step(state: GAState, step_size: float, error) -> GAState:
     """Plain gradient ascent: theta_{t+1} = theta_t + step_size * e_t."""
-    e = _checked_error(error, state.theta.size)
-    return GAState(theta=state.theta + step_size * e)
+    return copy.copy(state).advance(GAConfig(step_size), _checked_error(error, state.theta.size))
 
 
 def apply_dual_restarts(duals: DualVector, ineq_violation) -> DualVector:
@@ -217,12 +227,18 @@ class AdamConfig:
     eps: float = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
     theta: np.ndarray
     m: np.ndarray
     v: np.ndarray
     step_count: int
+
+    def advance(self, config: AdamConfig, e: np.ndarray) -> AdamState:
+        self.step_count += 1
+        self.m, self.v, increment = adam_moments(self.m, self.v, self.step_count, config, e)
+        self.theta = self.theta + increment
+        return self
 
 
 def init_adam(theta0) -> AdamState:
@@ -246,23 +262,19 @@ def adam_moments(m: np.ndarray, v: np.ndarray, t: int, config: AdamConfig,
 def adam_dual_step(state: AdamState, config: AdamConfig, error) -> AdamState:
     """Bias-corrected adaptive-moment ascent using e_t as the ascent
     direction."""
-    e = _checked_error(error, state.theta.size)
-    t = state.step_count + 1
-    m, v, increment = adam_moments(state.m, state.v, t, config, e)
-    return AdamState(theta=state.theta + increment, m=m, v=v, step_count=t)
+    return copy.copy(state).advance(config, _checked_error(error, state.theta.size))
 
 
 # Dispatch used by the optimization loop and the CLI: one rule per config
-# type, (init, step, soft warnings).
+# type, (init, the state's in-place `advance`, soft warnings).
 
 DualOptimizerConfig = NuPIConfig | UMConfig | GAConfig | AdamConfig
 
 _RULES = {
-    NuPIConfig: (init_nupi, nupi_step, nupi_config_warnings),
-    UMConfig: (init_um, um_step, um_config_warnings),
-    GAConfig: (init_ga, lambda state, config, e: ga_step(state, config.step_size, e),
-               lambda _config: []),
-    AdamConfig: (init_adam, adam_dual_step, lambda _config: []),
+    NuPIConfig: (init_nupi, NuPIState.advance, nupi_config_warnings),
+    UMConfig: (init_um, UMState.advance, um_config_warnings),
+    GAConfig: (init_ga, GAState.advance, lambda _config: []),
+    AdamConfig: (init_adam, AdamState.advance, lambda _config: []),
 }
 
 
@@ -279,7 +291,9 @@ def make_dual_state(config: DualOptimizerConfig, theta0):
 
 
 def dual_step(state, config: DualOptimizerConfig, error):
-    return _rule(config)[1](state, config, error)
+    """Advance `state` in place by one update and return it. The error is not
+    checked: the driver has checked that c(x_t) is finite and well shaped."""
+    return _rule(config)[1](state, config, np.asarray(error, dtype=np.float64))
 
 
 def dual_config_warnings(config: DualOptimizerConfig) -> list:
@@ -288,6 +302,6 @@ def dual_config_warnings(config: DualOptimizerConfig) -> list:
 
 
 def replace_theta(state, theta: np.ndarray):
-    """Rebuild an optimizer state with theta swapped (used for projection and
-    dual restarts); controller bookkeeping (xi, phi, moments) is untouched."""
-    return dataclasses.replace(state, theta=theta)
+    """Set the state's theta in place; xi, phi and the moments are untouched."""
+    state.theta = theta
+    return state

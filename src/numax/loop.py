@@ -25,13 +25,17 @@ checked accessors for c(x) and its Jacobian, the Lagrangian
 (`lagrangian_value`) and the projection (`project_theta`);
 `dual_optimizers` holds the multiplier updates, the dual restarts and the
 Adam moment update (`adam_moments`), which the primal Adam also uses.
+
+The dual state is advanced in place and the projected (and restarted) theta
+written back into it. Records fill preallocated columns (`Records`), which
+`Trajectory.steps` reads as `StepRecord` views and the CSV writer in blocks.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field, replace
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -114,9 +118,39 @@ class StepRecord:
     lagrangian: float
 
 
+class Records(Sequence):
+    """A run's records as preallocated columns; rows [0, len) are filled.
+    Item i is a `StepRecord` whose arrays are views of row i."""
+
+    def __init__(self, rows: int, dim_primal: int, num_ineq: int, num_eq: int):
+        self.num_ineq, self.size = num_ineq, 0
+        self.t = np.empty(rows, dtype=np.int64)
+        self.f, self.lagrangian = np.empty(rows), np.empty(rows)
+        self.x = np.empty((rows, dim_primal))
+        self.c = np.empty((rows, num_ineq + num_eq))  # [g, h]
+        self.theta = np.empty((rows, num_ineq + num_eq))  # [lam, mu]
+
+    def append(self, t: int, x: np.ndarray, f: float, c: np.ndarray, theta: np.ndarray) -> None:
+        i, m = self.size, self.num_ineq
+        self.t[i], self.f[i], self.x[i], self.c[i], self.theta[i] = t, f, x, c, theta
+        self.lagrangian[i] = lagrangian_value(f, c[:m], c[m:], theta[:m], theta[m:])
+        self.size = i + 1
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self.size))]
+        i, m = range(self.size)[i], self.num_ineq
+        return StepRecord(t=int(self.t[i]), x=self.x[i], f=float(self.f[i]), g=self.c[i, :m],
+                          h=self.c[i, m:], lam=self.theta[i, :m], mu=self.theta[i, m:],
+                          lagrangian=float(self.lagrangian[i]))
+
+
 @dataclass
 class Trajectory:
-    steps: list
+    steps: Records
     terminated_reason: TerminationReason
     # evaluation counts, keyed objective / ineq / eq / objective_grad / jacobian
     counters: dict = field(default_factory=dict)
@@ -126,26 +160,11 @@ class Trajectory:
         return self.steps[-1]
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(rec, name) for rec in self.steps])
-
-
-# Problem callables counted per run, keyed as in Trajectory.counters.
-_COUNTED = {"eval_objective": "objective", "eval_ineq": "ineq", "eval_eq": "eq",
-            "eval_objective_grad": "objective_grad", "eval_constraint_jacobian": "jacobian"}
-
-
-def _counted(problem: ConstrainedProblem) -> tuple:
-    """A copy of the problem whose five callables count their calls, and the counts."""
-    counts = dict.fromkeys(_COUNTED.values(), 0)
-
-    def counting(fn, key):
-        def call(x):
-            counts[key] += 1
-            return fn(x)
-        return call
-
-    return replace(problem, **{
-        name: counting(getattr(problem, name), key) for name, key in _COUNTED.items()}), counts
+        """A copy of one StepRecord field over all records, one row each."""
+        cols, n, m = self.steps, len(self.steps), self.steps.num_ineq
+        blocks = {"g": cols.c[:n, :m], "h": cols.c[:n, m:], "lam": cols.theta[:n, :m],
+                  "mu": cols.theta[:n, m:]}
+        return np.array(blocks[name] if name in blocks else getattr(cols, name)[:n])
 
 
 class _PrimalOptimizer:
@@ -173,12 +192,6 @@ class _PrimalOptimizer:
         return x - increment
 
 
-def _record(t, x, f, g, h, theta, num_ineq) -> StepRecord:
-    lam, mu = theta[:num_ineq], theta[num_ineq:]
-    return StepRecord(t=t, x=x.copy(), f=f, g=g.copy(), h=h.copy(), lam=lam.copy(),
-                      mu=mu.copy(), lagrangian=lagrangian_value(f, g, h, lam, mu))
-
-
 # Overflow during a diverging run is detected and flagged as NON_FINITE
 # termination; suppress the numpy warnings it would otherwise emit.
 @np.errstate(over="ignore", invalid="ignore")
@@ -190,30 +203,31 @@ def _run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig
     if duals0.lam.size and np.any(duals0.lam < 0.0):
         raise ConfigurationError("initial inequality multipliers must be >= 0")
 
-    problem, counts = _counted(problem)
-    m = problem.num_ineq
+    m, num_constraints = problem.num_ineq, problem.num_constraints
     state = make_dual_state(config.dual_optimizer, duals0.stacked)
     primal = _PrimalOptimizer(config.primal_optimizer, problem.dim_primal)
+    records = Records(config.max_steps // config.record_every + 2, problem.dim_primal, m,
+                      problem.num_eq)
 
-    records = []
     reason = TerminationReason.MAX_STEPS
     last_dual_increment = np.inf
     streak = 0
     stopped_at = None
+    evaluations = primal_steps = 0
 
     for t in range(config.max_steps):
+        evaluations += 1
         f = float(problem.eval_objective(x))
         error = problem.constraints(x)
-        g, h = error[:m], error[m:]
         theta_t = state.theta
-        if not (np.isfinite(f) and np.all(np.isfinite(error))):
-            records.append(_record(t, x, f, g, h, theta_t, m))
+        # logical_and.reduce: ndarray.all's Python wrapper costs more on short vectors
+        if not (math.isfinite(f) and np.logical_and.reduce(np.isfinite(error))):
+            records.append(t, x, f, error, theta_t)
             reason = TerminationReason.NON_FINITE
             break
 
-        recording = t % config.record_every == 0
-        if recording:
-            records.append(_record(t, x, f, g, h, theta_t, m))
+        if t % config.record_every == 0:
+            records.append(t, x, f, error, theta_t)
             if config.stop_tolerance is not None:
                 viol = float(np.max(np.abs(error))) if error.size else 0.0
                 if viol <= config.stop_tolerance and last_dual_increment <= config.stop_tolerance:
@@ -226,24 +240,26 @@ def _run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig
                     break
 
         if error.size:
-            state = dual_step(state, config.dual_optimizer, error)
-            state = replace_theta(state, project_theta(state.theta, m))
+            dual_step(state, config.dual_optimizer, error)
+            theta = project_theta(state.theta, m)
             if config.dual_restarts and m:
-                duals = apply_dual_restarts(DualVector.from_stacked(state.theta, m), g)
-                state = replace_theta(state, duals.stacked)
-            last_dual_increment = float(np.max(np.abs(state.theta - theta_t)))
+                theta = apply_dual_restarts(DualVector.from_stacked(theta, m), error[:m]).stacked
+            replace_theta(state, theta)
+            if config.stop_tolerance is not None:
+                last_dual_increment = float(np.max(np.abs(theta - theta_t)))
         else:
             last_dual_increment = 0.0
 
+        primal_steps += 1
         theta_for_primal = theta_t if simultaneous else state.theta
         grad = as_vector(problem.eval_objective_grad(x), problem.dim_primal, "grad f(x)")
-        if problem.num_constraints:
+        if num_constraints:
             grad = grad + problem.constraint_jacobian(x) @ theta_for_primal
         x_next = primal.step(x, grad)
 
-        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(state.theta))):
-            records.append(_record(t + 1, x_next, np.nan, np.full(m, np.nan),
-                                   np.full(problem.num_eq, np.nan), state.theta, m))
+        if not (np.logical_and.reduce(np.isfinite(x_next))
+                and np.logical_and.reduce(np.isfinite(state.theta))):
+            records.append(t + 1, x_next, np.nan, np.full(error.size, np.nan), state.theta)
             reason = TerminationReason.NON_FINITE
             break
         x = x_next
@@ -251,12 +267,14 @@ def _run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig
     if reason is not TerminationReason.NON_FINITE:
         # Terminal record of the final state (one extra evaluation).
         t_final = stopped_at if stopped_at is not None else config.max_steps
-        if not records or records[-1].t < t_final:
+        if records[-1].t < t_final:
+            evaluations += 1
             f = float(problem.eval_objective(x))
-            c = problem.constraints(x)
-            records.append(_record(t_final, x, f, c[:m], c[m:], state.theta, m))
+            records.append(t_final, x, f, problem.constraints(x), state.theta)
 
-    return Trajectory(steps=records, terminated_reason=reason, counters=counts)
+    counters = {"objective": evaluations, "ineq": evaluations, "eq": evaluations,
+                "objective_grad": primal_steps, "jacobian": primal_steps if num_constraints else 0}
+    return Trajectory(steps=records, terminated_reason=reason, counters=counters)
 
 
 def run_alternating(problem: ConstrainedProblem, x0, duals0: DualVector,
@@ -279,35 +297,33 @@ def run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig)
 
 # CSV serialization. Header: t,f,linf_g,linf_h,lagrangian,lambda_0..,mu_0..,x_0..
 # Floats are written with 17 significant digits, which round-trips float64
-# exactly.
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+# exactly; rows end in "\r\n", the csv module's line terminator. Row blocks
+# bound the writer's memory.
+_CSV_BLOCK_ROWS = 512
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    if not trajectory.steps:
+    cols = trajectory.steps
+    if not cols:
         raise ConfigurationError("cannot serialize an empty trajectory")
-    first = trajectory.steps[0]
-    m, n, d = first.lam.size, first.mu.size, first.x.size
+    m, n, d = cols.num_ineq, cols.c.shape[1] - cols.num_ineq, cols.x.shape[1]
     header = (["t", "f", "linf_g", "linf_h", "lagrangian"]
               + [f"lambda_{i}" for i in range(m)]
               + [f"mu_{i}" for i in range(n)]
               + [f"x_{i}" for i in range(d)])
+    row = "%d" + ",%.17g" * (len(header) - 1) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(f"# trajectory: {m} inequality multipliers, {n} equality multipliers, "
                  f"{d} primal coordinates; linf_* are infinity norms of g and h\n")
         fh.write(f"# terminated_reason: {trajectory.terminated_reason.value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in trajectory.steps:
-            linf_g = float(np.max(np.abs(rec.g))) if rec.g.size else 0.0
-            linf_h = float(np.max(np.abs(rec.h))) if rec.h.size else 0.0
-            row = ([str(rec.t), _fmt(rec.f), _fmt(linf_g), _fmt(linf_h), _fmt(rec.lagrangian)]
-                   + [_fmt(v) for v in rec.lam]
-                   + [_fmt(v) for v in rec.mu]
-                   + [_fmt(v) for v in rec.x])
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(cols), _CSV_BLOCK_ROWS):
+            rows = slice(start, min(start + _CSV_BLOCK_ROWS, len(cols)))
+            c = np.abs(cols.c[rows])
+            block = np.column_stack([cols.t[rows], cols.f[rows], c[:, :m].max(axis=1, initial=0.0),
+                                     c[:, m:].max(axis=1, initial=0.0), cols.lagrangian[rows],
+                                     cols.theta[rows], cols.x[rows]])
+            fh.write("".join([row % tuple(values) for values in block.tolist()]))
 
 
 @dataclass
@@ -328,19 +344,18 @@ class TrajectoryTable:
 def read_trajectory_csv(path) -> TrajectoryTable:
     reason = ""
     rows = []
-    with open(path, newline="") as fh:
+    with open(path) as fh:
         for line in fh:
             if line.startswith("#"):
                 if "terminated_reason:" in line:
                     reason = line.split("terminated_reason:", 1)[1].strip()
-                continue
-            rows.append(line)
-    reader = csv.reader(io.StringIO("".join(rows)))
-    header = next(reader)
+            elif line.strip():
+                rows.append(line.strip().split(","))
+    header = rows[0]
     m = sum(1 for c in header if c.startswith("lambda_"))
     n = sum(1 for c in header if c.startswith("mu_"))
     d = sum(1 for c in header if c.startswith("x_"))
-    data = [[float(v) for v in row] for row in reader if row]
+    data = [[float(v) for v in row] for row in rows[1:]]
     arr = np.array(data, dtype=np.float64).reshape(len(data), len(header))
     return TrajectoryTable(
         t=arr[:, 0].astype(int),

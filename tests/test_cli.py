@@ -282,10 +282,14 @@ class TestGridMatchesRun:
         assert len(read_grid_csv(tmp_path / "out" / "grid.csv")) == 2
 
 
-def _ragged_qp_args(tmp_path):
-    qp_file = tmp_path / "ragged.json"
-    qp_file.write_text(json.dumps({"H": [[1.0, 0.0], [0.0]], "A": [[1.0, 0.0]], "b": [1.0]}))
-    return ["--problem.kind", "qp", "--problem.path", str(qp_file)]
+def _qp_args(payload):
+    """Settings that point a run at a QP file holding `payload` (json.dumps
+    writes float nan and inf as the NaN and Infinity that json.load accepts)."""
+    def args(tmp_path):
+        qp_file = tmp_path / "qp.json"
+        qp_file.write_text(json.dumps(payload))
+        return ["--problem.kind", "qp", "--problem.path", str(qp_file)]
+    return args
 
 
 _BAD_SETTINGS = {
@@ -294,7 +298,9 @@ _BAD_SETTINGS = {
     "negative_primal_step": ["--loop.primal_step_size", "-1"],
     "non_numeric_tolerance": ["--loop.stop_tolerance", "abc"],
     "non_numeric_x0": ["--problem.x0", "a,b"],
-    "ragged_qp_file": _ragged_qp_args,
+    "ragged_qp_file": _qp_args({"H": [[1.0, 0.0], [0.0]], "A": [[1.0, 0.0]], "b": [1.0]}),
+    "qp_nan_b": _qp_args({"H": [[1.0]], "A": [[1.0]], "b": [float("nan")]}),
+    "qp_inf_H": _qp_args({"H": [[float("inf")]], "A": [[1.0]], "b": [1.0]}),
     "nan_primal_step": ["--loop.primal_step_size", "nan"],
     "inf_ki": ["--dual.ki", "inf"],
     "inf_x0": ["--problem.x0", "0,0,0,0,inf"],

@@ -321,9 +321,25 @@ class TestDispatchTable:
     def test_replace_theta_keeps_controller_state(self):
         for config in self.CONFIGS:
             state = dual_step(make_dual_state(config, [0.5, 0.5]), config, [1.0, -1.0])
+            before = dict(vars(state))
             swapped = replace_theta(state, np.array([0.0, 0.0]))
-            assert type(swapped) is type(state)
+            assert swapped is state
             assert swapped.theta.tolist() == [0.0, 0.0]
-            for name, value in vars(state).items():
+            for name, value in before.items():
                 if name != "theta":
                     assert vars(swapped)[name] is value
+
+    def test_pure_steps_copy_and_dual_step_updates_in_place(self):
+        pure = {NuPIConfig: nupi_step, UMConfig: um_step, AdamConfig: adam_dual_step,
+                GAConfig: lambda state, config, e: ga_step(state, config.step_size, e)}
+        for config in self.CONFIGS:
+            state = make_dual_state(config, [0.5, 0.5])
+            for error in ([1.0, -1.0], [0.25, 2.0]):  # nuPI's first step differs
+                before = {k: np.copy(v) for k, v in vars(state).items()}
+                stepped = pure[type(config)](state, config, error)
+                assert stepped is not state
+                for name, value in before.items():
+                    assert np.array_equal(vars(state)[name], value), (config, name)
+                assert dual_step(state, config, error) is state
+                for name, value in vars(stepped).items():
+                    assert np.array_equal(vars(state)[name], value), (config, name)

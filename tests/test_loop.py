@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from numax import (
     AdamConfig,
@@ -20,6 +20,7 @@ from numax import (
     TerminationReason,
     UMConfig,
     adam_dual_step,
+    build_2d_benchmark,
     evaluate_lagrangian,
     init_adam,
     read_trajectory_csv,
@@ -29,7 +30,9 @@ from numax import (
     validate_gradients,
     write_trajectory_csv,
 )
+from numax.cli import _compute_metric
 from numax.loop import _PrimalOptimizer
+from reference import loop_reference
 
 
 def gd(step):
@@ -291,22 +294,29 @@ def test_primal_adam_step_is_dual_increment_negated(dim, steps, eta, data):
 
 
 class TestTrajectoryCsv:
-    def test_round_trip_lossless(self, tmp_path):
-        problem = one_sided_line()
-        config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=60,
-                            dual_optimizer=NuPIConfig(nu=0.3, kp=0.7, ki=0.03),
-                            primal_optimizer=gd(0.02), record_every=3)
-        traj = run_alternating(problem, [0.2], DualVector.zeros(1, 0), config)
-        path = tmp_path / "trajectory.csv"
+    @given(nu=st.floats(-0.9, 0.9), kp=st.floats(0.0, 5.0), ki=st.floats(1e-3, 0.5),
+           x0=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+           max_steps=st.integers(1, 120), record_every=st.integers(1, 9))
+    def test_round_trip_lossless(self, tmp_path_factory, nu, kp, ki, x0, max_steps,
+                                 record_every):
+        problem = two_sided_plane()
+        config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=max_steps,
+                            dual_optimizer=NuPIConfig(nu=nu, kp=kp, ki=ki),
+                            primal_optimizer=gd(0.02), record_every=record_every)
+        traj = run_alternating(problem, x0, DualVector.zeros(2, 1), config)
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
         write_trajectory_csv(traj, path)
         table = read_trajectory_csv(path)
         assert table.terminated_reason == traj.terminated_reason.value
+        assert len(table.t) == len(traj.steps)
         for i, rec in enumerate(traj.steps):
             assert table.t[i] == rec.t
             assert table.f[i] == rec.f
             assert table.lagrangian[i] == rec.lagrangian
             assert table.linf_g[i] == np.max(np.abs(rec.g))
+            assert table.linf_h[i] == np.max(np.abs(rec.h))
             np.testing.assert_array_equal(table.lam[i], rec.lam)
+            np.testing.assert_array_equal(table.mu[i], rec.mu)
             np.testing.assert_array_equal(table.x[i], rec.x)
 
     def test_header_documents_columns(self, tmp_path):
@@ -321,3 +331,93 @@ class TestTrajectoryCsv:
         assert lines[0].startswith("#")
         assert lines[2].split(",")[:5] == ["t", "f", "linf_g", "linf_h", "lagrangian"]
         assert "mu_0" in lines[2] and "x_0" in lines[2]
+
+
+# The frozen record-per-step driver in tests/reference is the oracle for the
+# columnar driver: same records bit for bit, same stop, same counts, same
+# CSV bytes.
+
+_PROBLEMS = {"one_sided_line": one_sided_line, "two_sided_plane": two_sided_plane,
+             "benchmark2d": build_2d_benchmark, "unconstrained": unconstrained_norm_square}
+_DUALS = {
+    "nupi": st.builds(NuPIConfig, nu=st.floats(-0.9, 0.9), kp=st.floats(-2.0, 10.0),
+                      ki=st.floats(1e-3, 2.0)),
+    "ga": st.builds(GAConfig, step_size=st.floats(1e-3, 2.0)),
+    "um": st.builds(UMConfig, alpha=st.floats(1e-3, 1.0), beta=st.floats(-0.9, 0.9),
+                    gamma=st.sampled_from([0.0, 1.0])),
+    "adam": st.builds(AdamConfig, step_size=st.floats(1e-3, 0.5)),
+}
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200)
+@given(problem_name=st.sampled_from(sorted(_PROBLEMS)), scheme=st.sampled_from(list(Scheme)),
+       dual_kind=st.sampled_from(sorted(_DUALS)), primal_kind=st.sampled_from(list(PrimalKind)),
+       primal_step=st.floats(1e-3, 0.2), restarts=st.booleans(),
+       record_every=st.integers(1, 9), max_steps=st.integers(1, 250),
+       stop_tolerance=st.none() | st.floats(1e-6, 10.0), x0=st.floats(-3.0, 3.0),
+       diverge=st.sampled_from(["no", "step", "start"]), data=st.data())
+def test_matches_reference_driver(tmp_path_factory, problem_name, scheme, dual_kind,
+                                  primal_kind, primal_step, restarts, record_every, max_steps,
+                                  stop_tolerance, x0, diverge, data):
+    problem = _PROBLEMS[problem_name]()
+    config = LoopConfig(
+        scheme=scheme, max_steps=max_steps, dual_optimizer=data.draw(_DUALS[dual_kind]),
+        primal_optimizer=PrimalOptimizerConfig(
+            kind=primal_kind, step_size=1e300 if diverge == "step" else primal_step),
+        dual_restarts=restarts, record_every=record_every, stop_tolerance=stop_tolerance)
+    x0 = np.full(problem.dim_primal, 1e200 if diverge == "start" else x0)
+    _assert_matches_reference(problem, x0, config, tmp_path_factory.getbasetemp())
+
+
+# With ki > 1 the dual increment, not the violation, decides when the stop fires.
+@pytest.mark.parametrize("tolerance", [1e-9, 1e-6, 1e-3, 3e-2])
+@pytest.mark.parametrize("record_every", [1, 4])
+@pytest.mark.parametrize("ki", [0.05, 1.5])
+def test_tolerance_stop_matches_reference(tmp_path, tolerance, record_every, ki):
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=50000,
+                        dual_optimizer=NuPIConfig(nu=0.0, kp=1.0, ki=ki),
+                        primal_optimizer=gd(0.05), stop_tolerance=tolerance,
+                        record_every=record_every)
+    traj = _assert_matches_reference(one_sided_line(), [0.0], config, tmp_path)
+    assert traj.terminated_reason is TerminationReason.TOLERANCE
+
+
+def _assert_matches_reference(problem, x0, config, base):
+    duals0 = DualVector.zeros(problem.num_ineq, problem.num_eq)
+    traj = run(problem, x0, duals0, config)
+    ref = loop_reference.run(problem, x0, duals0, config)
+
+    assert traj.terminated_reason is ref.terminated_reason
+    assert traj.counters == ref.counters
+    assert len(traj.steps) == len(ref.steps)
+    assert traj.final.t == ref.final.t
+    for rec, ref_rec in zip(traj.steps, ref.steps):
+        assert type(rec.t) is int and rec.t == ref_rec.t
+        for name in ("f", "lagrangian", "x", "g", "h", "lam", "mu"):
+            assert _same(getattr(rec, name), getattr(ref_rec, name)), (rec.t, name)
+    for name in ("t", "f", "lagrangian", "x", "g", "h", "lam", "mu"):
+        assert _same(traj.column(name), ref.column(name)), name
+    write_trajectory_csv(traj, base / "columns.csv")
+    loop_reference.write_trajectory_csv(ref, base / "reference.csv")
+    assert (base / "columns.csv").read_bytes() == (base / "reference.csv").read_bytes()
+    return traj
+
+
+@pytest.mark.parametrize("primal_step,x0", [(0.05, [0.0, 0.0]), (0.9, [0.0, 0.0]),
+                                            (50.0, [0.0, 0.0]), (0.05, [1e200, 0.0])],
+                         ids=["converging", "oscillating", "diverging", "non-finite-start"])
+def test_overshoot_matches_reference(primal_step, x0):
+    problem = two_sided_plane()
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=400,
+                        dual_optimizer=NuPIConfig(nu=0.0, kp=1.0, ki=0.5),
+                        primal_optimizer=gd(primal_step), dual_restarts=True)
+    traj = run(problem, x0, DualVector.zeros(2, 1), config)
+    expected = loop_reference.overshoot(traj)
+    assert _same(_compute_metric("overshoot", traj, None), expected)
+    assert _same(expected, loop_reference.overshoot(
+        loop_reference.run(problem, x0, DualVector.zeros(2, 1), config)))
