@@ -53,15 +53,6 @@ from .problems import (
 
 BENCHMARK2D_DEFAULT_X0 = (-0.5, -2.0)
 
-_KNOWN_KEYS = {
-    "problem": {"kind", "path", "x0", "train_fraction", "split"},
-    "loop": {"scheme", "max_steps", "record_every", "dual_restarts", "stop_tolerance",
-             "primal_kind", "primal_step_size", "primal_momentum"},
-    "dual": {"kind", "nu", "kp", "ki", "alpha", "beta", "gamma", "step_size"},
-    "grid": {"kp", "ki", "nu", "step_size"},
-    "run": {"seed", "output_dir", "metric"},
-}
-
 _DEFAULTS = {
     "problem": {"kind": "svm", "path": "", "x0": "", "train_fraction": "0.7", "split": "true"},
     "loop": {"scheme": "alternating", "max_steps": "1000", "record_every": "1",
@@ -69,7 +60,7 @@ _DEFAULTS = {
              "primal_step_size": "0.01", "primal_momentum": "0.9"},
     "dual": {"kind": "nupi", "nu": "0.0", "kp": "0.0", "ki": "0.01",
              "alpha": "0.01", "beta": "0.9", "gamma": "0.0", "step_size": "0.01"},
-    "grid": {"kp": "", "ki": "", "nu": "", "step_size": ""},
+    "grid": {"kp": "", "ki": "", "nu": ""},
     "run": {"seed": "0", "output_dir": "", "metric": "max_violation"},
 }
 
@@ -84,17 +75,17 @@ def _load_config(path: str | None, overrides: list) -> dict:
         if not read:
             raise ConfigurationError(f"config file not found: {path}")
         for section in parser.sections():
-            if section not in _KNOWN_KEYS:
+            if section not in _DEFAULTS:
                 raise ConfigurationError(f"unknown config section [{section}]")
             for key, value in parser.items(section):
-                if key not in _KNOWN_KEYS[section]:
+                if key not in _DEFAULTS[section]:
                     raise ConfigurationError(f"unknown config key [{section}] {key}")
                 config[section][key] = value.strip()
     for key, value in overrides:
         if "." not in key:
             raise ConfigurationError(f"override {key!r} must look like section.key")
         section, name = key.split(".", 1)
-        if section not in _KNOWN_KEYS or name not in _KNOWN_KEYS[section]:
+        if section not in _DEFAULTS or name not in _DEFAULTS[section]:
             raise ConfigurationError(f"unknown override --{key}")
         config[section][name] = value
     return config
@@ -107,83 +98,58 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_float(config, section, key):
+def _float_list(text: str) -> list:
+    return [_finite_float(tok) for tok in text.split(",") if tok.strip()]
+
+
+_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+          **dict.fromkeys(("false", "0", "no", "off"), False)}
+# (converter, what it accepts) pairs for _setting; finite floats are its default
+_INT = (int, "an integer")
+_BOOL = (lambda raw: _BOOLS[raw.lower()], "a boolean")
+_FLOATS = (_float_list, "comma-separated finite numbers")
+
+
+def _setting(config, section, key, convert=_finite_float, expected="a finite number"):
+    """The raw `[section] key` string converted, or one configuration error
+    line when `convert` rejects it (ValueError, or KeyError from a table)."""
     raw = config[section][key]
     try:
-        return _finite_float(raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"[{section}] {key} must be a finite number, got {raw!r}") from exc
+        return convert(raw)
+    except (ValueError, KeyError) as exc:
+        raise ConfigurationError(f"[{section}] {key} must be {expected}, got {raw!r}") from exc
 
 
-def _parse_int(config, section, key):
-    raw = config[section][key]
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"[{section}] {key} must be an integer, got {raw!r}") from exc
-
-
-def _parse_bool(config, section, key):
-    raw = config[section][key].lower()
-    if raw in ("true", "1", "yes", "on"):
-        return True
-    if raw in ("false", "0", "no", "off"):
-        return False
-    raise ConfigurationError(f"[{section}] {key} must be a boolean, got {raw!r}")
-
-
-def _parse_float_list(config, section, key):
-    try:
-        return [_finite_float(tok) for tok in config[section][key].split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"[{section}] {key} must be comma-separated finite numbers") from exc
+# [dual] kind -> (config class, the [dual] keys it takes)
+_DUAL_KINDS = {
+    "nupi": (NuPIConfig, ("nu", "kp", "ki")),
+    "ga": (GAConfig, ("step_size",)),
+    "um": (UMConfig, ("alpha", "beta", "gamma")),
+    "adam": (AdamConfig, ("step_size",)),
+}
 
 
 def _dual_config(config):
-    kind = config["dual"]["kind"].lower()
-    if kind == "nupi":
-        return NuPIConfig(nu=_parse_float(config, "dual", "nu"),
-                          kp=_parse_float(config, "dual", "kp"),
-                          ki=_parse_float(config, "dual", "ki"))
-    if kind == "ga":
-        return GAConfig(step_size=_parse_float(config, "dual", "step_size"))
-    if kind == "um":
-        return UMConfig(alpha=_parse_float(config, "dual", "alpha"),
-                        beta=_parse_float(config, "dual", "beta"),
-                        gamma=_parse_float(config, "dual", "gamma"))
-    if kind == "adam":
-        return AdamConfig(step_size=_parse_float(config, "dual", "step_size"))
-    raise ConfigurationError(f"[dual] kind must be nupi|ga|um|adam, got {kind!r}")
+    cls, keys = _setting(config, "dual", "kind", lambda raw: _DUAL_KINDS[raw.lower()],
+                         "|".join(_DUAL_KINDS))
+    return cls(**{key: _setting(config, "dual", key) for key in keys})
 
 
 def _loop_config(config, dual_config) -> LoopConfig:
-    scheme_raw = config["loop"]["scheme"].lower()
-    try:
-        scheme = Scheme(scheme_raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"[loop] scheme must be alternating|simultaneous, got {scheme_raw!r}") from exc
-    kind_raw = config["loop"]["primal_kind"].lower()
-    try:
-        primal_kind = PrimalKind(kind_raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"[loop] primal_kind must be gd|gd-momentum|adam, got {kind_raw!r}") from exc
-    tol_raw = config["loop"]["stop_tolerance"]
-    tol = _parse_float(config, "loop", "stop_tolerance") if tol_raw else None
+    tol = _setting(config, "loop", "stop_tolerance") if config["loop"]["stop_tolerance"] else None
     return LoopConfig(
-        scheme=scheme,
-        max_steps=_parse_int(config, "loop", "max_steps"),
+        scheme=_setting(config, "loop", "scheme", lambda raw: Scheme(raw.lower()),
+                        "alternating|simultaneous"),
+        max_steps=_setting(config, "loop", "max_steps", *_INT),
         dual_optimizer=dual_config,
         primal_optimizer=PrimalOptimizerConfig(
-            kind=primal_kind,
-            step_size=_parse_float(config, "loop", "primal_step_size"),
-            momentum=_parse_float(config, "loop", "primal_momentum"),
+            kind=_setting(config, "loop", "primal_kind", lambda raw: PrimalKind(raw.lower()),
+                          "gd|gd-momentum|adam"),
+            step_size=_setting(config, "loop", "primal_step_size"),
+            momentum=_setting(config, "loop", "primal_momentum"),
         ),
-        dual_restarts=_parse_bool(config, "loop", "dual_restarts"),
-        record_every=_parse_int(config, "loop", "record_every"),
+        dual_restarts=_setting(config, "loop", "dual_restarts", *_BOOL),
+        record_every=_setting(config, "loop", "record_every", *_INT),
         stop_tolerance=tol,
     )
 
@@ -222,9 +188,9 @@ def _build_problem(config, seed: int) -> ProblemBundle:
     if kind == "svm":
         path = config["problem"]["path"] or iris_csv_path()
         data = load_dataset_csv(path)
-        if _parse_bool(config, "problem", "split"):
+        if _setting(config, "problem", "split", *_BOOL):
             train, valid = train_validation_split(
-                data, seed=seed, train_fraction=_parse_float(config, "problem", "train_fraction"))
+                data, seed=seed, train_fraction=_setting(config, "problem", "train_fraction"))
         else:
             train, valid = data, None
         problem = build_svm_problem(train)
@@ -245,7 +211,7 @@ def _build_problem(config, seed: int) -> ProblemBundle:
     else:
         raise ConfigurationError(f"[problem] kind must be svm|benchmark2d|qp, got {kind!r}")
     if config["problem"]["x0"]:
-        x0 = _parse_float_list(config, "problem", "x0")
+        x0 = _setting(config, "problem", "x0", *_FLOATS)
         if len(x0) != bundle.problem.dim_primal:
             raise ConfigurationError(
                 f"[problem] x0 has {len(x0)} entries, problem has {bundle.problem.dim_primal}")
@@ -268,18 +234,14 @@ _METRICS = ("dist_to_lambda_star", "max_violation", "overshoot")
 def _compute_metric(metric: str, trajectory: Trajectory, lambda_star) -> float:
     final = trajectory.final
     if metric == "dist_to_lambda_star":
-        if lambda_star is None:
-            raise ConfigurationError("metric dist_to_lambda_star requires an SVM problem")
         return float(np.linalg.norm(final.lam - lambda_star))
     if metric == "max_violation":
         viol_g = float(np.max(np.maximum(final.g, 0.0), initial=0.0))
         viol_h = float(np.max(np.abs(final.h), initial=0.0))
         return max(viol_g, viol_h)
-    if metric == "overshoot":
-        # as a running max() over records: rows with a NaN are skipped, 0.0 beats -0.0
-        per_record = np.max(np.maximum(-trajectory.column("g"), 0.0), axis=1, initial=-np.inf)
-        return max(0.0, float(np.max(per_record[~np.isnan(per_record)], initial=0.0)))
-    raise ConfigurationError(f"[run] metric must be one of {_METRICS}, got {metric!r}")
+    # overshoot, as a running max() over records: rows with a NaN are skipped, 0.0 beats -0.0
+    per_record = np.max(np.maximum(-trajectory.column("g"), 0.0), axis=1, initial=-np.inf)
+    return max(0.0, float(np.max(per_record[~np.isnan(per_record)], initial=0.0)))
 
 
 def _echo_config(config, path: Path) -> None:
@@ -292,23 +254,28 @@ def _echo_config(config, path: Path) -> None:
     path.write_text("\n".join(lines))
 
 
-def cmd_run(args) -> int:
-    config = _load_config(args.config, args.overrides)
-    seed = _parse_int(config, "run", "seed")
+def _prepare(config, output_dir):
+    """Everything `run` and `grid` share, checked before any step runs: the
+    seed, the metric, the LoopConfig, the problem, the output directory and
+    lambda* (SVM only, else None)."""
+    seed = _setting(config, "run", "seed", *_INT)
     metric = config["run"]["metric"].lower()
     if metric not in _METRICS:
         raise ConfigurationError(f"[run] metric must be one of {_METRICS}, got {metric!r}")
-    dual_config = _dual_config(config)
-    loop_config = _loop_config(config, dual_config)
+    if metric == "dist_to_lambda_star" and config["problem"]["kind"].lower() != "svm":
+        raise ConfigurationError("[run] metric dist_to_lambda_star needs [problem] kind = svm")
+    loop_config = _loop_config(config, _dual_config(config))
     bundle = _build_problem(config, seed)
-    out_dir = _resolve_output_dir(config, args.output_dir)
+    out_dir = _resolve_output_dir(config, output_dir)
+    lambda_star = svm_dual_oracle(bundle.train_data).lam if bundle.kind == "svm" else None
+    return seed, metric, loop_config, bundle, out_dir, lambda_star
 
-    for warning in dual_config_warnings(dual_config):
+
+def cmd_run(args) -> int:
+    config = _load_config(args.config, args.overrides)
+    _, metric, loop_config, bundle, out_dir, lambda_star = _prepare(config, args.output_dir)
+    for warning in dual_config_warnings(loop_config.dual_optimizer):
         print(f"warning: {warning}", file=sys.stderr)
-
-    lambda_star = None
-    if bundle.kind == "svm":
-        lambda_star = svm_dual_oracle(bundle.train_data).lam
 
     duals0 = DualVector.zeros(bundle.problem.num_ineq, bundle.problem.num_eq)
     trajectory = run(bundle.problem, bundle.x0, duals0, loop_config)
@@ -367,32 +334,15 @@ def cmd_grid(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
     config = _load_config(args.config, args.overrides)
-    seed = _parse_int(config, "run", "seed")
-    metric = config["run"]["metric"].lower()
-    if metric not in _METRICS:
-        raise ConfigurationError(f"[run] metric must be one of {_METRICS}, got {metric!r}")
     if config["dual"]["kind"].lower() != "nupi":
         raise ConfigurationError("grid mode sweeps nuPI gains; set [dual] kind = nupi "
                                  "(gradient ascent is the kp = 0 row)")
-    kp_values = _parse_float_list(config, "grid", "kp")
-    ki_values = _parse_float_list(config, "grid", "ki")
-    nu_values = _parse_float_list(config, "grid", "nu") or [_parse_float(config, "dual", "nu")]
+    kp_values, ki_values, nu_values = (_setting(config, "grid", key, *_FLOATS)
+                                       for key in ("kp", "ki", "nu"))
     if not kp_values or not ki_values:
         raise ConfigurationError("[grid] kp and ki must be nonempty lists")
-    step_list = _parse_float_list(config, "grid", "step_size")
-    if len(step_list) > 1:
-        raise ConfigurationError("[grid] step_size supports a single override value "
-                                 "(the grid CSV schema has no step_size column)")
-    if step_list:
-        config["loop"]["primal_step_size"] = repr(step_list[0])
-
-    loop_config = _loop_config(config, _dual_config(config))
-    bundle = _build_problem(config, seed)
-    out_dir = _resolve_output_dir(config, args.output_dir)
-
-    lambda_star = None
-    if bundle.kind == "svm":
-        lambda_star = svm_dual_oracle(bundle.train_data).lam
+    seed, metric, loop_config, bundle, out_dir, lambda_star = _prepare(config, args.output_dir)
+    nu_values = nu_values or [loop_config.dual_optimizer.nu]
 
     cells = [(kp, ki, nu) for kp in kp_values for ki in ki_values for nu in nu_values]
     payloads = [(config, seed, loop_config, cell, metric, lambda_star) for cell in cells]
@@ -417,17 +367,19 @@ def cmd_grid(args) -> int:
     return 0
 
 
+def _data_rows(path):
+    """The comma-split rows of a CSV written here, without blank lines, `#`
+    comments or the `kp,` header."""
+    with open(path) as fh:
+        lines = [line.strip() for line in fh]
+    return [line.split(",") for line in lines
+            if line and not line.startswith("#") and not line.startswith("kp,")]
+
+
 def read_grid_csv(path):
     """Read a grid CSV back into a list of (kp, ki, nu, metric, flag) tuples."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("kp,"):
-                continue
-            kp, ki, nu, value, flag = line.split(",")
-            rows.append((float(kp), float(ki), float(nu), float(value), int(flag)))
-    return rows
+    return [(float(kp), float(ki), float(nu), float(value), int(flag))
+            for kp, ki, nu, value, flag in _data_rows(path)]
 
 
 def cmd_sweep_regime(args) -> int:
@@ -458,16 +410,8 @@ def cmd_sweep_regime(args) -> int:
 
 def read_regime_sweep_csv(path):
     """Read a regime-sweep CSV into (kp, lambda1, lambda2, regime) tuples."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("kp,"):
-                continue
-            kp, re1, im1, re2, im2, regime = line.split(",")
-            rows.append((float(kp), complex(float(re1), float(im1)),
-                         complex(float(re2), float(im2)), regime))
-    return rows
+    return [(float(kp), complex(float(re1), float(im1)), complex(float(re2), float(im2)), regime)
+            for kp, re1, im1, re2, im2, regime in _data_rows(path)]
 
 
 def cmd_validate_gradients(args) -> int:

@@ -224,12 +224,22 @@ def _rel_error(analytic: np.ndarray, reference: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - reference) / denom))
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """`np.random.default_rng(seed)`, with a negative seed reported as a
+    configuration error instead of numpy's ValueError."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def validate_gradients(problem: ConstrainedProblem, num_points: int, seed: int,
                        tolerance: float = 1e-5) -> GradientCheckReport:
     """Check analytic gradients/Jacobians against central differences at
     random points. Passes iff the max relative error is <= tolerance and all
     sampled evaluations are finite."""
-    rng = np.random.default_rng(seed)
+    if num_points < 1:
+        raise ConfigurationError(f"num_points must be >= 1, got {num_points}")
+    rng = seeded_rng(seed)
     report = GradientCheckReport(num_points=num_points, tolerance=tolerance)
     for k in range(num_points):
         x = rng.standard_normal(problem.dim_primal)

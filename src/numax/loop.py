@@ -27,8 +27,9 @@ checked accessors for c(x) and its Jacobian, the Lagrangian
 Adam moment update (`adam_moments`), which the primal Adam also uses.
 
 The dual state is advanced in place and the projected (and restarted) theta
-written back into it. Records fill preallocated columns (`Records`), which
-`Trajectory.steps` reads as `StepRecord` views and the CSV writer in blocks.
+written back into it. Records fill columns (`Records`) that grow by doubling,
+which `Trajectory.steps` reads as `StepRecord` views and the CSV writer in
+blocks.
 """
 
 from __future__ import annotations
@@ -118,11 +119,20 @@ class StepRecord:
     lagrangian: float
 
 
+# Records start with at most this many rows and double when full. A run that
+# stops early then holds columns sized by what it recorded, not by its step
+# budget; budgets up to this size (50k steps plus two records) never grow.
+_RECORDS_INITIAL_ROWS = 1 << 16
+
+
 class Records(Sequence):
-    """A run's records as preallocated columns; rows [0, len) are filled.
-    Item i is a `StepRecord` whose arrays are views of row i."""
+    """A run's records as columns; rows [0, len) are filled. Item i is a
+    `StepRecord` whose arrays are views of row i."""
+
+    _COLUMNS = ("t", "f", "lagrangian", "x", "c", "theta")
 
     def __init__(self, rows: int, dim_primal: int, num_ineq: int, num_eq: int):
+        rows = min(rows, _RECORDS_INITIAL_ROWS)
         self.num_ineq, self.size = num_ineq, 0
         self.t = np.empty(rows, dtype=np.int64)
         self.f, self.lagrangian = np.empty(rows), np.empty(rows)
@@ -132,6 +142,12 @@ class Records(Sequence):
 
     def append(self, t: int, x: np.ndarray, f: float, c: np.ndarray, theta: np.ndarray) -> None:
         i, m = self.size, self.num_ineq
+        if i == len(self.t):
+            for name in self._COLUMNS:
+                old = getattr(self, name)
+                grown = np.empty((2 * len(old),) + old.shape[1:], dtype=old.dtype)
+                grown[:i] = old
+                setattr(self, name, grown)
         self.t[i], self.f[i], self.x[i], self.c[i], self.theta[i] = t, f, x, c, theta
         self.lagrangian[i] = lagrangian_value(f, c[:m], c[m:], theta[:m], theta[m:])
         self.size = i + 1

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import QPSystem
-from .core import ConfigurationError, ConstrainedProblem
+from .core import ConfigurationError, ConstrainedProblem, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,11 @@ def load_dataset_csv(path) -> SvmDataset:
     with '#' are ignored. Row order is preserved."""
     rows = []
     width = None
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read dataset {path}: {exc}") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -105,7 +109,7 @@ def train_validation_split(data: SvmDataset, seed: int,
     """Seeded shuffle, then the first ceil(train_fraction * m) rows train."""
     if not 0.0 < train_fraction < 1.0:
         raise ConfigurationError("train_fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     order = rng.permutation(data.num_points)
     n_train = math.ceil(train_fraction * data.num_points)
     if n_train >= data.num_points:

@@ -249,13 +249,19 @@ class TestGridMatchesRun:
     def test_cell_metric_equals_run_metric(self, tmp_path):
         config = tmp_path / "grid.ini"
         write_svm_config(config, max_steps=120)
-        assert main(["grid", "--config", str(config), "--output-dir", str(tmp_path / "grid"),
-                     "--grid.nu", "0.3", "--jobs", "1"]) == 0
-        cells = {(r[0], r[1], r[2]): r[3] for r in read_grid_csv(tmp_path / "grid" / "grid.csv")}
-        assert main(["run", "--config", str(config), "--output-dir", str(tmp_path / "run"),
-                     "--dual.kp", "1", "--dual.ki", "0.1", "--dual.nu", "0.3"]) == 0
-        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-        assert cells[(1.0, 0.1, 0.3)] == summary["metric_value"]
+        for metric in ("dist_to_lambda_star", "overshoot"):
+            grid_dir = tmp_path / metric / "grid"
+            assert main(["grid", "--config", str(config), "--output-dir", str(grid_dir),
+                         "--grid.nu", "0,0.3", "--run.metric", metric, "--jobs", "1"]) == 0
+            rows = read_grid_csv(grid_dir / "grid.csv")
+            assert len(rows) == 8
+            for kp, ki, nu, value, _ in rows:
+                run_dir = tmp_path / metric / f"run_{kp}_{ki}_{nu}"
+                assert main(["run", "--config", str(config), "--output-dir", str(run_dir),
+                             "--run.metric", metric, "--dual.kp", repr(kp),
+                             "--dual.ki", repr(ki), "--dual.nu", repr(nu)]) == 0
+                summary = json.loads((run_dir / "summary.json").read_text())
+                assert value == summary["metric_value"], (metric, kp, ki, nu)
 
     def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
         started = []
@@ -304,18 +310,35 @@ _BAD_SETTINGS = {
     "nan_primal_step": ["--loop.primal_step_size", "nan"],
     "inf_ki": ["--dual.ki", "inf"],
     "inf_x0": ["--problem.x0", "0,0,0,0,inf"],
+    "non_boolean_restarts": ["--loop.dual_restarts", "maybe"],
+    "fractional_record_every": ["--loop.record_every", "1.5"],
+    "non_numeric_seed": ["--run.seed", "x"],
+    "negative_seed": ["--run.seed", "-1"],
+    "unknown_metric": ["--run.metric", "bogus"],
+    "unknown_dual_kind": ["--dual.kind", "bogus"],
+    "unknown_primal_kind": ["--loop.primal_kind", "bogus"],
+    "non_boolean_split": ["--problem.split", "maybe"],
+    "missing_data_file": lambda tmp_path: ["--problem.path", str(tmp_path / "missing.csv")],
+    "lambda_star_without_svm": ["--problem.kind", "benchmark2d",
+                                "--run.metric", "dist_to_lambda_star"],
 }
 _BAD_GRID_SETTINGS = {
     "jobs_zero": ["--jobs", "0"],
     "jobs_negative": ["--jobs", "-1"],
     "nan_grid_kp": ["--grid.kp", "0,nan"],
+    "grid_step_size": ["--grid.step_size", "0.1"],
 }
 _MALFORMED = ([(command, name) for command in ("run", "grid") for name in _BAD_SETTINGS]
               + [("grid", name) for name in _BAD_GRID_SETTINGS])
 
 
+def _no_step(*_args, **_kwargs):
+    raise AssertionError("a run started")
+
+
 @pytest.mark.parametrize("command,case", _MALFORMED, ids=[f"{c}-{n}" for c, n in _MALFORMED])
-def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, case):
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, case):
+    monkeypatch.setattr(cli, "run", _no_step)  # every setting is checked before a step
     config = tmp_path / "run.ini"
     write_svm_config(config, max_steps=10)
     bad = {**_BAD_SETTINGS, **_BAD_GRID_SETTINGS}[case]
@@ -327,6 +350,34 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, case):
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not (out / "grid.csv").exists() and not (out / "summary.json").exists()
+
+
+_BAD_TOOL_ARGS = {
+    "validate-gradients-negative_seed": ["validate-gradients", "--problem", "benchmark2d",
+                                         "--seed", "-1"],
+    "validate-gradients-negative_split_seed": ["validate-gradients", "--problem", "svm",
+                                               "--seed", "-1"],
+    "validate-gradients-zero_points": ["validate-gradients", "--problem", "benchmark2d",
+                                       "--points", "0"],
+    "validate-gradients-negative_points": ["validate-gradients", "--problem", "benchmark2d",
+                                           "--points", "-3"],
+    "validate-gradients-missing_data": ["validate-gradients", "--problem", "svm",
+                                        "--data", "{missing}"],
+    "oracle-svm-negative_seed": ["oracle-svm", "--seed", "-1"],
+    "oracle-svm-missing_data": ["oracle-svm", "--data", "{missing}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TOOL_ARGS))
+def test_bad_tool_argument_exits_2_with_one_line(tmp_path, capsys, case):
+    missing = str(tmp_path / "missing.csv")
+    argv = [arg.format(missing=missing) for arg in _BAD_TOOL_ARGS[case]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 class TestSweepRegime:

@@ -30,6 +30,7 @@ from numax import (
     validate_gradients,
     write_trajectory_csv,
 )
+from numax import loop
 from numax.cli import _compute_metric
 from numax.loop import _PrimalOptimizer
 from reference import loop_reference
@@ -385,6 +386,30 @@ def test_tolerance_stop_matches_reference(tmp_path, tolerance, record_every, ki)
                         record_every=record_every)
     traj = _assert_matches_reference(one_sided_line(), [0.0], config, tmp_path)
     assert traj.terminated_reason is TerminationReason.TOLERANCE
+
+
+def test_tolerance_stop_holds_records_not_budget():
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=10**12,
+                        dual_optimizer=NuPIConfig(nu=0.0, kp=1.0, ki=0.05),
+                        primal_optimizer=gd(0.05), stop_tolerance=1e-6)
+    traj = run(one_sided_line(), [0.0], DualVector.zeros(1, 0), config)
+    assert traj.terminated_reason is TerminationReason.TOLERANCE
+    assert len(traj.steps) < 10**4
+    assert len(traj.steps.t) <= loop._RECORDS_INITIAL_ROWS
+
+
+@pytest.mark.parametrize("record_every,stop_tolerance,primal_step",
+                         [(1, None, 0.05), (3, None, 0.05), (1, 1e-2, 0.05), (1, None, 1e300)],
+                         ids=["every-step", "strided", "tolerance", "non-finite"])
+def test_grown_records_match_reference(tmp_path, monkeypatch, record_every, stop_tolerance,
+                                       primal_step):
+    monkeypatch.setattr(loop, "_RECORDS_INITIAL_ROWS", 2)
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=300,
+                        dual_optimizer=NuPIConfig(nu=0.0, kp=1.0, ki=0.5),
+                        primal_optimizer=gd(primal_step), stop_tolerance=stop_tolerance,
+                        record_every=record_every)
+    traj = _assert_matches_reference(one_sided_line(), [0.0], config, tmp_path)
+    assert 2 < len(traj.steps) <= len(traj.steps.t) < 2 * len(traj.steps)
 
 
 def _assert_matches_reference(problem, x0, config, base):
