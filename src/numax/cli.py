@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import QPSystem, classify_regime, critical_kp, eigen_1d
-from .core import ConfigurationError, ConstrainedProblem, DualVector, NumericalError, validate_gradients
+from .core import (ConfigurationError, ConstrainedProblem, DualVector, NumericalError, read_text,
+                   validate_gradients)
 from .dual_optimizers import (
     AdamConfig,
     GAConfig,
@@ -71,22 +72,22 @@ def _load_config(path: str | None, overrides: list) -> dict:
     config = {section: dict(values) for section, values in _DEFAULTS.items()}
     if path:
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        read = parser.read(path)
-        if not read:
-            raise ConfigurationError(f"config file not found: {path}")
-        for section in parser.sections():
-            if section not in _DEFAULTS:
-                raise ConfigurationError(f"unknown config section [{section}]")
-            for key, value in parser.items(section):
-                if key not in _DEFAULTS[section]:
-                    raise ConfigurationError(f"unknown config key [{section}] {key}")
-                config[section][key] = value.strip()
+        try:
+            parser.read_string(read_text(path, "config file"), source=path)
+            for section in parser.sections():
+                if section not in _DEFAULTS:
+                    raise ConfigurationError(f"unknown config section [{section}]")
+                for key, value in parser.items(section):
+                    if key not in _DEFAULTS[section]:
+                        raise ConfigurationError(f"unknown config key [{section}] {key}")
+                    config[section][key] = value.strip()
+        except configparser.Error as exc:  # its messages span lines; keep one
+            message = " ".join(str(exc).split())
+            raise ConfigurationError(f"config file {path}: {message}") from exc
     for key, value in overrides:
-        if "." not in key:
-            raise ConfigurationError(f"override {key!r} must look like section.key")
-        section, name = key.split(".", 1)
-        if section not in _DEFAULTS or name not in _DEFAULTS[section]:
-            raise ConfigurationError(f"unknown override --{key}")
+        section, _, name = key.partition(".")
+        if name not in _DEFAULTS.get(section, ()):
+            raise ConfigurationError(f"unknown override --{key} (overrides are --section.key)")
         config[section][name] = value
     return config
 
@@ -164,21 +165,20 @@ class ProblemBundle:
 
 
 def _load_qp_json(path) -> QPSystem:
+    """The QP of a JSON object with keys H, A, b and an optional c. Its gains
+    stay at kp = 0, ki = 1: the problem ignores them and `[dual]` sets them."""
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read QP file {path}: {exc}") from exc
+        payload = json.loads(read_text(path, "QP file"))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"QP file {path} is not valid JSON: {exc}") from exc
-    for field in ("H", "A", "b"):
-        if field not in payload:
-            raise ConfigurationError(f"QP file {path} is missing key {field!r}")
+    keys = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
+    if not isinstance(payload, dict) or not {"A", "H", "b"} <= set(keys) <= {"A", "H", "b", "c"}:
+        raise ConfigurationError(f"QP file {path} must hold an object with keys H, A, b "
+                                 f"and optional c, got {keys}")
     try:
         n = len(payload["H"])
         return QPSystem(H=payload["H"], A=payload["A"], b=payload["b"],
-                        c_lin=payload.get("c", [0.0] * n),
-                        kp=float(payload.get("kp", 0.0)), ki=float(payload.get("ki", 1.0)))
+                        c_lin=payload.get("c", [0.0] * n), kp=0.0, ki=1.0)
     except (ValueError, TypeError) as exc:
         raise ConfigurationError(f"QP file {path} is malformed: {exc}") from exc
 
@@ -370,8 +370,7 @@ def cmd_grid(args) -> int:
 def _data_rows(path):
     """The comma-split rows of a CSV written here, without blank lines, `#`
     comments or the `kp,` header."""
-    with open(path) as fh:
-        lines = [line.strip() for line in fh]
+    lines = [line.strip() for line in read_text(path, "CSV file").splitlines()]
     return [line.split(",") for line in lines
             if line and not line.startswith("#") and not line.startswith("kp,")]
 
@@ -383,15 +382,13 @@ def read_grid_csv(path):
 
 
 def cmd_sweep_regime(args) -> int:
-    if args.a == 0.0:
-        raise ConfigurationError("sweep-regime requires a != 0")
     if args.samples < 2:
         raise ConfigurationError("sweep-regime requires samples >= 2")
     gains = critical_kp(args.h, args.a, args.ki)
     kp_values = sorted(set(np.linspace(args.kp_min, args.kp_max, args.samples).tolist()
                            + [gains.kp_plus, gains.kp_minus]))
     out_path = Path(args.out) if args.out else _resolve_output_dir(
-        _load_config(None, []), None) / "regime_sweep.csv"
+        _DEFAULTS, None) / "regime_sweep.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w") as fh:
         fh.write(f"# regime sweep: h={args.h:.17g} a={args.a:.17g} ki={args.ki:.17g}\n")
@@ -416,22 +413,16 @@ def read_regime_sweep_csv(path):
 
 def cmd_validate_gradients(args) -> int:
     config = _load_config(args.config, args.overrides)
-    if args.problem:
-        config["problem"]["kind"] = args.problem
-    if args.data:
-        config["problem"]["path"] = args.data
-    bundle = _build_problem(config, seed=args.seed)
-    report = validate_gradients(bundle.problem, num_points=args.points, seed=args.seed)
+    seed = _setting(config, "run", "seed", *_INT)
+    bundle = _build_problem(config, seed)
+    report = validate_gradients(bundle.problem, num_points=args.points, seed=seed)
     print(report.summary())
     return 0 if report.passed else 3
 
 
 def cmd_oracle_svm(args) -> int:
-    path = args.data or iris_csv_path()
-    data = load_dataset_csv(path)
-    if args.split:
-        data, _ = train_validation_split(data, seed=args.seed,
-                                         train_fraction=args.train_fraction)
+    config = _load_config(None, args.overrides)
+    data = _build_problem(config, _setting(config, "run", "seed", *_INT)).train_data
     solution = svm_dual_oracle(data)
     payload = {
         "num_points": data.num_points,
@@ -455,34 +446,40 @@ def cmd_oracle_svm(args) -> int:
 def _split_overrides(extras: list) -> list:
     """Turn leftover ['--loop.max_steps', '50', ...] tokens into pairs."""
     overrides = []
-    i = 0
-    while i < len(extras):
-        token = extras[i]
+    tokens = iter(extras)
+    for token in tokens:
         if not token.startswith("--"):
             raise ConfigurationError(f"unexpected argument {token!r}")
-        if "=" in token:
-            key, value = token[2:].split("=", 1)
-            overrides.append((key, value))
-            i += 1
-            continue
-        if i + 1 >= len(extras):
-            raise ConfigurationError(f"override {token!r} is missing a value")
-        overrides.append((token[2:], extras[i + 1]))
-        i += 2
+        key, eq, value = token[2:].partition("=")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ConfigurationError(f"override {token!r} is missing a value")
+        overrides.append((key, value))
     return overrides
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose rejections are configuration errors, so that they leave
+    `main` as one line and exit 2 like every other bad input."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="numax",
-                                     description="Lagrangian min-max experiment harness")
+    """Flags with a dotted `dest` are aliases of that `--section.key` setting."""
+    parser = _Parser(prog="numax", description="Lagrangian min-max experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a single configured run")
+    p_run.set_defaults(handler=cmd_run)
     p_run.add_argument("--config", help="INI-style run configuration")
     p_run.add_argument("--output-dir", help="artifact directory "
                        "(falls back to [run] output_dir, then $NUMAX_OUTPUT_DIR)")
 
     p_grid = sub.add_parser("grid", help="run a (kp, ki, nu) grid search")
+    p_grid.set_defaults(handler=cmd_grid)
     p_grid.add_argument("--config", help="INI-style run configuration with a [grid] section")
     p_grid.add_argument("--output-dir")
     p_grid.add_argument("--jobs", type=int, default=None,
@@ -490,50 +487,46 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep-regime", help="eigenvalue/damping sweep over kp "
                              "for the 1D constrained QP")
-    p_sweep.add_argument("--h", type=float, required=True)
-    p_sweep.add_argument("--a", type=float, required=True)
-    p_sweep.add_argument("--ki", type=float, required=True)
-    p_sweep.add_argument("--kp-min", type=float, default=-5.0)
-    p_sweep.add_argument("--kp-max", type=float, default=5.0)
+    p_sweep.set_defaults(handler=cmd_sweep_regime)
+    p_sweep.add_argument("--h", type=_finite_float, required=True)
+    p_sweep.add_argument("--a", type=_finite_float, required=True)
+    p_sweep.add_argument("--ki", type=_finite_float, required=True)
+    p_sweep.add_argument("--kp-min", type=_finite_float, default=-5.0)
+    p_sweep.add_argument("--kp-max", type=_finite_float, default=5.0)
     p_sweep.add_argument("--samples", type=int, default=201)
     p_sweep.add_argument("--out", help="output CSV path")
 
     p_val = sub.add_parser("validate-gradients", help="check analytic gradients "
                            "against finite differences")
+    p_val.set_defaults(handler=cmd_validate_gradients)
     p_val.add_argument("--config")
-    p_val.add_argument("--problem", choices=("svm", "benchmark2d", "qp"))
-    p_val.add_argument("--data", help="dataset CSV or QP JSON path")
+    p_val.add_argument("--problem", dest="problem.kind", help="svm | benchmark2d | qp")
+    p_val.add_argument("--data", dest="problem.path", help="dataset CSV or QP JSON path")
     p_val.add_argument("--points", type=int, default=10)
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--seed", dest="run.seed")
 
     p_oracle = sub.add_parser("oracle-svm", help="reference SVM dual solution")
-    p_oracle.add_argument("--data", help="dataset CSV (default: vendored Iris subset)")
-    p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--train-fraction", type=float, default=0.7)
-    p_oracle.add_argument("--split", action=argparse.BooleanOptionalAction, default=True)
+    p_oracle.set_defaults(handler=cmd_oracle_svm)
+    p_oracle.add_argument("--data", dest="problem.path",
+                          help="dataset CSV (default: vendored Iris subset)")
+    p_oracle.add_argument("--seed", dest="run.seed")
+    p_oracle.add_argument("--train-fraction", dest="problem.train_fraction")
+    p_oracle.add_argument("--split", dest="problem.split", action=argparse.BooleanOptionalAction)
     p_oracle.add_argument("--out", help="write the oracle JSON here instead of stdout")
 
     return parser
 
 
-_COMMANDS = {
-    "run": cmd_run,
-    "grid": cmd_grid,
-    "sweep-regime": cmd_sweep_regime,
-    "validate-gradients": cmd_validate_gradients,
-    "oracle-svm": cmd_oracle_svm,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args, extras = parser.parse_known_args(argv)
     try:
-        if args.command in ("run", "grid", "validate-gradients"):
-            args.overrides = _split_overrides(extras)
-        elif extras:
+        args, extras = _build_parser().parse_known_args(argv)
+        if extras and "config" not in vars(args):  # only commands with --config take overrides
             raise ConfigurationError(f"unexpected arguments: {extras}")
-        return _COMMANDS[args.command](args)
+        # alias flags come after the --section.key tokens, so a flag wins over the same key
+        args.overrides = _split_overrides(extras) + [
+            (dest, str(value)) for dest, value in vars(args).items()
+            if "." in dest and value is not None]
+        return args.handler(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ the same order. Every other module indexes by this contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -21,6 +22,15 @@ class ConfigurationError(Exception):
 
 class NumericalError(Exception):
     """A computation received or produced non-finite or unusable values."""
+
+
+def read_text(path, what: str) -> str:
+    """The file at `path` decoded as UTF-8. A file that cannot be opened or
+    decoded is a configuration error that names `what` and the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def as_vector(value, length: int, name: str) -> np.ndarray:

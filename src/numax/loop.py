@@ -48,6 +48,7 @@ from .core import (
     as_vector,
     lagrangian_value,
     project_theta,
+    read_text,
 )
 from .dual_optimizers import (
     AdamConfig,
@@ -360,13 +361,12 @@ class TrajectoryTable:
 def read_trajectory_csv(path) -> TrajectoryTable:
     reason = ""
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                if "terminated_reason:" in line:
-                    reason = line.split("terminated_reason:", 1)[1].strip()
-            elif line.strip():
-                rows.append(line.strip().split(","))
+    for line in read_text(path, "trajectory CSV").splitlines():
+        if line.startswith("#"):
+            if "terminated_reason:" in line:
+                reason = line.split("terminated_reason:", 1)[1].strip()
+        elif line.strip():
+            rows.append(line.strip().split(","))
     header = rows[0]
     m = sum(1 for c in header if c.startswith("lambda_"))
     n = sum(1 for c in header if c.startswith("mu_"))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import QPSystem
-from .core import ConfigurationError, ConstrainedProblem, seeded_rng
+from .core import ConfigurationError, ConstrainedProblem, read_text, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -65,35 +65,30 @@ def load_dataset_csv(path) -> SvmDataset:
     with '#' are ignored. Row order is preserved."""
     rows = []
     width = None
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read dataset {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-                if width < 2:
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: need at least one feature column and a label")
-            elif len(cells) != width:
+    for lineno, line in enumerate(read_text(path, "dataset").splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+            if width < 2:
                 raise ConfigurationError(
-                    f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {width})")
-            try:
-                values = [float(c) for c in cells]
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}:{lineno}: non-numeric cell: {exc}") from exc
-            label = values[-1]
-            if label == 0.0:
-                label = -1.0
-            if label not in (-1.0, 1.0):
-                raise ConfigurationError(
-                    f"{path}:{lineno}: label must be in {{-1, 0, +1}}, got {values[-1]}")
-            rows.append((values[:-1], label))
+                    f"{path}:{lineno}: need at least one feature column and a label")
+        elif len(cells) != width:
+            raise ConfigurationError(
+                f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {width})")
+        try:
+            values = [float(c) for c in cells]
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: non-numeric cell: {exc}") from exc
+        label = values[-1]
+        if label == 0.0:
+            label = -1.0
+        if label not in (-1.0, 1.0):
+            raise ConfigurationError(
+                f"{path}:{lineno}: label must be in {{-1, 0, +1}}, got {values[-1]}")
+        rows.append((values[:-1], label))
     if not rows:
         raise ConfigurationError(f"{path}: empty dataset")
     points = np.array([r[0] for r in rows])

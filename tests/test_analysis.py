@@ -3,6 +3,7 @@ the continuous-time flow."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 from numax import (
@@ -28,6 +29,7 @@ from numax import (
 )
 from numax.analysis import default_flow_dt, flow_initial_state, flow_state_matrix
 from numax.dual_optimizers import Xi0Policy
+from reference import flow_reference
 
 
 def fig9_system(kp):
@@ -333,6 +335,48 @@ class TestSimulateFlow:
             z_star = np.concatenate([x_star, mu_star, [0.0, 0.0]])
             z = np.concatenate([res.x[-1], res.mu[-1], res.xdot[-1], res.mudot[-1]])
             assert float(np.max(np.abs(z - z_star))) <= 1e-6
+
+
+@st.composite
+def _flow_cases(draw):
+    """A QP flow with 1 or 2 primal dimensions and one constraint, a step, a
+    horizon of whole steps with or without a shorter final step, and few
+    enough samples that only every k-th state (k >= 2) is stored. A diverging
+    case adds 1e4 to H's diagonal, so RK4 overflows within the horizon."""
+    entry = st.floats(-2.0, 2.0, allow_nan=False)
+    n = draw(st.integers(1, 2))
+    diverge = draw(st.booleans())
+    L = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    H = 0.5 * (L @ L.T + (L @ L.T).T) + (1e4 if diverge else 0.0) * np.eye(n)
+    sys = QPSystem(H=H, A=[draw(st.lists(entry, min_size=n, max_size=n))], b=[draw(entry)],
+                   c_lin=draw(st.lists(entry, min_size=n, max_size=n)),
+                   kp=draw(st.floats(0.0, 4.0)), ki=draw(st.floats(0.1, 2.0)))
+    x0 = draw(st.lists(entry, min_size=n, max_size=n))
+    if diverge:  # a nonzero start, so that the growth shows
+        x0[0] = 1.0
+    mu0 = [draw(entry)]
+    dt = draw(st.floats(0.005, 0.1))
+    steps = draw(st.integers(120 if diverge else 4, 300))
+    remainder = draw(st.sampled_from([0.0, 0.25, 0.5, 0.9]))
+    max_samples = draw(st.integers(2, steps // 2))
+    return sys, x0, mu0, dt, (steps + remainder) * dt, max_samples, diverge
+
+
+@given(_flow_cases())
+def test_simulate_flow_matches_stepwise_reference(case):
+    sys, x0, mu0, dt, t_end, max_samples, diverge = case
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging flow overflows in matmul
+        got = simulate_flow(sys, x0, mu0, dt=dt, t_end=t_end, max_samples=max_samples)
+        ref = flow_reference.simulate_flow(sys, x0, mu0, dt=dt, t_end=t_end,
+                                           max_samples=max_samples)
+    assert np.array_equal(got.times, ref.times)
+    assert got.flagged == ref.flagged
+    assert got.flagged or not diverge
+    scale = max(1.0, max(float(np.max(np.abs(getattr(ref, name))))
+                         for name in ("x", "mu", "xdot", "mudot")))
+    for name in ("x", "mu", "xdot", "mudot"):
+        assert getattr(got, name).shape == getattr(ref, name).shape
+        assert float(np.max(np.abs(getattr(got, name) - getattr(ref, name)))) <= 1e-12 * scale
 
 
 class TestKktSolve:

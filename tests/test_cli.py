@@ -1,11 +1,19 @@
 """Tests for the experiment harness CLI: subcommands, exit codes, artifacts."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from numax import cli, read_trajectory_csv
+from numax import (
+    cli,
+    iris_csv_path,
+    load_dataset_csv,
+    read_trajectory_csv,
+    svm_dual_oracle,
+    train_validation_split,
+)
 from numax.cli import main, read_grid_csv, read_regime_sweep_csv
 
 
@@ -288,16 +296,33 @@ class TestGridMatchesRun:
         assert len(read_grid_csv(tmp_path / "out" / "grid.csv")) == 2
 
 
+# A QP run with a metric that a QP problem can report, so that the QP file is read
+_QP = ["--run.metric", "max_violation", "--problem.kind", "qp", "--problem.path"]
+
+
 def _qp_args(payload):
     """Settings that point a run at a QP file holding `payload` (json.dumps
     writes float nan and inf as the NaN and Infinity that json.load accepts)."""
     def args(tmp_path):
         qp_file = tmp_path / "qp.json"
         qp_file.write_text(json.dumps(payload))
-        return ["--problem.kind", "qp", "--problem.path", str(qp_file)]
+        return [*_QP, str(qp_file)]
     return args
 
 
+_BINARY = b"\x89PNG\x00\xff\xfe"  # not UTF-8
+
+
+def _file_args(content, *flags):
+    """`flags` followed by the path of a file holding the bytes `content`."""
+    def args(tmp_path):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        return [*flags, str(path)]
+    return args
+
+
+# The INI rows pass a second --config; argparse keeps the last one.
 _BAD_SETTINGS = {
     "max_steps_zero": ["--loop.max_steps", "0"],
     "unknown_scheme": ["--loop.scheme", "bogus"],
@@ -321,12 +346,21 @@ _BAD_SETTINGS = {
     "missing_data_file": lambda tmp_path: ["--problem.path", str(tmp_path / "missing.csv")],
     "lambda_star_without_svm": ["--problem.kind", "benchmark2d",
                                 "--run.metric", "dist_to_lambda_star"],
+    "binary_data_file": _file_args(_BINARY, "--problem.path"),
+    "qp_binary_file": _file_args(_BINARY, *_QP),
+    "qp_not_an_object": _qp_args(5),
+    "qp_unknown_key": _qp_args({"H": [[1.0]], "A": [[1.0]], "b": [1.0], "kp": 2.0}),
+    "ini_no_section_header": _file_args(b"kind = svm\n", "--config"),
+    "ini_duplicate_key": _file_args(b"[problem]\nkind = svm\nkind = qp\n", "--config"),
+    "ini_binary": _file_args(_BINARY, "--config"),
+    "ini_bad_interpolation": _file_args(b"[problem]\npath = 100%.csv\n", "--config"),
 }
 _BAD_GRID_SETTINGS = {
     "jobs_zero": ["--jobs", "0"],
     "jobs_negative": ["--jobs", "-1"],
     "nan_grid_kp": ["--grid.kp", "0,nan"],
     "grid_step_size": ["--grid.step_size", "0.1"],
+    "jobs_not_integer": ["--jobs", "x"],
 }
 _MALFORMED = ([(command, name) for command in ("run", "grid") for name in _BAD_SETTINGS]
               + [("grid", name) for name in _BAD_GRID_SETTINGS])
@@ -345,13 +379,16 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, co
     extra = bad(tmp_path) if callable(bad) else bad
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--output-dir", str(out)] + extra) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
-    assert "Traceback" not in err
-    assert not (out / "grid.csv").exists() and not (out / "summary.json").exists()
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not out.exists()
 
 
+_SWEEP_ARGS = {"--h": "1", "--a": "-1", "--ki": "1", "--kp-min": "-5", "--kp-max": "5"}
 _BAD_TOOL_ARGS = {
     "validate-gradients-negative_seed": ["validate-gradients", "--problem", "benchmark2d",
                                          "--seed", "-1"],
@@ -365,19 +402,42 @@ _BAD_TOOL_ARGS = {
                                         "--data", "{missing}"],
     "oracle-svm-negative_seed": ["oracle-svm", "--seed", "-1"],
     "oracle-svm-missing_data": ["oracle-svm", "--data", "{missing}"],
+    **{f"sweep-regime-{flag[2:]}_{value}":
+       ["sweep-regime", *(token for pair in {**_SWEEP_ARGS, flag: value}.items() for token in pair)]
+       for flag in _SWEEP_ARGS for value in ("nan", "inf")},
+    "sweep-regime-non_integer_samples": ["sweep-regime", "--h", "1", "--a", "-1", "--ki", "1",
+                                         "--samples", "x"],
+    "sweep-regime-missing_h": ["sweep-regime", "--a", "-1", "--ki", "1"],
+    "validate-gradients-non_integer_points": ["validate-gradients", "--problem", "benchmark2d",
+                                              "--points", "abc"],
+    "validate-gradients-unknown_problem": ["validate-gradients", "--problem", "bogus"],
+    "validate-gradients-binary_data": ["validate-gradients", "--problem", "svm",
+                                       "--data", "{binary}"],
+    "validate-gradients-ini_no_section_header": ["validate-gradients", "--config", "{noheader}"],
+    "oracle-svm-non_numeric_train_fraction": ["oracle-svm", "--train-fraction", "abc"],
+    "oracle-svm-nan_train_fraction": ["oracle-svm", "--train-fraction", "nan"],
+    "oracle-svm-non_integer_seed": ["oracle-svm", "--seed", "x"],
+    "oracle-svm-binary_data": ["oracle-svm", "--data", "{binary}"],
+    "unknown_subcommand": ["bogus"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_TOOL_ARGS))
-def test_bad_tool_argument_exits_2_with_one_line(tmp_path, capsys, case):
-    missing = str(tmp_path / "missing.csv")
-    argv = [arg.format(missing=missing) for arg in _BAD_TOOL_ARGS[case]]
+def test_bad_tool_argument_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)  # a default output path would land here
+    monkeypatch.delenv("NUMAX_OUTPUT_DIR", raising=False)
+    (tmp_path / "binary.dat").write_bytes(_BINARY)
+    (tmp_path / "noheader.ini").write_text("kind = svm\n")
+    before = sorted(tmp_path.iterdir())
+    paths = {"missing": "missing.csv", "binary": "binary.dat", "noheader": "noheader.ini"}
+    argv = [arg.format(**paths) for arg in _BAD_TOOL_ARGS[case]]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error: ")
     assert captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
+    assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 class TestSweepRegime:
@@ -429,3 +489,37 @@ class TestOracleSvm:
         assert main(["oracle-svm", "--no-split"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["num_points"] == 100
+
+
+class TestToolAliases:
+    def test_validate_gradients_seed_from_flag_override_or_config(self, tmp_path, capsys):
+        config = tmp_path / "seed.ini"
+        config.write_text("[run]\nseed = 4\n")
+        reports = []
+        for extra in (["--seed", "4"], ["--run.seed", "4"], ["--config", str(config)],
+                      ["--seed", "4", "--run.seed", "0"], []):
+            assert main(["validate-gradients", "--problem", "benchmark2d", *extra]) == 0
+            reports.append(capsys.readouterr().out)
+        # the flag wins over the same override; without either the seed is 0
+        assert reports[0] == reports[1] == reports[2] == reports[3] != reports[4]
+
+    def test_oracle_svm_solves_the_configured_split(self, capsys):
+        assert main(["oracle-svm", "--seed", "3", "--train-fraction", "0.6"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        train = train_validation_split(load_dataset_csv(iris_csv_path()), 3, 0.6)[0]
+        solution = svm_dual_oracle(train)
+        assert payload["num_points"] == train.num_points
+        assert payload["lambda_star"] == solution.lam.tolist()
+        assert payload["w"] == solution.w.tolist() and payload["b"] == solution.b
+        assert payload["kkt_residual"] == solution.kkt_residual
+
+    def test_aliases_name_settings_and_every_subcommand_has_its_handler(self):
+        parser = cli._build_parser()
+        (commands,) = [action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        for name, sub in commands.choices.items():
+            assert sub.get_default("handler") is getattr(cli, "cmd_" + name.replace("-", "_"))
+            for action in sub._actions:
+                if "." in action.dest:
+                    section, key = action.dest.split(".")
+                    assert key in cli._DEFAULTS.get(section, {}), (name, action.dest)
