@@ -312,19 +312,21 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
     flagged = False
     t = 0.0
 
-    for i in range(total_steps):
-        if has_remainder and i == num_full:
-            z = R_rem @ z
-            t += remainder
-        else:
-            z = R @ z
-            t += dt
-        if (i + 1) % stride == 0 or i == total_steps - 1:
-            if not np.all(np.isfinite(z)):
-                flagged = True
-                break
-            times.append(t)
-            states.append(z.copy())
+    # `flagged` reports a diverging flow, so its overflow warnings are suppressed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(total_steps):
+            if has_remainder and i == num_full:
+                z = R_rem @ z
+                t += remainder
+            else:
+                z = R @ z
+                t += dt
+            if (i + 1) % stride == 0 or i == total_steps - 1:
+                if not np.all(np.isfinite(z)):
+                    flagged = True
+                    break
+                times.append(t)
+                states.append(z.copy())
 
     arr = np.array(states)
     return FlowResult(

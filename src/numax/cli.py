@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import QPSystem, classify_regime, critical_kp, eigen_1d
-from .core import (ConfigurationError, ConstrainedProblem, DualVector, NumericalError, read_text,
-                   validate_gradients)
+from .core import (ConfigurationError, ConstrainedProblem, DualVector, NumericalError, read_csv,
+                   read_text, validate_gradients)
 from .dual_optimizers import (
     AdamConfig,
     GAConfig,
@@ -312,6 +312,11 @@ def cmd_run(args) -> int:
     return 0
 
 
+# The header rows of the CSV files that `grid` and `sweep-regime` write
+_GRID_COLUMNS = ("kp", "ki", "nu", "final_metric", "diverged_flag")
+_REGIME_SWEEP_COLUMNS = ("kp", "re_lambda1", "im_lambda1", "re_lambda2", "im_lambda2", "regime")
+
+
 def _grid_worker(payload):
     """Run one grid cell: `numax run`'s problem and loop settings with the
     cell's nuPI gains. Problems hold closures, so each worker rebuilds its
@@ -357,7 +362,7 @@ def cmd_grid(args) -> int:
     with open(grid_path, "w") as fh:
         fh.write(f"# grid over kp x ki x nu, metric = {metric}; "
                  "diverged_flag = 1 when the metric exceeds 1e3 or the run failed\n")
-        fh.write("kp,ki,nu,final_metric,diverged_flag\n")
+        fh.write(",".join(_GRID_COLUMNS) + "\n")
         for kp, ki, nu, value, diverged, note in rows:
             fh.write(f"{kp:.17g},{ki:.17g},{nu:.17g},{value:.17g},{diverged}\n")
             if note:
@@ -367,18 +372,13 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def _data_rows(path):
-    """The comma-split rows of a CSV written here, without blank lines, `#`
-    comments or the `kp,` header."""
-    lines = [line.strip() for line in read_text(path, "CSV file").splitlines()]
-    return [line.split(",") for line in lines
-            if line and not line.startswith("#") and not line.startswith("kp,")]
-
-
 def read_grid_csv(path):
     """Read a grid CSV back into a list of (kp, ki, nu, metric, flag) tuples."""
-    return [(float(kp), float(ki), float(nu), float(value), int(flag))
-            for kp, ki, nu, value, flag in _data_rows(path)]
+    _, _, rows = read_csv(path, "grid CSV", header=_GRID_COLUMNS)
+    for lineno, values in rows:
+        if values[4] not in (0.0, 1.0):
+            raise ConfigurationError(f"{path}:{lineno}: diverged_flag must be 0 or 1")
+    return [(kp, ki, nu, value, int(flag)) for _, (kp, ki, nu, value, flag, *_) in rows]
 
 
 def cmd_sweep_regime(args) -> int:
@@ -395,7 +395,7 @@ def cmd_sweep_regime(args) -> int:
         fh.write(f"# critical_kp: {gains.kp_plus:.17g} (discriminant root +), "
                  f"{gains.kp_minus:.17g} (discriminant root -); "
                  f"convergent: {gains.convergent}\n")
-        fh.write("kp,re_lambda1,im_lambda1,re_lambda2,im_lambda2,regime\n")
+        fh.write(",".join(_REGIME_SWEEP_COLUMNS) + "\n")
         for kp in kp_values:
             lam1, lam2 = eigen_1d(args.h, args.a, kp, args.ki)
             regime = classify_regime([lam1, lam2])
@@ -407,8 +407,9 @@ def cmd_sweep_regime(args) -> int:
 
 def read_regime_sweep_csv(path):
     """Read a regime-sweep CSV into (kp, lambda1, lambda2, regime) tuples."""
-    return [(float(kp), complex(float(re1), float(im1)), complex(float(re2), float(im2)), regime)
-            for kp, re1, im1, re2, im2, regime in _data_rows(path)]
+    _, _, rows = read_csv(path, "regime sweep CSV", header=_REGIME_SWEEP_COLUMNS, text_columns=1)
+    return [(kp, complex(re1, im1), complex(re2, im2), regime)
+            for _, (kp, re1, im1, re2, im2, regime, *_) in rows]
 
 
 def cmd_validate_gradients(args) -> int:

@@ -33,6 +33,42 @@ def read_text(path, what: str) -> str:
         raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def read_csv(path, what: str, header: tuple | None = None, text_columns: int = 0) -> tuple:
+    """The '#' comment lines, the header cells (None without `header`) and the
+    data rows of the CSV file at `path`; blank lines are skipped. The header,
+    when `header` names its leading columns, is the first other line. Every
+    line has as many cells as the first, and a data row is (line number,
+    values): its cells as floats, but the last `text_columns` stay text. Each
+    rejection is one configuration error naming `path:line`."""
+    comments, head, rows, width = [], None, [], None
+    lines = read_text(path, what).splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line.startswith("#"):
+            comments.append(line)
+        elif line:
+            cells = line.split(",")
+            if width is None:
+                width = len(cells)
+                if header is not None:
+                    if cells[:len(header)] != list(header):
+                        raise ConfigurationError(
+                            f"{path}:{lineno}: header must begin with {','.join(header)}")
+                    head = cells
+                    continue
+            elif len(cells) != width:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {width})")
+            numeric = width - text_columns
+            try:
+                rows.append((lineno, [float(c) for c in cells[:numeric]] + cells[numeric:]))
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}:{lineno}: non-numeric cell: {exc}") from exc
+    if header is not None and head is None:
+        raise ConfigurationError(f"{path}:{len(lines) + 1}: no header row")
+    return comments, head, rows
+
+
 def as_vector(value, length: int, name: str) -> np.ndarray:
     """Coerce to a float64 vector of the given length or raise."""
     v = np.asarray(value, dtype=np.float64)

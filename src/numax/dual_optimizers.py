@@ -16,7 +16,9 @@ The nuPI controller follows the recursion
 
 which is equivalent to accumulating ki * sum(e) plus kp times an exponential
 moving average of the errors. nu = 0 gives a classical PI controller;
-kp = 0 gives plain gradient ascent with step ki.
+kp = 0 gives plain gradient ascent with step ki. The start xi_0 is e_0
+(`Xi0Policy.MATCH_ERROR`, the default) or (1 - nu) * e_0 (`MATCH_UM`, which
+`map_um_to_nupi` sets so that nuPI reproduces unified momentum).
 """
 
 from __future__ import annotations
@@ -48,9 +50,7 @@ class Xi0Policy(Enum):
     """How the EMA state xi_0 is initialized on the first step."""
 
     MATCH_ERROR = "match-error"  # xi_0 = e_0; first step equals gradient ascent
-    MATCH_UM = "match-um"        # xi_0 = (1 - beta) * e_0; used by the momentum mapper
-    ZERO = "zero"
-    EXPLICIT = "explicit"
+    MATCH_UM = "match-um"        # xi_0 = (1 - nu) * e_0; set by the momentum mapper
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,6 @@ class NuPIConfig:
     kp: float
     ki: float
     xi0_policy: Xi0Policy = Xi0Policy.MATCH_ERROR
-    xi0_beta: float | None = None       # required for MATCH_UM
-    xi0_value: np.ndarray | None = None  # required for EXPLICIT
 
 
 def nupi_config_warnings(config: NuPIConfig) -> list:
@@ -76,7 +74,7 @@ def nupi_config_warnings(config: NuPIConfig) -> list:
 @dataclass
 class NuPIState:
     """theta after `step_count` updates; xi is the error EMA (None before the
-    first step, where the xi0 policy resolves it from e_0)."""
+    first step, where the xi0 policy sets it from e_0)."""
 
     theta: np.ndarray
     xi: np.ndarray | None
@@ -85,7 +83,10 @@ class NuPIState:
 
     def advance(self, config: NuPIConfig, e: np.ndarray) -> NuPIState:
         if not self.prev_initialized:
-            xi0 = _resolve_xi0(config, e)
+            if config.xi0_policy is Xi0Policy.MATCH_ERROR:
+                xi0 = e.copy()
+            else:
+                xi0 = (1.0 - config.nu) * e
             self.theta = self.theta + config.ki * e + config.kp * xi0
             self.xi, self.prev_initialized, self.step_count = xi0, True, 1
             return self
@@ -101,22 +102,8 @@ def init_nupi(theta0) -> NuPIState:
     return NuPIState(theta=theta, xi=None, prev_initialized=False, step_count=0)
 
 
-def _resolve_xi0(config: NuPIConfig, e0: np.ndarray) -> np.ndarray:
-    if config.xi0_policy is Xi0Policy.MATCH_ERROR:
-        return e0.copy()
-    if config.xi0_policy is Xi0Policy.MATCH_UM:
-        if config.xi0_beta is None:
-            raise ConfigurationError("xi0_policy MATCH_UM requires xi0_beta")
-        return (1.0 - config.xi0_beta) * e0
-    if config.xi0_policy is Xi0Policy.ZERO:
-        return np.zeros_like(e0)
-    if config.xi0_value is None:
-        raise ConfigurationError("xi0_policy EXPLICIT requires xi0_value")
-    return _checked_error(config.xi0_value, e0.size).copy()
-
-
 def nupi_step(state: NuPIState, config: NuPIConfig, error) -> NuPIState:
-    """One nuPI update. At t = 0 resolves xi_0 and applies
+    """One nuPI update. At t = 0 sets xi_0 by the policy and applies
     theta_1 = theta_0 + ki e_0 + kp xi_0 (xi retains xi_0)."""
     return copy.copy(state).advance(config, _checked_error(error, state.theta.size))
 
@@ -180,7 +167,6 @@ def map_um_to_nupi(config: UMConfig) -> NuPIConfig:
         kp=kp,
         ki=config.alpha / one_minus_beta,
         xi0_policy=Xi0Policy.MATCH_UM,
-        xi0_beta=config.beta,
     )
 
 
@@ -219,12 +205,15 @@ def apply_dual_restarts(duals: DualVector, ineq_violation) -> DualVector:
     return DualVector(lam, duals.mu)
 
 
+# Adam's moment decay rates and the denominator guard, on both sides.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class AdamConfig:
     step_size: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass
@@ -236,7 +225,8 @@ class AdamState:
 
     def advance(self, config: AdamConfig, e: np.ndarray) -> AdamState:
         self.step_count += 1
-        self.m, self.v, increment = adam_moments(self.m, self.v, self.step_count, config, e)
+        self.m, self.v, increment = adam_moments(self.m, self.v, self.step_count,
+                                                 config.step_size, e)
         self.theta = self.theta + increment
         return self
 
@@ -247,16 +237,16 @@ def init_adam(theta0) -> AdamState:
                      step_count=0)
 
 
-def adam_moments(m: np.ndarray, v: np.ndarray, t: int, config: AdamConfig,
+def adam_moments(m: np.ndarray, v: np.ndarray, t: int, step_size: float,
                  direction: np.ndarray) -> tuple:
     """Adam's moment update at step t >= 1, shared by the dual and primal
     sides: returns (m, v, increment) with the bias-corrected increment
-    step_size * m_hat / (sqrt(v_hat) + eps). No finiteness check."""
-    m = config.beta1 * m + (1.0 - config.beta1) * direction
-    v = config.beta2 * v + (1.0 - config.beta2) * direction * direction
-    m_hat = m / (1.0 - config.beta1**t)
-    v_hat = v / (1.0 - config.beta2**t)
-    return m, v, config.step_size * m_hat / (np.sqrt(v_hat) + config.eps)
+    step_size * m_hat / (sqrt(v_hat) + ADAM_EPS). No finiteness check."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * direction
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * direction * direction
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return m, v, step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def adam_dual_step(state: AdamState, config: AdamConfig, error) -> AdamState:

@@ -1,4 +1,5 @@
-"""Min-max drivers: alternating and simultaneous gradient descent-ascent.
+"""The min-max driver: gradient descent-ascent, alternating or simultaneous
+as `LoopConfig.scheme` says.
 
 One iteration of the alternating scheme, with the dual error e_t = c(x_t):
 
@@ -48,10 +49,9 @@ from .core import (
     as_vector,
     lagrangian_value,
     project_theta,
-    read_text,
+    read_csv,
 )
 from .dual_optimizers import (
-    AdamConfig,
     DualOptimizerConfig,
     adam_moments,
     dual_step,
@@ -83,6 +83,11 @@ class PrimalOptimizerConfig:
             raise ConfigurationError("primal step_size must be finite and positive")
 
 
+# Consecutive recorded steps whose violation and dual increment must sit at or
+# below stop_tolerance before the run stops.
+_STOP_PATIENCE = 10
+
+
 @dataclass(frozen=True)
 class LoopConfig:
     scheme: Scheme
@@ -92,10 +97,10 @@ class LoopConfig:
     dual_restarts: bool = False
     record_every: int = 1
     stop_tolerance: float | None = None
-    # consecutive recorded steps that must sit below stop_tolerance
-    stop_patience: int = 10
 
     def __post_init__(self):
+        if not isinstance(self.scheme, Scheme):
+            raise ConfigurationError(f"scheme must be a Scheme, got {self.scheme!r}")
         if self.max_steps < 1:
             raise ConfigurationError("max_steps must be >= 1")
         if self.record_every < 1:
@@ -186,12 +191,11 @@ class Trajectory:
 
 class _PrimalOptimizer:
     """Gradient descent, heavy-ball momentum (v <- beta v + grad,
-    x <- x - eta v), or Adam (the dual side's `adam_moments` with
-    AdamConfig's default betas and eps) on the primal variables."""
+    x <- x - eta v), or Adam (the dual side's `adam_moments`) on the primal
+    variables."""
 
     def __init__(self, config: PrimalOptimizerConfig, dim: int):
         self.config = config
-        self.adam = AdamConfig(step_size=config.step_size)
         self.velocity = np.zeros(dim)
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
@@ -205,15 +209,17 @@ class _PrimalOptimizer:
             self.velocity = cfg.momentum * self.velocity + grad
             return x - cfg.step_size * self.velocity
         self.t += 1
-        self.m, self.v, increment = adam_moments(self.m, self.v, self.t, self.adam, grad)
+        self.m, self.v, increment = adam_moments(self.m, self.v, self.t, cfg.step_size, grad)
         return x - increment
 
 
 # Overflow during a diverging run is detected and flagged as NON_FINITE
 # termination; suppress the numpy warnings it would otherwise emit.
 @np.errstate(over="ignore", invalid="ignore")
-def _run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig,
-         simultaneous: bool) -> Trajectory:
+def run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig) -> Trajectory:
+    """Descent-ascent from (x0, duals0) under `config.scheme`: the alternating
+    primal step sees the freshly updated multipliers, the simultaneous one
+    the pre-update multipliers."""
     x = as_vector(x0, problem.dim_primal, "x0")
     if not np.all(np.isfinite(x)):
         raise ConfigurationError("x0 must be finite")
@@ -221,6 +227,7 @@ def _run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig
         raise ConfigurationError("initial inequality multipliers must be >= 0")
 
     m, num_constraints = problem.num_ineq, problem.num_constraints
+    simultaneous = config.scheme is Scheme.SIMULTANEOUS
     state = make_dual_state(config.dual_optimizer, duals0.stacked)
     primal = _PrimalOptimizer(config.primal_optimizer, problem.dim_primal)
     records = Records(config.max_steps // config.record_every + 2, problem.dim_primal, m,
@@ -251,7 +258,7 @@ def _run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig
                     streak += 1
                 else:
                     streak = 0
-                if streak >= config.stop_patience:
+                if streak >= _STOP_PATIENCE:
                     reason = TerminationReason.TOLERANCE
                     stopped_at = t
                     break
@@ -294,29 +301,12 @@ def _run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig
     return Trajectory(steps=records, terminated_reason=reason, counters=counters)
 
 
-def run_alternating(problem: ConstrainedProblem, x0, duals0: DualVector,
-                    config: LoopConfig) -> Trajectory:
-    """Alternating GDA: the primal step sees the freshly updated multipliers."""
-    return _run(problem, x0, duals0, config, simultaneous=False)
-
-
-def run_simultaneous(problem: ConstrainedProblem, x0, duals0: DualVector,
-                     config: LoopConfig) -> Trajectory:
-    """Simultaneous GDA: the primal step uses the pre-update multipliers."""
-    return _run(problem, x0, duals0, config, simultaneous=True)
-
-
-def run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig) -> Trajectory:
-    if config.scheme is Scheme.ALTERNATING:
-        return run_alternating(problem, x0, duals0, config)
-    return run_simultaneous(problem, x0, duals0, config)
-
-
 # CSV serialization. Header: t,f,linf_g,linf_h,lagrangian,lambda_0..,mu_0..,x_0..
 # Floats are written with 17 significant digits, which round-trips float64
 # exactly; rows end in "\r\n", the csv module's line terminator. Row blocks
 # bound the writer's memory.
 _CSV_BLOCK_ROWS = 512
+_CSV_LEADING_COLUMNS = ("t", "f", "linf_g", "linf_h", "lagrangian")
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
@@ -324,7 +314,7 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     if not cols:
         raise ConfigurationError("cannot serialize an empty trajectory")
     m, n, d = cols.num_ineq, cols.c.shape[1] - cols.num_ineq, cols.x.shape[1]
-    header = (["t", "f", "linf_g", "linf_h", "lagrangian"]
+    header = (list(_CSV_LEADING_COLUMNS)
               + [f"lambda_{i}" for i in range(m)]
               + [f"mu_{i}" for i in range(n)]
               + [f"x_{i}" for i in range(d)])
@@ -359,20 +349,15 @@ class TrajectoryTable:
 
 
 def read_trajectory_csv(path) -> TrajectoryTable:
+    comments, header, rows = read_csv(path, "trajectory CSV", header=_CSV_LEADING_COLUMNS)
     reason = ""
-    rows = []
-    for line in read_text(path, "trajectory CSV").splitlines():
-        if line.startswith("#"):
-            if "terminated_reason:" in line:
-                reason = line.split("terminated_reason:", 1)[1].strip()
-        elif line.strip():
-            rows.append(line.strip().split(","))
-    header = rows[0]
+    for line in comments:
+        if "terminated_reason:" in line:
+            reason = line.split("terminated_reason:", 1)[1].strip()
     m = sum(1 for c in header if c.startswith("lambda_"))
     n = sum(1 for c in header if c.startswith("mu_"))
     d = sum(1 for c in header if c.startswith("x_"))
-    data = [[float(v) for v in row] for row in rows[1:]]
-    arr = np.array(data, dtype=np.float64).reshape(len(data), len(header))
+    arr = np.array([values for _, values in rows], dtype=np.float64).reshape(len(rows), len(header))
     return TrajectoryTable(
         t=arr[:, 0].astype(int),
         f=arr[:, 1],

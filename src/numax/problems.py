@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import QPSystem
-from .core import ConfigurationError, ConstrainedProblem, read_text, seeded_rng
+from .core import ConfigurationError, ConstrainedProblem, read_csv, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -63,38 +63,22 @@ def load_dataset_csv(path) -> SvmDataset:
     """Read a dataset CSV: d feature columns then one label column with
     values in {-1, +1} or {0, 1}; a 0 label is remapped to -1. Lines starting
     with '#' are ignored. Row order is preserved."""
-    rows = []
-    width = None
-    for lineno, line in enumerate(read_text(path, "dataset").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-            if width < 2:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: need at least one feature column and a label")
-        elif len(cells) != width:
-            raise ConfigurationError(
-                f"{path}:{lineno}: ragged row ({len(cells)} cells, expected {width})")
-        try:
-            values = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}:{lineno}: non-numeric cell: {exc}") from exc
-        label = values[-1]
-        if label == 0.0:
-            label = -1.0
+    _, _, rows = read_csv(path, "dataset")
+    if not rows:
+        raise ConfigurationError(f"{path}: empty dataset")
+    if len(rows[0][1]) < 2:
+        raise ConfigurationError(
+            f"{path}:{rows[0][0]}: need at least one feature column and a label")
+    labels = []
+    for lineno, values in rows:
+        label = -1.0 if values[-1] == 0.0 else values[-1]
         if label not in (-1.0, 1.0):
             raise ConfigurationError(
                 f"{path}:{lineno}: label must be in {{-1, 0, +1}}, got {values[-1]}")
-        rows.append((values[:-1], label))
-    if not rows:
-        raise ConfigurationError(f"{path}: empty dataset")
-    points = np.array([r[0] for r in rows])
-    labels = np.array([r[1] for r in rows])
+        labels.append(label)
+    points = np.array([values[:-1] for _, values in rows])
     try:
-        return SvmDataset(points=points, labels=labels)
+        return SvmDataset(points=points, labels=np.array(labels))
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 

@@ -134,7 +134,7 @@ def _run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig
                     streak += 1
                 else:
                     streak = 0
-                if streak >= config.stop_patience:
+                if streak >= 10:
                     reason = TerminationReason.TOLERANCE
                     stopped_at = t
                     break

@@ -1,6 +1,8 @@
 """Tests for update-ratio interpretation, QP spectra, damping regimes, and
 the continuous-time flow."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -28,7 +30,6 @@ from numax import (
     simulate_flow,
 )
 from numax.analysis import default_flow_dt, flow_initial_state, flow_state_matrix
-from numax.dual_optimizers import Xi0Policy
 from reference import flow_reference
 
 
@@ -67,8 +68,7 @@ class TestRelativeUpdateRatio:
             checked += 1
             ratio = relative_update_ratio(RatioInputs(kp=kp, ki=ki, nu=nu, xi_prev=xi, e_t=e))
             # literal one-step increments from the optimizer module
-            config = NuPIConfig(nu=nu, kp=kp, ki=ki, xi0_policy=Xi0Policy.EXPLICIT,
-                                xi0_value=np.array([xi]))
+            config = NuPIConfig(nu=nu, kp=kp, ki=ki)
             warm = nupi_step(init_nupi([0.0]), config, [0.123])  # consume t=0
             warm = type(warm)(theta=np.array([0.0]), xi=np.array([xi]),
                               prev_initialized=True, step_count=1)
@@ -365,8 +365,8 @@ def _flow_cases(draw):
 @given(_flow_cases())
 def test_simulate_flow_matches_stepwise_reference(case):
     sys, x0, mu0, dt, t_end, max_samples, diverge = case
+    got = simulate_flow(sys, x0, mu0, dt=dt, t_end=t_end, max_samples=max_samples)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging flow overflows in matmul
-        got = simulate_flow(sys, x0, mu0, dt=dt, t_end=t_end, max_samples=max_samples)
         ref = flow_reference.simulate_flow(sys, x0, mu0, dt=dt, t_end=t_end,
                                            max_samples=max_samples)
     assert np.array_equal(got.times, ref.times)
@@ -377,6 +377,15 @@ def test_simulate_flow_matches_stepwise_reference(case):
     for name in ("x", "mu", "xdot", "mudot"):
         assert getattr(got, name).shape == getattr(ref, name).shape
         assert float(np.max(np.abs(getattr(got, name) - getattr(ref, name)))) <= 1e-12 * scale
+
+
+def test_diverging_flow_is_flagged_without_warning():
+    sys = QPSystem(H=[[1e4 + 1]], A=[[1.0]], b=[0.3], c_lin=[0.1], kp=1.0, ki=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = simulate_flow(sys, [1.0], [0.0], dt=0.05, t_end=120 * 0.05)
+    assert res.flagged
+    assert np.all(np.isfinite(res.x)) and res.times[-1] < 120 * 0.05
 
 
 class TestKktSolve:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from numax import (
+    ConfigurationError,
     cli,
     iris_csv_path,
     load_dataset_csv,
@@ -438,6 +439,43 @@ def test_bad_tool_argument_exits_2_with_one_line(tmp_path, capsys, monkeypatch, 
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
     assert sorted(tmp_path.iterdir()) == before
+
+
+_TRAJECTORY_HEAD = "# terminated_reason: max-steps\nt,f,linf_g,linf_h,lagrangian,lambda_0,x_0\n"
+_GRID_HEAD = "# grid\nkp,ki,nu,final_metric,diverged_flag\n"
+_SWEEP_HEAD = "# sweep\nkp,re_lambda1,im_lambda1,re_lambda2,im_lambda2,regime\n"
+
+# (reader, file contents, the line each rejection must name)
+_BAD_CSVS = {
+    "trajectory_empty": (read_trajectory_csv, "", 1),
+    "trajectory_short_row": (read_trajectory_csv, _TRAJECTORY_HEAD + "0,1,0,0,1,0,0\n1,2,3\n", 4),
+    "trajectory_non_numeric": (read_trajectory_csv, _TRAJECTORY_HEAD + "0,1,0,0,x,0,0\n", 3),
+    "grid_short_row": (read_grid_csv, _GRID_HEAD + "1,2,3\n", 3),
+    "grid_non_numeric": (read_grid_csv, _GRID_HEAD + "1,2,0,nan,0\n1,x,0,0.5,0\n", 4),
+    "grid_nan_flag": (read_grid_csv, _GRID_HEAD + "1,2,0,0.5,0\n1,2,0,0.5,nan\n", 4),
+    "grid_no_header": (read_grid_csv, "# grid\n1,2,0,0.5,0\n", 2),
+    "sweep_short_row": (read_regime_sweep_csv, _SWEEP_HEAD + "1,2,3\n", 3),
+    "sweep_non_numeric": (read_regime_sweep_csv, _SWEEP_HEAD + "1,0,0,0,oops,overdamped\n", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CSVS))
+def test_malformed_csv_names_path_and_line(tmp_path, case):
+    reader, text, line = _BAD_CSVS[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError) as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}:{line}: ")
+    assert "\n" not in str(info.value)
+
+
+def test_trajectory_header_without_rows_is_empty_table(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(_TRAJECTORY_HEAD)
+    table = read_trajectory_csv(path)
+    assert table.terminated_reason == "max-steps"
+    assert table.t.shape == (0,) and table.lam.shape == (0, 1) and table.x.shape == (0, 1)
 
 
 class TestSweepRegime:

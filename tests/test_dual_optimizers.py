@@ -27,6 +27,7 @@ from numax import (
     um_step,
 )
 from numax.dual_optimizers import (
+    ADAM_EPS,
     dual_config_warnings,
     nupi_config_warnings,
     replace_theta,
@@ -71,7 +72,7 @@ class TestNuPIStep:
 
     def test_steady_state_proportional_decay_rate_nu(self):
         nu, kp, ki, e = 0.6, 2.0, 0.1, 1.0
-        config = NuPIConfig(nu=nu, kp=kp, ki=ki, xi0_policy=Xi0Policy.ZERO)
+        config = NuPIConfig(nu=nu, kp=kp, ki=ki, xi0_policy=Xi0Policy.MATCH_UM)
         thetas = run_nupi(config, [e] * 15)
         extra = np.diff(thetas) - ki * e  # proportional contribution
         ratios = extra[2:10] / extra[1:9]
@@ -84,17 +85,8 @@ class TestNuPIStep:
         np.testing.assert_array_equal(state.xi, [3.0])
 
     def test_xi0_policies(self):
-        cfg_zero = NuPIConfig(nu=0.0, kp=1.0, ki=1.0, xi0_policy=Xi0Policy.ZERO)
-        assert run_nupi(cfg_zero, [2.0])[0] == 2.0  # ki * e0 only
-        cfg_um = NuPIConfig(nu=0.5, kp=1.0, ki=1.0, xi0_policy=Xi0Policy.MATCH_UM, xi0_beta=0.5)
-        assert run_nupi(cfg_um, [2.0])[0] == 2.0 + 1.0  # ki e0 + kp (1-beta) e0
-        cfg_ex = NuPIConfig(nu=0.0, kp=1.0, ki=1.0, xi0_policy=Xi0Policy.EXPLICIT,
-                            xi0_value=np.array([5.0]))
-        assert run_nupi(cfg_ex, [2.0])[0] == 2.0 + 5.0
-        with pytest.raises(ConfigurationError):
-            run_nupi(NuPIConfig(nu=0.5, kp=1.0, ki=1.0, xi0_policy=Xi0Policy.MATCH_UM), [1.0])
-        with pytest.raises(ConfigurationError):
-            run_nupi(NuPIConfig(nu=0.0, kp=1.0, ki=1.0, xi0_policy=Xi0Policy.EXPLICIT), [1.0])
+        cfg_um = NuPIConfig(nu=0.5, kp=1.0, ki=1.0, xi0_policy=Xi0Policy.MATCH_UM)
+        assert run_nupi(cfg_um, [2.0])[0] == 2.0 + 1.0  # ki e0 + kp (1-nu) e0
 
     def test_length_mismatch_fatal(self):
         state = init_nupi([0.0, 0.0])
@@ -173,7 +165,7 @@ class TestMomentumMapping:
         assert mapped.ki == pytest.approx(1.0)
         assert mapped.kp == pytest.approx(-1.0)
         assert mapped.xi0_policy is Xi0Policy.MATCH_UM
-        assert mapped.xi0_beta == pytest.approx(0.5)
+        assert mapped.nu == 0.5  # so MATCH_UM's (1 - nu) e_0 is exactly (1 - beta) e_0
 
     def test_momentum_free_limit(self):
         for gamma in (0.0, 0.5, 1.0):
@@ -287,7 +279,7 @@ class TestAdamDualStep:
             state = adam_dual_step(state, config, [c])
             inc = state.theta[0] - prev
             prev = state.theta[0]
-            assert inc == pytest.approx(eta * c / (c + config.eps), rel=1e-12)
+            assert inc == pytest.approx(eta * c / (c + ADAM_EPS), rel=1e-12)
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericalError):

@@ -25,8 +25,6 @@ from numax import (
     init_adam,
     read_trajectory_csv,
     run,
-    run_alternating,
-    run_simultaneous,
     validate_gradients,
     write_trajectory_csv,
 )
@@ -94,7 +92,7 @@ class TestUnconstrained:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=50,
                             dual_optimizer=GAConfig(step_size=0.1),
                             primal_optimizer=gd(0.1))
-        traj = run_alternating(problem, np.full(3, 2.0), DualVector.zeros(0, 0), config)
+        traj = run(problem, np.full(3, 2.0), DualVector.zeros(0, 0), config)
         # x_{t+1} = (1 - 2 eta) x_t = 0.8 x_t
         np.testing.assert_allclose(traj.final.x, np.full(3, 2.0) * 0.8**50, rtol=1e-12)
         assert traj.terminated_reason is TerminationReason.MAX_STEPS
@@ -105,8 +103,9 @@ class TestUnconstrained:
                             dual_optimizer=GAConfig(step_size=0.1),
                             primal_optimizer=gd(0.07))
         x0 = np.array([1.0, -2.0, 0.5])
-        ta = run_alternating(problem, x0, DualVector.zeros(0, 0), config)
-        ts = run_simultaneous(problem, x0, DualVector.zeros(0, 0), config)
+        ta = run(problem, x0, DualVector.zeros(0, 0), config)
+        ts = run(problem, x0, DualVector.zeros(0, 0),
+                 dataclasses.replace(config, scheme=Scheme.SIMULTANEOUS))
         for ra, rs in zip(ta.steps, ts.steps):
             assert ra.t == rs.t
             assert np.array_equal(ra.x, rs.x)
@@ -119,7 +118,7 @@ class TestOneSidedLine:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=10000,
                             dual_optimizer=GAConfig(step_size=0.01),
                             primal_optimizer=gd(0.01))
-        traj = run_alternating(problem, [0.0], DualVector.zeros(1, 0), config)
+        traj = run(problem, [0.0], DualVector.zeros(1, 0), config)
         deviations = [np.hypot(rec.x[0] - 1.0, rec.lam[0] - 1.0) for rec in traj.steps]
         assert max(deviations) < 3.0
         assert deviations[-1] > 1e-3  # orbits, does not converge
@@ -129,7 +128,7 @@ class TestOneSidedLine:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=10000,
                             dual_optimizer=NuPIConfig(nu=0.0, kp=1.0, ki=0.01),
                             primal_optimizer=gd(0.01))
-        traj = run_alternating(problem, [0.0], DualVector.zeros(1, 0), config)
+        traj = run(problem, [0.0], DualVector.zeros(1, 0), config)
         assert abs(traj.final.lam[0] - 1.0) < 1e-3
         assert abs(traj.final.x[0] - 1.0) < 1e-3
 
@@ -141,7 +140,7 @@ class TestBilinearGame:
         config = LoopConfig(scheme=Scheme.SIMULTANEOUS, max_steps=200,
                             dual_optimizer=GAConfig(step_size=eta),
                             primal_optimizer=gd(eta))
-        traj = run_simultaneous(problem, [1.0], DualVector([], [0.5]), config)
+        traj = run(problem, [1.0], DualVector([], [0.5]), config)
         norms = np.array([np.hypot(r.x[0], r.mu[0]) for r in traj.steps])
         assert np.all(np.diff(norms) > 0.0)
         # iteration matrix [[1, -eta], [eta, 1]] has |eigenvalue| = sqrt(1 + eta^2)
@@ -159,7 +158,7 @@ class TestBilinearGame:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5000,
                             dual_optimizer=GAConfig(step_size=eta),
                             primal_optimizer=gd(eta))
-        traj = run_alternating(problem, [1.0], DualVector([], [0.5]), config)
+        traj = run(problem, [1.0], DualVector([], [0.5]), config)
         norms = [np.hypot(r.x[0], r.mu[0]) for r in traj.steps]
         assert max(norms) < 10.0 * norms[0]
 
@@ -173,7 +172,7 @@ class TestLoopMechanics:
                      AdamConfig(step_size=0.1)):
             config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=500,
                                 dual_optimizer=dual, primal_optimizer=gd(0.05))
-            traj = run_alternating(problem, [5.0], DualVector.zeros(1, 0), config)
+            traj = run(problem, [5.0], DualVector.zeros(1, 0), config)
             assert all(rec.lam[0] >= 0.0 for rec in traj.steps)
 
     def test_constraint_evaluations_once_per_iteration(self):
@@ -181,7 +180,7 @@ class TestLoopMechanics:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=137,
                             dual_optimizer=GAConfig(step_size=0.01),
                             primal_optimizer=gd(0.01), record_every=10)
-        traj = run_alternating(problem, [0.0], DualVector.zeros(1, 0), config)
+        traj = run(problem, [0.0], DualVector.zeros(1, 0), config)
         # one evaluation per iteration plus the terminal record
         assert traj.counters["ineq"] == 137 + 1
         assert traj.counters["eq"] == 137 + 1
@@ -194,7 +193,7 @@ class TestLoopMechanics:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=300,
                             dual_optimizer=GAConfig(step_size=0.05),
                             primal_optimizer=gd(0.05), dual_restarts=True)
-        traj = run_alternating(problem, [0.0], DualVector.zeros(1, 0), config)
+        traj = run(problem, [0.0], DualVector.zeros(1, 0), config)
         # a restart fires after the dual update, so any record following a
         # strictly satisfied constraint carries a zeroed multiplier
         fired = 0
@@ -209,7 +208,7 @@ class TestLoopMechanics:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=25,
                             dual_optimizer=GAConfig(step_size=0.1),
                             primal_optimizer=gd(0.1), record_every=7)
-        traj = run_alternating(problem, np.ones(3), DualVector.zeros(0, 0), config)
+        traj = run(problem, np.ones(3), DualVector.zeros(0, 0), config)
         ts = [rec.t for rec in traj.steps]
         assert ts == [0, 7, 14, 21, 25]
 
@@ -218,7 +217,7 @@ class TestLoopMechanics:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=500,
                             dual_optimizer=GAConfig(step_size=0.1),
                             primal_optimizer=gd(1e6))  # wildly unstable
-        traj = run_alternating(problem, [1.0], DualVector.zeros(0, 0), config)
+        traj = run(problem, [1.0], DualVector.zeros(0, 0), config)
         assert traj.terminated_reason is TerminationReason.NON_FINITE
         assert traj.steps[-1].t <= 500
 
@@ -227,7 +226,7 @@ class TestLoopMechanics:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=50000,
                             dual_optimizer=NuPIConfig(nu=0.0, kp=1.0, ki=0.05),
                             primal_optimizer=gd(0.05), stop_tolerance=1e-9)
-        traj = run_alternating(problem, [0.0], DualVector.zeros(1, 0), config)
+        traj = run(problem, [0.0], DualVector.zeros(1, 0), config)
         assert traj.terminated_reason is TerminationReason.TOLERANCE
         assert traj.final.t < 50000
 
@@ -237,12 +236,14 @@ class TestLoopMechanics:
                             dual_optimizer=GAConfig(step_size=0.1),
                             primal_optimizer=gd(0.1))
         with pytest.raises(ConfigurationError):
-            run_alternating(problem, [np.nan], DualVector.zeros(1, 0), config)
+            run(problem, [np.nan], DualVector.zeros(1, 0), config)
         with pytest.raises(ConfigurationError):
-            run_alternating(problem, [0.0], DualVector([-1.0], []), config)
+            run(problem, [0.0], DualVector([-1.0], []), config)
         with pytest.raises(ConfigurationError):
             LoopConfig(scheme=Scheme.ALTERNATING, max_steps=0,
                        dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
+        with pytest.raises(ConfigurationError, match="Scheme"):
+            dataclasses.replace(config, scheme="simultaneous")
         for step in (np.nan, np.inf, 0.0):
             with pytest.raises(ConfigurationError, match="finite and positive"):
                 gd(step)
@@ -304,7 +305,7 @@ class TestTrajectoryCsv:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=max_steps,
                             dual_optimizer=NuPIConfig(nu=nu, kp=kp, ki=ki),
                             primal_optimizer=gd(0.02), record_every=record_every)
-        traj = run_alternating(problem, x0, DualVector.zeros(2, 1), config)
+        traj = run(problem, x0, DualVector.zeros(2, 1), config)
         path = tmp_path_factory.getbasetemp() / "round_trip.csv"
         write_trajectory_csv(traj, path)
         table = read_trajectory_csv(path)
@@ -325,7 +326,7 @@ class TestTrajectoryCsv:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=4,
                             dual_optimizer=GAConfig(step_size=0.1),
                             primal_optimizer=gd(0.1))
-        traj = run_alternating(problem, [1.0], DualVector([], [0.0]), config)
+        traj = run(problem, [1.0], DualVector([], [0.0]), config)
         path = tmp_path / "t.csv"
         write_trajectory_csv(traj, path)
         lines = path.read_text().splitlines()

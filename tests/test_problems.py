@@ -20,7 +20,7 @@ from numax import (
     iris_csv_path,
     kkt_solve_qp,
     load_dataset_csv,
-    run_alternating,
+    run,
     svm_dual_oracle,
     svm_train_accuracy,
     train_validation_split,
@@ -160,7 +160,7 @@ class TestBenchmark2D:
             dual_optimizer=NuPIConfig(nu=0.0, kp=3.0, ki=0.01),
             primal_optimizer=PrimalOptimizerConfig(kind=PrimalKind.GRADIENT_DESCENT,
                                                    step_size=0.002))
-        traj = run_alternating(problem, np.array([-0.5, -2.0]), DualVector.zeros(0, 1), config)
+        traj = run(problem, np.array([-0.5, -2.0]), DualVector.zeros(0, 1), config)
         assert np.linalg.norm(traj.final.x - x_star) <= 1e-3
 
 
