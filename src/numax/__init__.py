@@ -21,18 +21,11 @@ from .dual_optimizers import (
     UMConfig,
     UMState,
     Xi0Policy,
-    adam_dual_step,
     apply_dual_restarts,
+    checked_dual_step,
     dual_step,
-    ga_step,
-    init_adam,
-    init_ga,
-    init_nupi,
-    init_um,
     make_dual_state,
     map_um_to_nupi,
-    nupi_step,
-    um_step,
 )
 from .loop import (
     LoopConfig,

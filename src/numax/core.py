@@ -185,14 +185,19 @@ def evaluate_lagrangian(problem: ConstrainedProblem, x, duals: DualVector) -> fl
     return lagrangian_value(float(problem.eval_objective(x)), c[:m], c[m:], duals.lam, duals.mu)
 
 
+def _primal_gradient(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """grad f(x) + Jc(x) @ theta for a checked x and stacked theta = [lam, mu]."""
+    grad = as_vector(problem.eval_objective_grad(x), problem.dim_primal, "grad f(x)")
+    if problem.num_constraints == 0:
+        return grad
+    return grad + problem.constraint_jacobian(x) @ theta
+
+
 def lagrangian_primal_gradient(problem: ConstrainedProblem, x, duals: DualVector) -> np.ndarray:
     """grad_x L = grad f(x) + Jc(x) @ theta, with theta = [lam, mu]."""
     x = as_vector(x, problem.dim_primal, "x")
     _check_dual_dims(problem, duals)
-    grad = as_vector(problem.eval_objective_grad(x), problem.dim_primal, "grad f(x)")
-    if problem.num_constraints == 0:
-        return grad
-    return grad + problem.constraint_jacobian(x) @ duals.stacked
+    return _primal_gradient(problem, x, duals.stacked)
 
 
 def project_theta(theta: np.ndarray, num_ineq: int) -> np.ndarray:

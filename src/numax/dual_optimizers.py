@@ -2,10 +2,11 @@
 
 Every rule acts componentwise on the stacked multiplier vector theta =
 [lam, mu], driven by the error e_t = c(x_t). Each rule is written once, as
-the `advance(config, e)` method that updates its mutable state in place
-from a checked error; the public `*_step` functions check the error and
-advance a copy (pure), `dual_step` advances the caller's state. No step
-projects: the driver writes the projected theta back into the state
+the `advance(config, e)` method that updates its mutable state in place.
+`make_dual_state` builds a state (each fills its own zero buffers from theta),
+`checked_dual_step` checks the error and advances a copy (pure), `dual_step`
+advances the caller's state unchecked. No step projects: the driver writes
+the projected (and restarted) stacked theta back into the state
 (`replace_theta`) and the recursion continues from it.
 
 The nuPI controller follows the recursion
@@ -29,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ConfigurationError, DualVector, NumericalError
+from .core import ConfigurationError, NumericalError
 
 
 def _checked_error(error, expected_len: int) -> np.ndarray:
@@ -73,39 +74,25 @@ def nupi_config_warnings(config: NuPIConfig) -> list:
 
 @dataclass
 class NuPIState:
-    """theta after `step_count` updates; xi is the error EMA (None before the
-    first step, where the xi0 policy sets it from e_0)."""
+    """theta and the error EMA xi, None until the first step sets xi_0 by the
+    policy and applies theta_1 = theta_0 + ki e_0 + kp xi_0."""
 
     theta: np.ndarray
-    xi: np.ndarray | None
-    prev_initialized: bool
-    step_count: int
+    xi: np.ndarray | None = None
 
     def advance(self, config: NuPIConfig, e: np.ndarray) -> NuPIState:
-        if not self.prev_initialized:
+        if self.xi is None:
             if config.xi0_policy is Xi0Policy.MATCH_ERROR:
                 xi0 = e.copy()
             else:
                 xi0 = (1.0 - config.nu) * e
             self.theta = self.theta + config.ki * e + config.kp * xi0
-            self.xi, self.prev_initialized, self.step_count = xi0, True, 1
+            self.xi = xi0
             return self
         xi = self.xi  # xi_{t-1}
         self.theta = self.theta + config.ki * e + config.kp * (1.0 - config.nu) * (e - xi)
         self.xi = config.nu * xi + (1.0 - config.nu) * e
-        self.step_count += 1
         return self
-
-
-def init_nupi(theta0) -> NuPIState:
-    theta = np.atleast_1d(np.asarray(theta0, dtype=np.float64)).copy()
-    return NuPIState(theta=theta, xi=None, prev_initialized=False, step_count=0)
-
-
-def nupi_step(state: NuPIState, config: NuPIConfig, error) -> NuPIState:
-    """One nuPI update. At t = 0 sets xi_0 by the policy and applies
-    theta_1 = theta_0 + ki e_0 + kp xi_0 (xi retains xi_0)."""
-    return copy.copy(state).advance(config, _checked_error(error, state.theta.size))
 
 
 @dataclass(frozen=True)
@@ -129,25 +116,21 @@ def um_config_warnings(config: UMConfig) -> list:
 
 @dataclass
 class UMState:
+    """phi_{t+1} = beta phi_t + alpha e_t;
+    theta_{t+1} = theta_t + phi_{t+1} + beta gamma (phi_{t+1} - phi_t)."""
+
     theta: np.ndarray
-    phi: np.ndarray  # momentum buffer, zero at construction
+    phi: np.ndarray | None = None  # momentum buffer, zero at construction
+
+    def __post_init__(self):
+        if self.phi is None:
+            self.phi = np.zeros_like(self.theta)
 
     def advance(self, config: UMConfig, e: np.ndarray) -> UMState:
         phi = config.beta * self.phi + config.alpha * e
         self.theta = self.theta + phi + config.beta * config.gamma * (phi - self.phi)
         self.phi = phi
         return self
-
-
-def init_um(theta0) -> UMState:
-    theta = np.atleast_1d(np.asarray(theta0, dtype=np.float64)).copy()
-    return UMState(theta=theta, phi=np.zeros_like(theta))
-
-
-def um_step(state: UMState, config: UMConfig, error) -> UMState:
-    """phi_{t+1} = beta phi_t + alpha e_t;
-    theta_{t+1} = theta_t + phi_{t+1} + beta gamma (phi_{t+1} - phi_t)."""
-    return copy.copy(state).advance(config, _checked_error(error, state.theta.size))
 
 
 def map_um_to_nupi(config: UMConfig) -> NuPIConfig:
@@ -177,6 +160,8 @@ class GAConfig:
 
 @dataclass
 class GAState:
+    """Plain gradient ascent: theta_{t+1} = theta_t + step_size * e_t."""
+
     theta: np.ndarray
 
     def advance(self, config: GAConfig, e: np.ndarray) -> GAState:
@@ -184,25 +169,13 @@ class GAState:
         return self
 
 
-def init_ga(theta0) -> GAState:
-    return GAState(theta=np.atleast_1d(np.asarray(theta0, dtype=np.float64)).copy())
-
-
-def ga_step(state: GAState, step_size: float, error) -> GAState:
-    """Plain gradient ascent: theta_{t+1} = theta_t + step_size * e_t."""
-    return copy.copy(state).advance(GAConfig(step_size), _checked_error(error, state.theta.size))
-
-
-def apply_dual_restarts(duals: DualVector, ineq_violation) -> DualVector:
-    """Reset lam_i to zero wherever g_i(x) is strictly negative (constraint
-    strictly satisfied). Equality multipliers are never modified."""
+def apply_dual_restarts(theta: np.ndarray, num_ineq: int, ineq_violation) -> np.ndarray:
+    """Reset lam_i = theta[i], i < num_ineq, to zero wherever g_i(x) < 0 (strictly
+    satisfied), like `core.project_theta` on stacked theta; theta[num_ineq:] is kept."""
     g = np.atleast_1d(np.asarray(ineq_violation, dtype=np.float64))
-    if g.shape != duals.lam.shape:
-        raise ConfigurationError(
-            f"violation vector has length {g.size}, expected {duals.lam.size}"
-        )
-    lam = np.where(g < 0.0, 0.0, duals.lam)
-    return DualVector(lam, duals.mu)
+    if g.shape != (num_ineq,):
+        raise ConfigurationError(f"violation vector has length {g.size}, expected {num_ineq}")
+    return np.concatenate([np.where(g < 0.0, 0.0, theta[:num_ineq]), theta[num_ineq:]])
 
 
 # Adam's moment decay rates and the denominator guard, on both sides.
@@ -218,10 +191,17 @@ class AdamConfig:
 
 @dataclass
 class AdamState:
+    """Bias-corrected adaptive-moment ascent using e_t as the ascent
+    direction; the moments m and v are zero at construction."""
+
     theta: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    step_count: int
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    step_count: int = 0
+
+    def __post_init__(self):
+        if self.m is None:
+            self.m, self.v = np.zeros_like(self.theta), np.zeros_like(self.theta)
 
     def advance(self, config: AdamConfig, e: np.ndarray) -> AdamState:
         self.step_count += 1
@@ -229,12 +209,6 @@ class AdamState:
                                                  config.step_size, e)
         self.theta = self.theta + increment
         return self
-
-
-def init_adam(theta0) -> AdamState:
-    theta = np.atleast_1d(np.asarray(theta0, dtype=np.float64)).copy()
-    return AdamState(theta=theta, m=np.zeros_like(theta), v=np.zeros_like(theta),
-                     step_count=0)
 
 
 def adam_moments(m: np.ndarray, v: np.ndarray, t: int, step_size: float,
@@ -249,22 +223,16 @@ def adam_moments(m: np.ndarray, v: np.ndarray, t: int, step_size: float,
     return m, v, step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def adam_dual_step(state: AdamState, config: AdamConfig, error) -> AdamState:
-    """Bias-corrected adaptive-moment ascent using e_t as the ascent
-    direction."""
-    return copy.copy(state).advance(config, _checked_error(error, state.theta.size))
-
-
 # Dispatch used by the optimization loop and the CLI: one rule per config
-# type, (init, the state's in-place `advance`, soft warnings).
+# type, (its state class, whose `advance` is the update, soft warnings).
 
 DualOptimizerConfig = NuPIConfig | UMConfig | GAConfig | AdamConfig
 
 _RULES = {
-    NuPIConfig: (init_nupi, NuPIState.advance, nupi_config_warnings),
-    UMConfig: (init_um, UMState.advance, um_config_warnings),
-    GAConfig: (init_ga, GAState.advance, lambda _config: []),
-    AdamConfig: (init_adam, AdamState.advance, lambda _config: []),
+    NuPIConfig: (NuPIState, nupi_config_warnings),
+    UMConfig: (UMState, um_config_warnings),
+    GAConfig: (GAState, lambda _config: []),
+    AdamConfig: (AdamState, lambda _config: []),
 }
 
 
@@ -277,18 +245,26 @@ def _rule(config: DualOptimizerConfig) -> tuple:
 
 
 def make_dual_state(config: DualOptimizerConfig, theta0):
-    return _rule(config)[0](theta0)
+    """The rule's state at theta0 (a float64 copy, at least 1-D), before any step."""
+    return _rule(config)[0](np.array(theta0, dtype=np.float64, ndmin=1))
 
 
 def dual_step(state, config: DualOptimizerConfig, error):
     """Advance `state` in place by one update and return it. The error is not
     checked: the driver has checked that c(x_t) is finite and well shaped."""
-    return _rule(config)[1](state, config, np.asarray(error, dtype=np.float64))
+    return _rule(config)[0].advance(state, config, np.asarray(error, dtype=np.float64))
+
+
+def checked_dual_step(state, config: DualOptimizerConfig, error):
+    """One update on a copy of `state`, which is left as it was. An error of
+    the wrong length is a ConfigurationError, a non-finite one a
+    NumericalError naming its indices."""
+    return dual_step(copy.copy(state), config, _checked_error(error, state.theta.size))
 
 
 def dual_config_warnings(config: DualOptimizerConfig) -> list:
     """Soft-validation messages for a dual optimizer config ([] if none)."""
-    return _rule(config)[2](config)
+    return _rule(config)[1](config)
 
 
 def replace_theta(state, theta: np.ndarray):

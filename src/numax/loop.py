@@ -23,9 +23,11 @@ likewise reset inequality multipliers without touching xi.
 The driver owns the iteration order, the primal step, recording and
 stopping; every rule it applies has one copy elsewhere. `core` holds the
 checked accessors for c(x) and its Jacobian, the Lagrangian
-(`lagrangian_value`) and the projection (`project_theta`);
-`dual_optimizers` holds the multiplier updates, the dual restarts and the
-Adam moment update (`adam_moments`), which the primal Adam also uses.
+(`lagrangian_value`), its primal gradient (`_primal_gradient`) and the
+projection (`project_theta`); `dual_optimizers` holds the multiplier
+updates, the dual restarts and the Adam moment update (`adam_moments`),
+which the primal Adam also uses. Projection and restarts both act on the
+stacked theta.
 
 The dual state is advanced in place and the projected (and restarted) theta
 written back into it. Records fill columns (`Records`) that grow by doubling,
@@ -46,6 +48,8 @@ from .core import (
     ConfigurationError,
     ConstrainedProblem,
     DualVector,
+    _check_dual_dims,
+    _primal_gradient,
     as_vector,
     lagrangian_value,
     project_theta,
@@ -223,12 +227,16 @@ def run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig)
     x = as_vector(x0, problem.dim_primal, "x0")
     if not np.all(np.isfinite(x)):
         raise ConfigurationError("x0 must be finite")
-    if duals0.lam.size and np.any(duals0.lam < 0.0):
+    _check_dual_dims(problem, duals0)
+    theta0 = duals0.stacked
+    if not np.all(np.isfinite(theta0)):
+        raise ConfigurationError("initial multipliers must be finite")
+    if np.any(duals0.lam < 0.0):
         raise ConfigurationError("initial inequality multipliers must be >= 0")
 
     m, num_constraints = problem.num_ineq, problem.num_constraints
     simultaneous = config.scheme is Scheme.SIMULTANEOUS
-    state = make_dual_state(config.dual_optimizer, duals0.stacked)
+    state = make_dual_state(config.dual_optimizer, theta0)
     primal = _PrimalOptimizer(config.primal_optimizer, problem.dim_primal)
     records = Records(config.max_steps // config.record_every + 2, problem.dim_primal, m,
                       problem.num_eq)
@@ -267,7 +275,7 @@ def run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig)
             dual_step(state, config.dual_optimizer, error)
             theta = project_theta(state.theta, m)
             if config.dual_restarts and m:
-                theta = apply_dual_restarts(DualVector.from_stacked(theta, m), error[:m]).stacked
+                theta = apply_dual_restarts(theta, m, error[:m])
             replace_theta(state, theta)
             if config.stop_tolerance is not None:
                 last_dual_increment = float(np.max(np.abs(theta - theta_t)))
@@ -275,10 +283,7 @@ def run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig)
             last_dual_increment = 0.0
 
         primal_steps += 1
-        theta_for_primal = theta_t if simultaneous else state.theta
-        grad = as_vector(problem.eval_objective_grad(x), problem.dim_primal, "grad f(x)")
-        if num_constraints:
-            grad = grad + problem.constraint_jacobian(x) @ theta_for_primal
+        grad = _primal_gradient(problem, x, theta_t if simultaneous else state.theta)
         x_next = primal.step(x, grad)
 
         if not (np.logical_and.reduce(np.isfinite(x_next))
@@ -358,8 +363,13 @@ def read_trajectory_csv(path) -> TrajectoryTable:
     n = sum(1 for c in header if c.startswith("mu_"))
     d = sum(1 for c in header if c.startswith("x_"))
     arr = np.array([values for _, values in rows], dtype=np.float64).reshape(len(rows), len(header))
+    t = arr[:, 0]
+    whole = (t >= 0.0) & (t < 2.0**63) & (np.floor(t) == t)  # nan fails every test
+    if not np.all(whole):
+        lineno = rows[int(np.argmin(whole))][0]
+        raise ConfigurationError(f"{path}:{lineno}: t must be a whole number >= 0")
     return TrajectoryTable(
-        t=arr[:, 0].astype(int),
+        t=t.astype(int),
         f=arr[:, 1],
         linf_g=arr[:, 2],
         linf_h=arr[:, 3],

@@ -3,9 +3,10 @@ before the driver kept its records in columns and its dual state in place.
 
 `_run`, `_record`, `Trajectory`, `write_trajectory_csv` and `overshoot` are
 the plain record-per-step versions, kept verbatim. The dual update goes
-through the public pure `*_step` functions and every theta rewrite rebuilds
-the state, so nothing here shares the library's in-place kernels' calling
-path. Test-only code.
+through the public pure `checked_dual_step` and every theta rewrite rebuilds
+the state, so no state here is updated in place. The dual restarts are this
+module's own copy of the rule on a `DualVector`, so the library's stacked
+form is checked against it. Test-only code.
 """
 
 from __future__ import annotations
@@ -23,30 +24,20 @@ from numax.core import (
     lagrangian_value,
     project_theta,
 )
-from numax.dual_optimizers import (
-    AdamConfig,
-    GAConfig,
-    NuPIConfig,
-    UMConfig,
-    adam_dual_step,
-    apply_dual_restarts,
-    ga_step,
-    make_dual_state,
-    nupi_step,
-    um_step,
-)
+from numax.dual_optimizers import checked_dual_step as dual_step, make_dual_state
 from numax.loop import LoopConfig, Scheme, StepRecord, TerminationReason, _PrimalOptimizer
 
-_PURE_STEPS = {
-    NuPIConfig: nupi_step,
-    UMConfig: um_step,
-    GAConfig: lambda state, config, e: ga_step(state, config.step_size, e),
-    AdamConfig: adam_dual_step,
-}
 
-
-def dual_step(state, config, error):
-    return _PURE_STEPS[type(config)](state, config, error)
+def apply_dual_restarts(duals: DualVector, ineq_violation) -> DualVector:
+    """Reset lam_i to zero wherever g_i(x) is strictly negative (constraint
+    strictly satisfied). Equality multipliers are never modified."""
+    g = np.atleast_1d(np.asarray(ineq_violation, dtype=np.float64))
+    if g.shape != duals.lam.shape:
+        raise ConfigurationError(
+            f"violation vector has length {g.size}, expected {duals.lam.size}"
+        )
+    lam = np.where(g < 0.0, 0.0, duals.lam)
+    return DualVector(lam, duals.mu)
 
 
 def replace_theta(state, theta: np.ndarray):

@@ -65,10 +65,10 @@ def test_criterion_1_unified_momentum_equivalence():
         errors = rng.uniform(-10.0, 10.0, size=1000)
         um_cfg = nx.UMConfig(alpha=alpha, beta=beta, gamma=gamma)
         pi_cfg = nx.map_um_to_nupi(um_cfg)
-        um_state, pi_state = nx.init_um([0.0]), nx.init_nupi([0.0])
+        um_state, pi_state = nx.make_dual_state(um_cfg, [0.0]), nx.make_dual_state(pi_cfg, [0.0])
         for e in errors:
-            um_state = nx.um_step(um_state, um_cfg, [e])
-            pi_state = nx.nupi_step(pi_state, pi_cfg, [e])
+            um_state = nx.checked_dual_step(um_state, um_cfg, [e])
+            pi_state = nx.checked_dual_step(pi_state, pi_cfg, [e])
             worst = max(worst, abs(um_state.theta[0] - pi_state.theta[0]))
     elapsed = time.monotonic() - start
     _report(1, "unified-momentum / nuPI iterate equivalence", worst <= 1e-9 and elapsed < 10.0,
@@ -82,12 +82,12 @@ def test_criterion_2_table_embeddings():
     for _ in range(5):
         alpha = float(rng.uniform(0.01, 2.0))
         errors = rng.uniform(-10.0, 10.0, size=1000)
-        ga = nx.init_ga([0.0])
-        pi = nx.init_nupi([0.0])
+        ga_cfg = nx.GAConfig(step_size=alpha)
         cfg = nx.NuPIConfig(nu=0.0, kp=0.0, ki=alpha)
+        ga, pi = nx.make_dual_state(ga_cfg, [0.0]), nx.make_dual_state(cfg, [0.0])
         for e in errors:
-            ga = nx.ga_step(ga, alpha, [e])
-            pi = nx.nupi_step(pi, cfg, [e])
+            ga = nx.checked_dual_step(ga, ga_cfg, [e])
+            pi = nx.checked_dual_step(pi, cfg, [e])
             if not np.array_equal(ga.theta, pi.theta):
                 ga_exact = False
                 break
@@ -97,10 +97,10 @@ def test_criterion_2_table_embeddings():
         alpha = float(rng.uniform(0.01, 2.0))
         errors = rng.uniform(-10.0, 10.0, size=1000)
         cfg = nx.NuPIConfig(nu=0.0, kp=alpha, ki=alpha)  # xi0 = e0 default
-        pi = nx.init_nupi([0.0])
+        pi = nx.make_dual_state(cfg, [0.0])
         thetas = []
         for e in errors:
-            pi = nx.nupi_step(pi, cfg, [e])
+            pi = nx.checked_dual_step(pi, cfg, [e])
             thetas.append(pi.theta[0])
         oracle = [0.0, 2.0 * alpha * errors[0]]  # theta0 and theta1
         for t in range(1, len(errors)):
@@ -119,11 +119,11 @@ def test_criterion_3_cumulative_vs_recursive():
         ki = float(rng.uniform(1e-3, 2.0))
         errors = rng.uniform(-10.0, 10.0, size=1000)
         cfg = nx.NuPIConfig(nu=nu, kp=kp, ki=ki)
-        state = nx.init_nupi([0.0])
+        state = nx.make_dual_state(cfg, [0.0])
         xi = errors[0]
         running = 0.0
         for t, e in enumerate(errors):
-            state = nx.nupi_step(state, cfg, [e])
+            state = nx.checked_dual_step(state, cfg, [e])
             if t >= 1:
                 xi = nu * xi + (1.0 - nu) * e
             running += e
@@ -340,10 +340,10 @@ def test_criterion_9_ratio_and_mode_consistency():
         inputs = nx.RatioInputs(kp=kp, ki=ki, nu=nu, xi_prev=xi, e_t=e)
         ratio = nx.relative_update_ratio(inputs)
         # literal one-step increments from the dual_optimizers module
-        state = nx.NuPIState(theta=np.array([0.0]), xi=np.array([xi]),
-                             prev_initialized=True, step_count=1)
-        nupi_inc = nx.nupi_step(state, nx.NuPIConfig(nu=nu, kp=kp, ki=ki), [e]).theta[0]
-        ga_inc = nx.ga_step(nx.init_ga([0.0]), ki, [e]).theta[0]
+        state = nx.NuPIState(theta=np.array([0.0]), xi=np.array([xi]))
+        nupi_inc = nx.checked_dual_step(state, nx.NuPIConfig(nu=nu, kp=kp, ki=ki), [e]).theta[0]
+        ga_cfg = nx.GAConfig(step_size=ki)
+        ga_inc = nx.checked_dual_step(nx.make_dual_state(ga_cfg, [0.0]), ga_cfg, [e]).theta[0]
         diff = abs(ratio - nupi_inc / ga_inc)
         worst = max(worst, diff)
         if diff > 1e-12 * max(1.0, abs(ratio)):

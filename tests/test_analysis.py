@@ -10,21 +10,21 @@ from scipy.linalg import expm
 
 from numax import (
     ConfigurationError,
+    GAConfig,
     Mode,
     NuPIConfig,
+    NuPIState,
     NumericalError,
     QPSystem,
     RatioInputs,
     RegimeKind,
+    checked_dual_step,
     classify_mode,
     classify_regime,
     critical_kp,
     eigen_1d,
-    ga_step,
-    init_ga,
-    init_nupi,
     kkt_solve_qp,
-    nupi_step,
+    make_dual_state,
     qp_system_matrix,
     relative_update_ratio,
     simulate_flow,
@@ -69,11 +69,10 @@ class TestRelativeUpdateRatio:
             ratio = relative_update_ratio(RatioInputs(kp=kp, ki=ki, nu=nu, xi_prev=xi, e_t=e))
             # literal one-step increments from the optimizer module
             config = NuPIConfig(nu=nu, kp=kp, ki=ki)
-            warm = nupi_step(init_nupi([0.0]), config, [0.123])  # consume t=0
-            warm = type(warm)(theta=np.array([0.0]), xi=np.array([xi]),
-                              prev_initialized=True, step_count=1)
-            nupi_inc = nupi_step(warm, config, [e]).theta[0]
-            ga_inc = ga_step(init_ga([0.0]), ki, [e]).theta[0]
+            warm = NuPIState(theta=np.array([0.0]), xi=np.array([xi]))  # past t=0
+            nupi_inc = checked_dual_step(warm, config, [e]).theta[0]
+            ga_config = GAConfig(step_size=ki)
+            ga_inc = checked_dual_step(make_dual_state(ga_config, [0.0]), ga_config, [e]).theta[0]
             assert abs(ratio - nupi_inc / ga_inc) <= 1e-12 * max(1.0, abs(ratio))
 
     def test_zero_error_rejected(self):

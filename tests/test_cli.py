@@ -450,6 +450,9 @@ _BAD_CSVS = {
     "trajectory_empty": (read_trajectory_csv, "", 1),
     "trajectory_short_row": (read_trajectory_csv, _TRAJECTORY_HEAD + "0,1,0,0,1,0,0\n1,2,3\n", 4),
     "trajectory_non_numeric": (read_trajectory_csv, _TRAJECTORY_HEAD + "0,1,0,0,x,0,0\n", 3),
+    "trajectory_nan_t": (read_trajectory_csv, _TRAJECTORY_HEAD + "nan,1,0,0,1,0,0\n", 3),
+    "trajectory_fractional_t": (read_trajectory_csv,
+                                _TRAJECTORY_HEAD + "0,1,0,0,1,0,0\n1.5,1,0,0,1,0,0\n", 4),
     "grid_short_row": (read_grid_csv, _GRID_HEAD + "1,2,3\n", 3),
     "grid_non_numeric": (read_grid_csv, _GRID_HEAD + "1,2,0,nan,0\n1,x,0,0.5,0\n", 4),
     "grid_nan_flag": (read_grid_csv, _GRID_HEAD + "1,2,0,0.5,0\n1,2,0,0.5,nan\n", 4),

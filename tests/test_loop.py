@@ -19,11 +19,15 @@ from numax import (
     Scheme,
     TerminationReason,
     UMConfig,
-    adam_dual_step,
     build_2d_benchmark,
+    build_svm_problem,
+    checked_dual_step,
     evaluate_lagrangian,
-    init_adam,
+    iris_csv_path,
+    load_dataset_csv,
+    make_dual_state,
     read_trajectory_csv,
+    train_validation_split,
     run,
     validate_gradients,
     write_trajectory_csv,
@@ -239,6 +243,13 @@ class TestLoopMechanics:
             run(problem, [np.nan], DualVector.zeros(1, 0), config)
         with pytest.raises(ConfigurationError):
             run(problem, [0.0], DualVector([-1.0], []), config)
+        svm = build_svm_problem(train_validation_split(load_dataset_csv(iris_csv_path()), 0)[0])
+        x0, m = np.zeros(svm.dim_primal), svm.num_ineq  # 70 inequalities
+        for duals0, message in ((DualVector([0.5], []), "lambda has length 1"),
+                                (DualVector(np.zeros(m), [0.0]), "mu has length 1"),
+                                (DualVector(np.full(m, np.nan), []), "finite")):
+            with pytest.raises(ConfigurationError, match=message):
+                run(svm, x0, duals0, config)
         with pytest.raises(ConfigurationError):
             LoopConfig(scheme=Scheme.ALTERNATING, max_steps=0,
                        dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
@@ -285,11 +296,12 @@ def test_primal_adam_step_is_dual_increment_negated(dim, steps, eta, data):
     vectors = st.lists(_FINITE, min_size=dim, max_size=dim).map(np.array)
     x = data.draw(vectors)
     primal = _PrimalOptimizer(PrimalOptimizerConfig(kind=PrimalKind.ADAM, step_size=eta), dim)
-    dual = init_adam(np.zeros(dim))
+    dual_config = AdamConfig(step_size=eta)
+    dual = make_dual_state(dual_config, np.zeros(dim))
     for _ in range(steps):
         grad = data.draw(vectors)
         # from theta = 0 the dual step's theta is its increment
-        dual = adam_dual_step(dual, AdamConfig(step_size=eta), grad)
+        dual = checked_dual_step(dual, dual_config, grad)
         x_next = primal.step(x, grad)
         np.testing.assert_array_equal(x_next, x - dual.theta)
         x, dual = x_next, dataclasses.replace(dual, theta=np.zeros(dim))
