@@ -3,12 +3,11 @@
 from .core import (
     ConfigurationError,
     ConstrainedProblem,
-    DualVector,
     GradientCheckReport,
     NumericalError,
     evaluate_lagrangian,
     lagrangian_primal_gradient,
-    project_duals,
+    project_theta,
     validate_gradients,
 )
 from .dual_optimizers import (

@@ -159,6 +159,7 @@ class CriticalGains:
     convergent: float | None
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # raised as a NumericalError
 def critical_kp(h: float, a: float, ki: float) -> CriticalGains:
     """kp* = (-h +- 2|a| sqrt(ki)) / a^2. The eigenvalue at kp* is
     -(h + kp* a^2)/2, so only the larger root can give a convergent system."""
@@ -170,6 +171,8 @@ def critical_kp(h: float, a: float, ki: float) -> CriticalGains:
     spread = 2.0 * abs(a) * np.sqrt(ki)
     kp_plus = (-h + spread) / a2
     kp_minus = (-h - spread) / a2
+    if not (np.isfinite(kp_plus) and np.isfinite(kp_minus)):
+        raise NumericalError(f"critical gains overflow: kp = {kp_plus}, {kp_minus}")
     convergent = None
     if h + kp_plus * a2 > 0.0:
         convergent = kp_plus
@@ -202,10 +205,12 @@ _REPEAT_TOL = 1e-9
 
 def classify_regime(eigenvalues) -> DampingRegime:
     """Classify the spectrum of -U (continuous-time convention: negative
-    real parts converge)."""
+    real parts converge). A non-finite eigenvalue is a NumericalError."""
     eigs = tuple(complex(v) for v in np.atleast_1d(np.asarray(eigenvalues, dtype=complex)))
     if not eigs:
         raise ConfigurationError("classify_regime requires at least one eigenvalue")
+    if not all(cmath.isfinite(v) for v in eigs):
+        raise NumericalError(f"non-finite eigenvalues {eigs}")
 
     def scale(v):
         return max(1.0, abs(v))

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import QPSystem, classify_regime, critical_kp, eigen_1d
-from .core import (ConfigurationError, ConstrainedProblem, DualVector, NumericalError, read_csv,
-                   read_text, validate_gradients)
+from .core import (ConfigurationError, ConstrainedProblem, NumericalError, read_csv, read_text,
+                   validate_gradients)
 from .dual_optimizers import (
     AdamConfig,
     GAConfig,
@@ -277,8 +277,8 @@ def cmd_run(args) -> int:
     for warning in dual_config_warnings(loop_config.dual_optimizer):
         print(f"warning: {warning}", file=sys.stderr)
 
-    duals0 = DualVector.zeros(bundle.problem.num_ineq, bundle.problem.num_eq)
-    trajectory = run(bundle.problem, bundle.x0, duals0, loop_config)
+    trajectory = run(bundle.problem, bundle.x0, np.zeros(bundle.problem.num_constraints),
+                     loop_config)
 
     summary = {
         "problem": bundle.kind,
@@ -326,8 +326,8 @@ def _grid_worker(payload):
     try:
         bundle = _build_problem(config, seed)
         cell_config = replace(loop_config, dual_optimizer=NuPIConfig(nu=nu, kp=kp, ki=ki))
-        duals0 = DualVector.zeros(bundle.problem.num_ineq, bundle.problem.num_eq)
-        trajectory = run(bundle.problem, bundle.x0, duals0, cell_config)
+        trajectory = run(bundle.problem, bundle.x0, np.zeros(bundle.problem.num_constraints),
+                         cell_config)
         value = _compute_metric(metric, trajectory, lambda_star)
     except Exception as exc:  # recorded in-row, grid continues
         return (kp, ki, nu, float("nan"), 1, f"{type(exc).__name__}: {exc}")
@@ -381,12 +381,19 @@ def read_grid_csv(path):
     return [(kp, ki, nu, value, int(flag)) for _, (kp, ki, nu, value, flag, *_) in rows]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite eigenvalues are numerical failures
 def cmd_sweep_regime(args) -> int:
     if args.samples < 2:
         raise ConfigurationError("sweep-regime requires samples >= 2")
     gains = critical_kp(args.h, args.a, args.ki)
     kp_values = sorted(set(np.linspace(args.kp_min, args.kp_max, args.samples).tolist()
                            + [gains.kp_plus, gains.kp_minus]))
+    rows = []
+    for kp in kp_values:  # every row is classified before the file is opened
+        lam1, lam2 = eigen_1d(args.h, args.a, kp, args.ki)
+        regime = classify_regime([lam1, lam2])
+        rows.append(f"{kp:.17g},{lam1.real:.17g},{lam1.imag:.17g},"
+                    f"{lam2.real:.17g},{lam2.imag:.17g},{regime.kind.value}\n")
     out_path = Path(args.out) if args.out else _resolve_output_dir(
         _DEFAULTS, None) / "regime_sweep.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -396,11 +403,7 @@ def cmd_sweep_regime(args) -> int:
                  f"{gains.kp_minus:.17g} (discriminant root -); "
                  f"convergent: {gains.convergent}\n")
         fh.write(",".join(_REGIME_SWEEP_COLUMNS) + "\n")
-        for kp in kp_values:
-            lam1, lam2 = eigen_1d(args.h, args.a, kp, args.ki)
-            regime = classify_regime([lam1, lam2])
-            fh.write(f"{kp:.17g},{lam1.real:.17g},{lam1.imag:.17g},"
-                     f"{lam2.real:.17g},{lam2.imag:.17g},{regime.kind.value}\n")
+        fh.writelines(rows)
     print(f"sweep complete: {out_path} ({len(kp_values)} rows)")
     return 0
 

@@ -4,7 +4,8 @@ A problem is stored as a bundle of callables for the objective f, inequality
 constraints g (satisfied when <= 0), equality constraints h (target 0), their
 gradients, and the constraint Jacobian. Constraint values are always stacked
 inequality-block first: c(x) = [g(x), h(x)], and the Jacobian columns follow
-the same order. Every other module indexes by this contract.
+the same order, and so do the multipliers, theta = [lam, mu]. Every other
+module indexes by this contract.
 """
 
 from __future__ import annotations
@@ -127,44 +128,6 @@ class ConstrainedProblem:
         return jac
 
 
-@dataclass(frozen=True)
-class DualVector:
-    """Lagrange multipliers: lam for inequalities (>= 0 after projection),
-    mu for equalities (unrestricted)."""
-
-    lam: np.ndarray
-    mu: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", np.atleast_1d(np.asarray(self.lam, dtype=np.float64)))
-        object.__setattr__(self, "mu", np.atleast_1d(np.asarray(self.mu, dtype=np.float64)))
-
-    @staticmethod
-    def zeros(num_ineq: int, num_eq: int) -> "DualVector":
-        return DualVector(np.zeros(num_ineq), np.zeros(num_eq))
-
-    @staticmethod
-    def from_stacked(theta: np.ndarray, num_ineq: int) -> "DualVector":
-        theta = np.asarray(theta, dtype=np.float64)
-        return DualVector(theta[:num_ineq], theta[num_ineq:])
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """theta = [lam, mu] in constraint order."""
-        return np.concatenate([self.lam, self.mu])
-
-
-def _check_dual_dims(problem: ConstrainedProblem, duals: DualVector) -> None:
-    if duals.lam.shape != (problem.num_ineq,):
-        raise ConfigurationError(
-            f"lambda has length {duals.lam.size}, problem declares {problem.num_ineq} inequalities"
-        )
-    if duals.mu.shape != (problem.num_eq,):
-        raise ConfigurationError(
-            f"mu has length {duals.mu.size}, problem declares {problem.num_eq} equalities"
-        )
-
-
 def lagrangian_value(f: float, g: np.ndarray, h: np.ndarray,
                      lam: np.ndarray, mu: np.ndarray) -> float:
     """f + lam . g + mu . h from already evaluated values, summed in that order."""
@@ -176,13 +139,13 @@ def lagrangian_value(f: float, g: np.ndarray, h: np.ndarray,
     return value
 
 
-def evaluate_lagrangian(problem: ConstrainedProblem, x, duals: DualVector) -> float:
-    """L(x, theta) = f(x) + lam . g(x) + mu . h(x)."""
+def evaluate_lagrangian(problem: ConstrainedProblem, x, theta) -> float:
+    """L(x, theta) = f(x) + lam . g(x) + mu . h(x), with theta = [lam, mu]."""
     x = as_vector(x, problem.dim_primal, "x")
-    _check_dual_dims(problem, duals)
+    theta = as_vector(theta, problem.num_constraints, "theta")
     c = problem.constraints(x)
     m = problem.num_ineq
-    return lagrangian_value(float(problem.eval_objective(x)), c[:m], c[m:], duals.lam, duals.mu)
+    return lagrangian_value(float(problem.eval_objective(x)), c[:m], c[m:], theta[:m], theta[m:])
 
 
 def _primal_gradient(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -193,11 +156,10 @@ def _primal_gradient(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarr
     return grad + problem.constraint_jacobian(x) @ theta
 
 
-def lagrangian_primal_gradient(problem: ConstrainedProblem, x, duals: DualVector) -> np.ndarray:
+def lagrangian_primal_gradient(problem: ConstrainedProblem, x, theta) -> np.ndarray:
     """grad_x L = grad f(x) + Jc(x) @ theta, with theta = [lam, mu]."""
     x = as_vector(x, problem.dim_primal, "x")
-    _check_dual_dims(problem, duals)
-    return _primal_gradient(problem, x, duals.stacked)
+    return _primal_gradient(problem, x, as_vector(theta, problem.num_constraints, "theta"))
 
 
 def project_theta(theta: np.ndarray, num_ineq: int) -> np.ndarray:
@@ -207,13 +169,6 @@ def project_theta(theta: np.ndarray, num_ineq: int) -> np.ndarray:
         return theta
     lam = theta[:num_ineq]
     return np.concatenate([np.where(lam > 0.0, lam, 0.0), theta[num_ineq:]])
-
-
-def project_duals(duals: DualVector) -> DualVector:
-    """Clamp inequality multipliers at zero (project_theta on the stacked
-    multipliers); equality multipliers untouched."""
-    num_ineq = duals.lam.size
-    return DualVector.from_stacked(project_theta(duals.stacked, num_ineq), num_ineq)
 
 
 # Central differences with per-coordinate step 1e-6 * max(1, |x_i|): the
@@ -283,11 +238,14 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+# Overflow at a sampled point is reported as a failure; suppress the numpy
+# warnings it would otherwise emit.
+@np.errstate(over="ignore", invalid="ignore")
 def validate_gradients(problem: ConstrainedProblem, num_points: int, seed: int,
                        tolerance: float = 1e-5) -> GradientCheckReport:
     """Check analytic gradients/Jacobians against central differences at
     random points. Passes iff the max relative error is <= tolerance and all
-    sampled evaluations are finite."""
+    sampled evaluations, analytic and finite-difference, are finite."""
     if num_points < 1:
         raise ConfigurationError(f"num_points must be >= 1, got {num_points}")
     rng = seeded_rng(seed)
@@ -299,6 +257,9 @@ def validate_gradients(problem: ConstrainedProblem, num_points: int, seed: int,
             report.failures.append(f"non-finite objective value at point {k}, x={x!r}")
             continue
         analytic_grad = as_vector(problem.eval_objective_grad(x), problem.dim_primal, "grad f(x)")
+        if not np.all(np.isfinite(analytic_grad)):
+            report.failures.append(f"non-finite analytic gradient at point {k}, x={x!r}")
+            continue
         fd_grad = central_difference_gradient(problem.eval_objective, x)
         if not np.all(np.isfinite(fd_grad)):
             report.failures.append(f"non-finite finite-difference gradient at point {k}, x={x!r}")
@@ -307,6 +268,9 @@ def validate_gradients(problem: ConstrainedProblem, num_points: int, seed: int,
                                              _rel_error(analytic_grad, fd_grad))
         if problem.num_constraints:
             analytic_jac = problem.constraint_jacobian(x)
+            if not np.all(np.isfinite(analytic_jac)):
+                report.failures.append(f"non-finite constraint Jacobian at point {k}, x={x!r}")
+                continue
             fd_jac = central_difference_jacobian(problem.constraints, x, problem.num_constraints)
             if not np.all(np.isfinite(fd_jac)):
                 report.failures.append(f"non-finite constraint value near point {k}, x={x!r}")

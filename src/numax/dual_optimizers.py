@@ -30,15 +30,11 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ConfigurationError, NumericalError
+from .core import ConfigurationError, NumericalError, as_vector
 
 
 def _checked_error(error, expected_len: int) -> np.ndarray:
-    e = np.atleast_1d(np.asarray(error, dtype=np.float64))
-    if e.shape != (expected_len,):
-        raise ConfigurationError(
-            f"error signal has length {e.size}, optimizer state has {expected_len}"
-        )
+    e = as_vector(error, expected_len, "error signal")
     if not np.all(np.isfinite(e)):
         bad = np.flatnonzero(~np.isfinite(e))
         raise NumericalError(
@@ -172,9 +168,7 @@ class GAState:
 def apply_dual_restarts(theta: np.ndarray, num_ineq: int, ineq_violation) -> np.ndarray:
     """Reset lam_i = theta[i], i < num_ineq, to zero wherever g_i(x) < 0 (strictly
     satisfied), like `core.project_theta` on stacked theta; theta[num_ineq:] is kept."""
-    g = np.atleast_1d(np.asarray(ineq_violation, dtype=np.float64))
-    if g.shape != (num_ineq,):
-        raise ConfigurationError(f"violation vector has length {g.size}, expected {num_ineq}")
+    g = as_vector(ineq_violation, num_ineq, "violation vector")
     return np.concatenate([np.where(g < 0.0, 0.0, theta[:num_ineq]), theta[num_ineq:]])
 
 
@@ -256,10 +250,14 @@ def dual_step(state, config: DualOptimizerConfig, error):
 
 
 def checked_dual_step(state, config: DualOptimizerConfig, error):
-    """One update on a copy of `state`, which is left as it was. An error of
-    the wrong length is a ConfigurationError, a non-finite one a
-    NumericalError naming its indices."""
-    return dual_step(copy.copy(state), config, _checked_error(error, state.theta.size))
+    """One update on a copy of `state`, which is left as it was. A state of
+    another rule or an error of the wrong length is a ConfigurationError, a
+    non-finite error a NumericalError naming its indices."""
+    state_class = _rule(config)[0]
+    if type(state) is not state_class:
+        raise ConfigurationError(f"a {type(state).__name__} cannot be stepped with a "
+                                 f"{type(config).__name__}, which needs a {state_class.__name__}")
+    return state_class.advance(copy.copy(state), config, _checked_error(error, state.theta.size))
 
 
 def dual_config_warnings(config: DualOptimizerConfig) -> list:

@@ -47,8 +47,6 @@ import numpy as np
 from .core import (
     ConfigurationError,
     ConstrainedProblem,
-    DualVector,
-    _check_dual_dims,
     _primal_gradient,
     as_vector,
     lagrangian_value,
@@ -220,21 +218,20 @@ class _PrimalOptimizer:
 # Overflow during a diverging run is detected and flagged as NON_FINITE
 # termination; suppress the numpy warnings it would otherwise emit.
 @np.errstate(over="ignore", invalid="ignore")
-def run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig) -> Trajectory:
-    """Descent-ascent from (x0, duals0) under `config.scheme`: the alternating
-    primal step sees the freshly updated multipliers, the simultaneous one
-    the pre-update multipliers."""
+def run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig) -> Trajectory:
+    """Descent-ascent from x0 and the stacked multipliers theta0 = [lam, mu]
+    under `config.scheme`: the alternating primal step sees the freshly
+    updated multipliers, the simultaneous one the pre-update multipliers."""
     x = as_vector(x0, problem.dim_primal, "x0")
     if not np.all(np.isfinite(x)):
         raise ConfigurationError("x0 must be finite")
-    _check_dual_dims(problem, duals0)
-    theta0 = duals0.stacked
+    m, num_constraints = problem.num_ineq, problem.num_constraints
+    theta0 = as_vector(theta0, num_constraints, "theta0")
     if not np.all(np.isfinite(theta0)):
         raise ConfigurationError("initial multipliers must be finite")
-    if np.any(duals0.lam < 0.0):
+    if np.any(theta0[:m] < 0.0):
         raise ConfigurationError("initial inequality multipliers must be >= 0")
 
-    m, num_constraints = problem.num_ineq, problem.num_constraints
     simultaneous = config.scheme is Scheme.SIMULTANEOUS
     state = make_dual_state(config.dual_optimizer, theta0)
     primal = _PrimalOptimizer(config.primal_optimizer, problem.dim_primal)

@@ -5,8 +5,9 @@ before the driver kept its records in columns and its dual state in place.
 the plain record-per-step versions, kept verbatim. The dual update goes
 through the public pure `checked_dual_step` and every theta rewrite rebuilds
 the state, so no state here is updated in place. The dual restarts are this
-module's own copy of the rule on a `DualVector`, so the library's stacked
-form is checked against it. Test-only code.
+module's own copy of the rule on the split multipliers (lam, mu), so the
+library's rule on the stacked theta = [lam, mu] is checked against it.
+Test-only code.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from numax.core import (
     ConfigurationError,
     ConstrainedProblem,
-    DualVector,
     as_vector,
     lagrangian_value,
     project_theta,
@@ -28,16 +28,16 @@ from numax.dual_optimizers import checked_dual_step as dual_step, make_dual_stat
 from numax.loop import LoopConfig, Scheme, StepRecord, TerminationReason, _PrimalOptimizer
 
 
-def apply_dual_restarts(duals: DualVector, ineq_violation) -> DualVector:
+def apply_dual_restarts(lam: np.ndarray, mu: np.ndarray, ineq_violation) -> tuple:
     """Reset lam_i to zero wherever g_i(x) is strictly negative (constraint
-    strictly satisfied). Equality multipliers are never modified."""
+    strictly satisfied); returns (lam, mu). Equality multipliers are never
+    modified."""
     g = np.atleast_1d(np.asarray(ineq_violation, dtype=np.float64))
-    if g.shape != duals.lam.shape:
+    if g.shape != lam.shape:
         raise ConfigurationError(
-            f"violation vector has length {g.size}, expected {duals.lam.size}"
+            f"violation vector has length {g.size}, expected {lam.size}"
         )
-    lam = np.where(g < 0.0, 0.0, duals.lam)
-    return DualVector(lam, duals.mu)
+    return np.where(g < 0.0, 0.0, lam), mu
 
 
 def replace_theta(state, theta: np.ndarray):
@@ -87,17 +87,18 @@ def _record(t, x, f, g, h, theta, num_ineq) -> StepRecord:
 # Overflow during a diverging run is detected and flagged as NON_FINITE
 # termination; suppress the numpy warnings it would otherwise emit.
 @np.errstate(over="ignore", invalid="ignore")
-def _run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig,
+def _run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
          simultaneous: bool) -> Trajectory:
     x = as_vector(x0, problem.dim_primal, "x0")
     if not np.all(np.isfinite(x)):
         raise ConfigurationError("x0 must be finite")
-    if duals0.lam.size and np.any(duals0.lam < 0.0):
+    theta0 = as_vector(theta0, problem.num_constraints, "theta0")
+    if problem.num_ineq and np.any(theta0[:problem.num_ineq] < 0.0):
         raise ConfigurationError("initial inequality multipliers must be >= 0")
 
     problem, counts = _counted(problem)
     m = problem.num_ineq
-    state = make_dual_state(config.dual_optimizer, duals0.stacked)
+    state = make_dual_state(config.dual_optimizer, theta0)
     primal = _PrimalOptimizer(config.primal_optimizer, problem.dim_primal)
 
     records = []
@@ -134,8 +135,8 @@ def _run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig
             state = dual_step(state, config.dual_optimizer, error)
             state = replace_theta(state, project_theta(state.theta, m))
             if config.dual_restarts and m:
-                duals = apply_dual_restarts(DualVector.from_stacked(state.theta, m), g)
-                state = replace_theta(state, duals.stacked)
+                lam, mu = apply_dual_restarts(state.theta[:m], state.theta[m:], g)
+                state = replace_theta(state, np.concatenate([lam, mu]))
             last_dual_increment = float(np.max(np.abs(state.theta - theta_t)))
         else:
             last_dual_increment = 0.0
@@ -203,6 +204,6 @@ def overshoot(trajectory) -> float:
     return worst
 
 
-def run(problem: ConstrainedProblem, x0, duals0: DualVector, config: LoopConfig) -> Trajectory:
-    return _run(problem, x0, duals0, config,
+def run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig) -> Trajectory:
+    return _run(problem, x0, theta0, config,
                 simultaneous=config.scheme is Scheme.SIMULTANEOUS)

@@ -152,8 +152,8 @@ def test_criterion_4_svm_grid(iris_split, iris_oracle):
             config = nx.LoopConfig(scheme=nx.Scheme.ALTERNATING, max_steps=5000,
                                    dual_optimizer=nx.NuPIConfig(nu=0.0, kp=kp, ki=float(ki)),
                                    primal_optimizer=primal, record_every=5000)
-            traj = nx.run(problem, np.zeros(problem.dim_primal),
-                          nx.DualVector.zeros(problem.num_ineq, 0), config)
+            traj = nx.run(problem, np.zeros(problem.dim_primal), np.zeros(problem.num_ineq),
+                          config)
             with np.errstate(over="ignore", invalid="ignore"):  # divergent cells -> inf
                 dist = float(np.linalg.norm(traj.final.lam - lam_star))
             hit = np.isfinite(dist) and dist <= threshold
@@ -267,7 +267,7 @@ def test_criterion_7_benchmark2d_damping_ordering():
             dual_optimizer=nx.NuPIConfig(nu=0.0, kp=kp, ki=0.01),
             primal_optimizer=nx.PrimalOptimizerConfig(kind=nx.PrimalKind.GRADIENT_DESCENT,
                                                       step_size=0.002))
-        traj = nx.run(problem, x0, nx.DualVector.zeros(0, 1), config)
+        traj = nx.run(problem, x0, np.zeros(1), config)
         dist = float(np.linalg.norm(traj.final.x - x_star))
         signs = np.sign(traj.column("h")[:, 0])
         signs = signs[signs != 0.0]

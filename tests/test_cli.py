@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from numax import (
     train_validation_split,
 )
 from numax.cli import main, read_grid_csv, read_regime_sweep_csv
+from reference import grid_reference
 
 
 def write_benchmark_config(path, max_steps=200, kp=3.0):
@@ -254,6 +259,43 @@ class TestGrid:
                      "--output-dir", str(tmp_path / "out")]) == 2
 
 
+# Small grids, each with a diverging cell: (settings, the metrics the problem accepts)
+_REFERENCE_GRIDS = {
+    "svm": (["--problem.kind", "svm", "--run.seed", "4", "--loop.max_steps", "150",
+             "--loop.primal_kind", "gd-momentum", "--loop.primal_step_size", "1e-3",
+             "--grid.kp", "0,100", "--grid.ki", "0.01,10"],
+            ("dist_to_lambda_star", "max_violation", "overshoot")),
+    "benchmark2d": (["--problem.kind", "benchmark2d", "--loop.max_steps", "300",
+                     "--loop.primal_step_size", "0.002", "--grid.kp", "3,1e4",
+                     "--grid.ki", "0.01,100", "--grid.nu", "0,0.5"],
+                    ("max_violation", "overshoot")),
+    "qp": (["--problem.kind", "qp", "--problem.path", "{qp}", "--loop.max_steps", "300",
+            "--loop.primal_step_size", "0.05", "--grid.kp", "2,1e3", "--grid.ki", "0.5,100"],
+           ("max_violation", "overshoot")),
+}
+_REFERENCE_GRID_CASES = [(kind, metric) for kind, (_, metrics) in _REFERENCE_GRIDS.items()
+                         for metric in metrics]
+
+
+@pytest.mark.parametrize("kind,metric", _REFERENCE_GRID_CASES,
+                         ids=[f"{k}-{m}" for k, m in _REFERENCE_GRID_CASES])
+def test_grid_matches_per_cell_reference(tmp_path, kind, metric):
+    qp = tmp_path / "qp.json"
+    qp.write_text('{"H": [[1.0, 0.0], [0.0, 1.0]], "A": [[1.0, 0.0]], "b": [1.0]}')
+    settings = [arg.format(qp=qp) for arg in _REFERENCE_GRIDS[kind][0]]
+    settings += ["--run.metric", metric]
+    for jobs in ("1", "2"):
+        assert main(["grid", "--output-dir", str(tmp_path / jobs), "--jobs", jobs, *settings]) == 0
+    config = cli._load_config(None, cli._split_overrides(settings))
+    grid_reference.write_grid_csv(config, tmp_path / "reference.csv")
+    expected = (tmp_path / "reference.csv").read_bytes()
+    assert (tmp_path / "1" / "grid.csv").read_bytes() == expected
+    assert (tmp_path / "2" / "grid.csv").read_bytes() == expected
+    if metric == "max_violation":
+        flags = [row[4] for row in read_grid_csv(tmp_path / "1" / "grid.csv")]
+        assert 0 in flags and 1 in flags
+
+
 class TestGridMatchesRun:
     def test_cell_metric_equals_run_metric(self, tmp_path):
         config = tmp_path / "grid.ini"
@@ -479,6 +521,47 @@ def test_trajectory_header_without_rows_is_empty_table(tmp_path):
     table = read_trajectory_csv(path)
     assert table.terminated_reason == "max-steps"
     assert table.t.shape == (0,) and table.lam.shape == (0, 1) and table.x.shape == (0, 1)
+
+
+def _numax_process(tmp_path, argv, warnings_flags=("-W", "error")):
+    """`python [-W error] -m numax.cli *argv` in a fresh interpreter, run in
+    `tmp_path`; returns the finished process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *warnings_flags, "-m", "numax.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+
+
+# Overflowing inputs: each must end in one "numerical failure:" line, exit 3
+# and no sweep file, with no RuntimeWarning even under -W error
+_OVERFLOWING_SWEEPS = {
+    "huge_ki": ["--h", "1", "--a", "1", "--ki", "1e308"],
+    "huge_h_and_a": ["--h", "1e308", "--a", "1e308", "--ki", "1"],
+    "huge_kp_range": ["--h", "1", "--a", "1", "--ki", "1", "--kp-min=-1e308", "--kp-max=1e308"],
+    "a_squared_underflows": ["--h", "1", "--a", "1e-200", "--ki", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING_SWEEPS))
+def test_overflowing_sweep_exits_3_with_one_line(tmp_path, case):
+    proc = _numax_process(tmp_path, ["sweep-regime", *_OVERFLOWING_SWEEPS[case],
+                                     "--out", "s.csv"])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure: ")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("warnings_flags", [("-W", "error"), ()], ids=["W-error", "default"])
+def test_overflowing_qp_gradient_check_fails_without_warnings(tmp_path, warnings_flags):
+    (tmp_path / "qp.json").write_text('{"H": [[1e308]], "A": [[1e308]], "b": [1e308]}')
+    proc = _numax_process(tmp_path, ["validate-gradients", "--problem", "qp", "--data", "qp.json"],
+                          warnings_flags)
+    assert proc.returncode == 3
+    assert proc.stdout.startswith("gradient check: FAIL")
+    assert "failure: non-finite" in proc.stdout
+    assert proc.stderr == ""
 
 
 class TestSweepRegime:

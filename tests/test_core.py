@@ -6,10 +6,9 @@ import pytest
 from numax import (
     ConfigurationError,
     ConstrainedProblem,
-    DualVector,
     evaluate_lagrangian,
     lagrangian_primal_gradient,
-    project_duals,
+    project_theta,
     validate_gradients,
 )
 from numax.core import central_difference_gradient
@@ -61,12 +60,11 @@ def quadratic_with_linear_constraints(seed=0, dim=4, m=2, n=2):
 class TestEvaluateLagrangian:
     def test_no_constraints_reduces_to_objective(self):
         problem = unconstrained_square()
-        duals = DualVector.zeros(0, 0)
-        assert evaluate_lagrangian(problem, [2.0], duals) == 4.0
+        assert evaluate_lagrangian(problem, [2.0], np.zeros(0)) == 4.0
 
     def test_linear_term_only(self):
         problem = single_ineq_line()
-        value = evaluate_lagrangian(problem, [2.0], DualVector([3.0], []))
+        value = evaluate_lagrangian(problem, [2.0], [3.0])
         assert value == 3.0 * (2.0 - 1.0)
 
     def test_svm_at_origin_sums_unit_violations(self):
@@ -74,26 +72,26 @@ class TestEvaluateLagrangian:
         data = load_dataset_csv(iris_csv_path())
         train, _ = train_validation_split(data, seed=0)
         problem = build_svm_problem(train)
-        duals = DualVector(np.ones(train.num_points), [])
-        value = evaluate_lagrangian(problem, np.zeros(problem.dim_primal), duals)
+        value = evaluate_lagrangian(problem, np.zeros(problem.dim_primal),
+                                    np.ones(train.num_points))
         assert value == pytest.approx(70.0, abs=1e-12)
 
     def test_dimension_mismatch_is_fatal(self):
         problem = single_ineq_line()
         with pytest.raises(ConfigurationError):
-            evaluate_lagrangian(problem, [1.0, 2.0], DualVector([1.0], []))
-        with pytest.raises(ConfigurationError):
-            evaluate_lagrangian(problem, [1.0], DualVector([1.0, 2.0], []))
+            evaluate_lagrangian(problem, [1.0, 2.0], [1.0])
+        with pytest.raises(ConfigurationError, match="theta"):
+            evaluate_lagrangian(problem, [1.0], [1.0, 2.0])
 
     def test_affine_in_duals(self):
         problem = quadratic_with_linear_constraints()
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.standard_normal(4)
-            th1 = DualVector(np.abs(rng.standard_normal(2)), rng.standard_normal(2))
-            th2 = DualVector(np.abs(rng.standard_normal(2)), rng.standard_normal(2))
+            th1 = np.concatenate([np.abs(rng.standard_normal(2)), rng.standard_normal(2)])
+            th2 = np.concatenate([np.abs(rng.standard_normal(2)), rng.standard_normal(2)])
             a = rng.uniform()
-            mix = DualVector(a * th1.lam + (1 - a) * th2.lam, a * th1.mu + (1 - a) * th2.mu)
+            mix = a * th1 + (1 - a) * th2
             lhs = evaluate_lagrangian(problem, x, mix)
             rhs = (a * evaluate_lagrangian(problem, x, th1)
                    + (1 - a) * evaluate_lagrangian(problem, x, th2))
@@ -103,7 +101,7 @@ class TestEvaluateLagrangian:
 class TestPrimalGradient:
     def test_no_constraints_gives_objective_gradient(self):
         problem = unconstrained_square()
-        grad = lagrangian_primal_gradient(problem, [3.0], DualVector.zeros(0, 0))
+        grad = lagrangian_primal_gradient(problem, [3.0], np.zeros(0))
         np.testing.assert_array_equal(grad, [6.0])
 
     def test_single_equality_gives_scaled_constraint_gradient(self):
@@ -116,44 +114,42 @@ class TestPrimalGradient:
             eval_eq=lambda x: np.array([a @ x - 1.0]),
             eval_constraint_jacobian=lambda x: a.reshape(3, 1),
         )
-        grad = lagrangian_primal_gradient(problem, np.zeros(3), DualVector([], [2.5]))
+        grad = lagrangian_primal_gradient(problem, np.zeros(3), [2.5])
         np.testing.assert_allclose(grad, 2.5 * a)
 
     def test_matches_finite_differences(self):
         problem = quadratic_with_linear_constraints(seed=5)
         rng = np.random.default_rng(11)
-        duals = DualVector(np.abs(rng.standard_normal(2)), rng.standard_normal(2))
+        theta = np.concatenate([np.abs(rng.standard_normal(2)), rng.standard_normal(2)])
         for _ in range(5):
             x = rng.standard_normal(4)
-            analytic = lagrangian_primal_gradient(problem, x, duals)
+            analytic = lagrangian_primal_gradient(problem, x, theta)
             fd = central_difference_gradient(
-                lambda xx: evaluate_lagrangian(problem, xx, duals), x)
+                lambda xx: evaluate_lagrangian(problem, xx, theta), x)
             np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-7)
 
 
 class TestProjectDuals:
     def test_componentwise_clamp(self):
-        out = project_duals(DualVector([-1.0, 2.0], [-5.0]))
-        np.testing.assert_array_equal(out.lam, [0.0, 2.0])
-        np.testing.assert_array_equal(out.mu, [-5.0])
+        out = project_theta(np.array([-1.0, 2.0, -5.0]), 2)
+        np.testing.assert_array_equal(out, [0.0, 2.0, -5.0])
 
     def test_fixed_point(self):
-        out = project_duals(DualVector([0.0, 0.0], []))
-        np.testing.assert_array_equal(out.lam, [0.0, 0.0])
+        out = project_theta(np.array([0.0, 0.0]), 2)
+        np.testing.assert_array_equal(out, [0.0, 0.0])
 
     def test_negative_zero_normalized(self):
-        out = project_duals(DualVector([-0.0], []))
-        assert out.lam[0] == 0.0
-        assert not np.signbit(out.lam[0])
+        out = project_theta(np.array([-0.0]), 1)
+        assert out[0] == 0.0
+        assert not np.signbit(out[0])
 
     def test_idempotent_bit_exact(self):
         rng = np.random.default_rng(9)
-        duals = DualVector(rng.standard_normal(50), rng.standard_normal(3))
-        once = project_duals(duals)
-        twice = project_duals(once)
-        assert np.array_equal(once.lam, twice.lam)
-        assert np.array_equal(np.signbit(once.lam), np.signbit(twice.lam))
-        assert np.array_equal(once.mu, twice.mu)
+        theta = rng.standard_normal(53)  # 50 inequality, 3 equality multipliers
+        once = project_theta(theta, 50)
+        twice = project_theta(once, 50)
+        assert np.array_equal(once, twice)
+        assert np.array_equal(np.signbit(once), np.signbit(twice))
 
 
 class TestValidateGradients:
@@ -193,3 +189,22 @@ class TestValidateGradients:
         report = validate_gradients(problem, num_points=3, seed=0)
         assert not report.passed
         assert any("non-finite" in msg for msg in report.failures)
+
+    @pytest.mark.parametrize("bad_grad, bad_jac", [(True, True), (True, False), (False, True)])
+    def test_non_finite_analytic_derivative_fails(self, bad_grad, bad_jac):
+        # f = x^2 / 2 and g = x - 1 are finite everywhere, so only the analytic
+        # gradient or Jacobian can be NaN; max(0.0, nan) once hid them as 0.0
+        problem = ConstrainedProblem(
+            dim_primal=1, num_ineq=1, num_eq=0,
+            eval_objective=lambda x: float(0.5 * x[0] * x[0]),
+            eval_objective_grad=lambda x: np.array([np.nan]) if bad_grad else x.copy(),
+            eval_ineq=lambda x: x - 1.0,
+            eval_eq=lambda x: np.zeros(0),
+            eval_constraint_jacobian=lambda x: np.array([[np.nan if bad_jac else 1.0]]),
+        )
+        report = validate_gradients(problem, num_points=3, seed=0)
+        assert not report.passed
+        assert "FAIL" in report.summary()
+        what = "analytic gradient" if bad_grad else "constraint Jacobian"
+        assert len(report.failures) == 3
+        assert all(f"non-finite {what}" in msg for msg in report.failures)

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from numax import (
     AdamConfig,
     ConfigurationError,
-    DualVector,
     GAConfig,
     NuPIConfig,
     NumericalError,
@@ -18,8 +17,8 @@ from numax import (
     dual_step,
     make_dual_state,
     map_um_to_nupi,
+    project_theta,
 )
-from numax.core import project_theta
 from numax.dual_optimizers import (
     ADAM_EPS,
     dual_config_warnings,
@@ -231,16 +230,16 @@ class TestDualRestarts:
     @given(m=st.integers(0, 8), n=st.integers(0, 3), data=st.data())
     def test_commutes_with_projection(self, m, n, data):
         # also: idempotent, the equality block untouched, and the reference's
-        # DualVector rule bit for bit
+        # (lam, mu) rule bit for bit
         theta, g = data.draw(_vectors(m + n)), data.draw(_vectors(m))
         restarted = apply_dual_restarts(theta, m, g)
         assert np.array_equal(project_theta(restarted, m),
                               apply_dual_restarts(project_theta(theta, m), m, g))
         assert np.array_equal(apply_dual_restarts(restarted, m, g), restarted)
         assert restarted[m:].tobytes() == theta[m:].tobytes()
-        expected = loop_reference.apply_dual_restarts(DualVector.from_stacked(theta, m), g)
+        lam, mu = loop_reference.apply_dual_restarts(theta[:m], theta[m:], g)
         assert restarted.dtype == np.float64
-        assert restarted.tobytes() == expected.stacked.tobytes()
+        assert restarted.tobytes() == np.concatenate([lam, mu]).tobytes()
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
@@ -284,6 +283,18 @@ class TestDispatchTable:
             checked_dual_step(make_dual_state(GAConfig(step_size=0.1), [0.0]), Unknown(), [1.0])
         with pytest.raises(ConfigurationError, match="Unknown"):
             dual_config_warnings(Unknown())
+
+    @pytest.mark.parametrize("made_for,stepped_with",
+                             [(i, j) for i in range(4) for j in range(4) if i != j])
+    def test_state_of_another_rule_rejected(self, made_for, stepped_with):
+        state = make_dual_state(self.CONFIGS[made_for], [0.5])
+        before = dict(vars(state))
+        config = self.CONFIGS[stepped_with]
+        with pytest.raises(ConfigurationError) as info:
+            checked_dual_step(state, config, [1.0])
+        message = str(info.value)
+        assert type(state).__name__ in message and type(config).__name__ in message
+        assert vars(state) == before
 
     def test_warnings(self):
         bad_nupi = NuPIConfig(nu=1.5, kp=1.0, ki=-0.1)

@@ -10,7 +10,6 @@ from numax import (
     AdamConfig,
     ConfigurationError,
     ConstrainedProblem,
-    DualVector,
     GAConfig,
     LoopConfig,
     NuPIConfig,
@@ -96,7 +95,7 @@ class TestUnconstrained:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=50,
                             dual_optimizer=GAConfig(step_size=0.1),
                             primal_optimizer=gd(0.1))
-        traj = run(problem, np.full(3, 2.0), DualVector.zeros(0, 0), config)
+        traj = run(problem, np.full(3, 2.0), np.zeros(0), config)
         # x_{t+1} = (1 - 2 eta) x_t = 0.8 x_t
         np.testing.assert_allclose(traj.final.x, np.full(3, 2.0) * 0.8**50, rtol=1e-12)
         assert traj.terminated_reason is TerminationReason.MAX_STEPS
@@ -107,8 +106,8 @@ class TestUnconstrained:
                             dual_optimizer=GAConfig(step_size=0.1),
                             primal_optimizer=gd(0.07))
         x0 = np.array([1.0, -2.0, 0.5])
-        ta = run(problem, x0, DualVector.zeros(0, 0), config)
-        ts = run(problem, x0, DualVector.zeros(0, 0),
+        ta = run(problem, x0, np.zeros(0), config)
+        ts = run(problem, x0, np.zeros(0),
                  dataclasses.replace(config, scheme=Scheme.SIMULTANEOUS))
         for ra, rs in zip(ta.steps, ts.steps):
             assert ra.t == rs.t
@@ -122,7 +121,7 @@ class TestOneSidedLine:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=10000,
                             dual_optimizer=GAConfig(step_size=0.01),
                             primal_optimizer=gd(0.01))
-        traj = run(problem, [0.0], DualVector.zeros(1, 0), config)
+        traj = run(problem, [0.0], np.zeros(1), config)
         deviations = [np.hypot(rec.x[0] - 1.0, rec.lam[0] - 1.0) for rec in traj.steps]
         assert max(deviations) < 3.0
         assert deviations[-1] > 1e-3  # orbits, does not converge
@@ -132,7 +131,7 @@ class TestOneSidedLine:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=10000,
                             dual_optimizer=NuPIConfig(nu=0.0, kp=1.0, ki=0.01),
                             primal_optimizer=gd(0.01))
-        traj = run(problem, [0.0], DualVector.zeros(1, 0), config)
+        traj = run(problem, [0.0], np.zeros(1), config)
         assert abs(traj.final.lam[0] - 1.0) < 1e-3
         assert abs(traj.final.x[0] - 1.0) < 1e-3
 
@@ -144,7 +143,7 @@ class TestBilinearGame:
         config = LoopConfig(scheme=Scheme.SIMULTANEOUS, max_steps=200,
                             dual_optimizer=GAConfig(step_size=eta),
                             primal_optimizer=gd(eta))
-        traj = run(problem, [1.0], DualVector([], [0.5]), config)
+        traj = run(problem, [1.0], [0.5], config)
         norms = np.array([np.hypot(r.x[0], r.mu[0]) for r in traj.steps])
         assert np.all(np.diff(norms) > 0.0)
         # iteration matrix [[1, -eta], [eta, 1]] has |eigenvalue| = sqrt(1 + eta^2)
@@ -162,7 +161,7 @@ class TestBilinearGame:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5000,
                             dual_optimizer=GAConfig(step_size=eta),
                             primal_optimizer=gd(eta))
-        traj = run(problem, [1.0], DualVector([], [0.5]), config)
+        traj = run(problem, [1.0], [0.5], config)
         norms = [np.hypot(r.x[0], r.mu[0]) for r in traj.steps]
         assert max(norms) < 10.0 * norms[0]
 
@@ -176,7 +175,7 @@ class TestLoopMechanics:
                      AdamConfig(step_size=0.1)):
             config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=500,
                                 dual_optimizer=dual, primal_optimizer=gd(0.05))
-            traj = run(problem, [5.0], DualVector.zeros(1, 0), config)
+            traj = run(problem, [5.0], np.zeros(1), config)
             assert all(rec.lam[0] >= 0.0 for rec in traj.steps)
 
     def test_constraint_evaluations_once_per_iteration(self):
@@ -184,7 +183,7 @@ class TestLoopMechanics:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=137,
                             dual_optimizer=GAConfig(step_size=0.01),
                             primal_optimizer=gd(0.01), record_every=10)
-        traj = run(problem, [0.0], DualVector.zeros(1, 0), config)
+        traj = run(problem, [0.0], np.zeros(1), config)
         # one evaluation per iteration plus the terminal record
         assert traj.counters["ineq"] == 137 + 1
         assert traj.counters["eq"] == 137 + 1
@@ -197,7 +196,7 @@ class TestLoopMechanics:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=300,
                             dual_optimizer=GAConfig(step_size=0.05),
                             primal_optimizer=gd(0.05), dual_restarts=True)
-        traj = run(problem, [0.0], DualVector.zeros(1, 0), config)
+        traj = run(problem, [0.0], np.zeros(1), config)
         # a restart fires after the dual update, so any record following a
         # strictly satisfied constraint carries a zeroed multiplier
         fired = 0
@@ -212,7 +211,7 @@ class TestLoopMechanics:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=25,
                             dual_optimizer=GAConfig(step_size=0.1),
                             primal_optimizer=gd(0.1), record_every=7)
-        traj = run(problem, np.ones(3), DualVector.zeros(0, 0), config)
+        traj = run(problem, np.ones(3), np.zeros(0), config)
         ts = [rec.t for rec in traj.steps]
         assert ts == [0, 7, 14, 21, 25]
 
@@ -221,7 +220,7 @@ class TestLoopMechanics:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=500,
                             dual_optimizer=GAConfig(step_size=0.1),
                             primal_optimizer=gd(1e6))  # wildly unstable
-        traj = run(problem, [1.0], DualVector.zeros(0, 0), config)
+        traj = run(problem, [1.0], np.zeros(0), config)
         assert traj.terminated_reason is TerminationReason.NON_FINITE
         assert traj.steps[-1].t <= 500
 
@@ -230,7 +229,7 @@ class TestLoopMechanics:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=50000,
                             dual_optimizer=NuPIConfig(nu=0.0, kp=1.0, ki=0.05),
                             primal_optimizer=gd(0.05), stop_tolerance=1e-9)
-        traj = run(problem, [0.0], DualVector.zeros(1, 0), config)
+        traj = run(problem, [0.0], np.zeros(1), config)
         assert traj.terminated_reason is TerminationReason.TOLERANCE
         assert traj.final.t < 50000
 
@@ -240,16 +239,16 @@ class TestLoopMechanics:
                             dual_optimizer=GAConfig(step_size=0.1),
                             primal_optimizer=gd(0.1))
         with pytest.raises(ConfigurationError):
-            run(problem, [np.nan], DualVector.zeros(1, 0), config)
+            run(problem, [np.nan], np.zeros(1), config)
         with pytest.raises(ConfigurationError):
-            run(problem, [0.0], DualVector([-1.0], []), config)
+            run(problem, [0.0], [-1.0], config)
         svm = build_svm_problem(train_validation_split(load_dataset_csv(iris_csv_path()), 0)[0])
         x0, m = np.zeros(svm.dim_primal), svm.num_ineq  # 70 inequalities
-        for duals0, message in ((DualVector([0.5], []), "lambda has length 1"),
-                                (DualVector(np.zeros(m), [0.0]), "mu has length 1"),
-                                (DualVector(np.full(m, np.nan), []), "finite")):
+        for theta0, message in (([0.5], r"theta0 must have shape \(70,\), got \(1,\)"),
+                                (np.zeros(m + 1), r"theta0 must have shape \(70,\), got \(71,\)"),
+                                (np.full(m, np.nan), "finite")):
             with pytest.raises(ConfigurationError, match=message):
-                run(svm, x0, duals0, config)
+                run(svm, x0, theta0, config)
         with pytest.raises(ConfigurationError):
             LoopConfig(scheme=Scheme.ALTERNATING, max_steps=0,
                        dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
@@ -265,7 +264,7 @@ class TestLoopMechanics:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5,
                             dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
         with pytest.raises(ConfigurationError, match="Jacobian"):
-            run(problem, [0.0], DualVector.zeros(1, 0), config)
+            run(problem, [0.0], np.zeros(1), config)
         with pytest.raises(ConfigurationError, match="Jacobian"):
             validate_gradients(problem, num_points=1, seed=0)
 
@@ -279,11 +278,11 @@ class TestLoopMechanics:
         problem = two_sided_plane()
         config = LoopConfig(scheme=scheme, max_steps=300, dual_optimizer=dual,
                             primal_optimizer=gd(0.05), dual_restarts=True)
-        traj = run(problem, [0.0, 0.0], DualVector.zeros(2, 1), config)
+        traj = run(problem, [0.0, 0.0], np.zeros(3), config)
         assert traj.terminated_reason is TerminationReason.MAX_STEPS
         assert any(rec.lam[0] > 0.0 for rec in traj.steps)
         for rec in traj.steps:
-            expected = evaluate_lagrangian(problem, rec.x, DualVector(rec.lam, rec.mu))
+            expected = evaluate_lagrangian(problem, rec.x, np.concatenate([rec.lam, rec.mu]))
             assert rec.lagrangian == expected
 
 
@@ -317,7 +316,7 @@ class TestTrajectoryCsv:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=max_steps,
                             dual_optimizer=NuPIConfig(nu=nu, kp=kp, ki=ki),
                             primal_optimizer=gd(0.02), record_every=record_every)
-        traj = run(problem, x0, DualVector.zeros(2, 1), config)
+        traj = run(problem, x0, np.zeros(3), config)
         path = tmp_path_factory.getbasetemp() / "round_trip.csv"
         write_trajectory_csv(traj, path)
         table = read_trajectory_csv(path)
@@ -338,7 +337,7 @@ class TestTrajectoryCsv:
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=4,
                             dual_optimizer=GAConfig(step_size=0.1),
                             primal_optimizer=gd(0.1))
-        traj = run(problem, [1.0], DualVector([], [0.0]), config)
+        traj = run(problem, [1.0], [0.0], config)
         path = tmp_path / "t.csv"
         write_trajectory_csv(traj, path)
         lines = path.read_text().splitlines()
@@ -405,7 +404,7 @@ def test_tolerance_stop_holds_records_not_budget():
     config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=10**12,
                         dual_optimizer=NuPIConfig(nu=0.0, kp=1.0, ki=0.05),
                         primal_optimizer=gd(0.05), stop_tolerance=1e-6)
-    traj = run(one_sided_line(), [0.0], DualVector.zeros(1, 0), config)
+    traj = run(one_sided_line(), [0.0], np.zeros(1), config)
     assert traj.terminated_reason is TerminationReason.TOLERANCE
     assert len(traj.steps) < 10**4
     assert len(traj.steps.t) <= loop._RECORDS_INITIAL_ROWS
@@ -426,9 +425,9 @@ def test_grown_records_match_reference(tmp_path, monkeypatch, record_every, stop
 
 
 def _assert_matches_reference(problem, x0, config, base):
-    duals0 = DualVector.zeros(problem.num_ineq, problem.num_eq)
-    traj = run(problem, x0, duals0, config)
-    ref = loop_reference.run(problem, x0, duals0, config)
+    theta0 = np.zeros(problem.num_constraints)
+    traj = run(problem, x0, theta0, config)
+    ref = loop_reference.run(problem, x0, theta0, config)
 
     assert traj.terminated_reason is ref.terminated_reason
     assert traj.counters == ref.counters
@@ -454,8 +453,8 @@ def test_overshoot_matches_reference(primal_step, x0):
     config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=400,
                         dual_optimizer=NuPIConfig(nu=0.0, kp=1.0, ki=0.5),
                         primal_optimizer=gd(primal_step), dual_restarts=True)
-    traj = run(problem, x0, DualVector.zeros(2, 1), config)
+    traj = run(problem, x0, np.zeros(3), config)
     expected = loop_reference.overshoot(traj)
     assert _same(_compute_metric("overshoot", traj, None), expected)
     assert _same(expected, loop_reference.overshoot(
-        loop_reference.run(problem, x0, DualVector.zeros(2, 1), config)))
+        loop_reference.run(problem, x0, np.zeros(3), config)))

@@ -5,7 +5,6 @@ import pytest
 
 from numax import (
     ConfigurationError,
-    DualVector,
     LoopConfig,
     NuPIConfig,
     PrimalKind,
@@ -160,7 +159,7 @@ class TestBenchmark2D:
             dual_optimizer=NuPIConfig(nu=0.0, kp=3.0, ki=0.01),
             primal_optimizer=PrimalOptimizerConfig(kind=PrimalKind.GRADIENT_DESCENT,
                                                    step_size=0.002))
-        traj = run(problem, np.array([-0.5, -2.0]), DualVector.zeros(0, 1), config)
+        traj = run(problem, np.array([-0.5, -2.0]), np.zeros(1), config)
         assert np.linalg.norm(traj.final.x - x_star) <= 1e-3
 
 
