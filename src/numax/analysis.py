@@ -277,65 +277,135 @@ def flow_initial_state(sys: QPSystem, x0, mu0) -> np.ndarray:
     return np.concatenate([x0, mu0, xdot0, mudot0])
 
 
+# simulate_flow advances this many stored samples per matrix product.
+_FLOW_BLOCK = 128
+# Sample times are summed over at most this many steps at a time: a horizon
+# can span far more steps than it stores samples.
+_TIME_CHUNK = 1 << 16
+
+
+def _stride_times(dt: float, stride: int, count: int) -> np.ndarray:
+    """The time after each of the first `count` multiples of `stride` steps,
+    summed one step at a time exactly as `t += dt` would (np.cumsum adds in
+    order)."""
+    times = np.empty(count)
+    t = 0.0
+    for start in range(0, count * stride, _TIME_CHUNK):
+        stop = min(count * stride, start + _TIME_CHUNK)
+        increments = np.full(stop - start + 1, dt)
+        increments[0] = t
+        elapsed = np.cumsum(increments)  # elapsed[j]: the time after start + j steps
+        k = np.arange(start // stride + 1, stop // stride + 1)
+        times[k - 1] = elapsed[k * stride - start]
+        t = elapsed[-1]
+    return times
+
+
 def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
                   t_end: float = 10.0, max_samples: int = 20001) -> FlowResult:
     """Integrate the linear flow with classical fixed-step RK4.
 
-    Every step advances by dt (plus one final shorter step so the last
-    sample lands exactly on t_end); when the horizon spans more steps than
-    max_samples, only every k-th state is stored.
+    Every step applies the constant RK4 matrix R and advances by dt, plus one
+    final shorter step R_rem so that the last sample lands exactly on t_end.
+    When the horizon spans more steps than max_samples, only every stride-th
+    state is stored. The stored states are advanced in blocks: with S =
+    R^stride and P_k = S^k for k = 1..B (B = 128), one product P[:m] @ z
+    gives the next m samples from the last one. The full steps left over
+    after the last whole stride, and R_rem, are applied one at a time. The
+    sample times are summed step by step, as t += dt would.
+
+    The run stops, flagged, at the first stored state that is not finite.
+    The powers of S can overflow before the state does (a diverging flow
+    from a tiny start), so a block with a non-finite row is stepped again
+    from its first state with single R steps, and the flag falls on the
+    sample where a stepwise integration puts it.
+
+    dt (default: `default_flow_dt`) must be finite and positive, t_end
+    finite and >= 0, and max_samples an integer >= 2; anything else is a
+    ConfigurationError.
     """
+    if dt is not None and not (np.isfinite(dt) and dt > 0.0):
+        raise ConfigurationError(f"dt must be finite and positive, got {dt!r}")
+    if not (np.isfinite(t_end) and t_end >= 0.0):
+        raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end!r}")
+    if not (isinstance(max_samples, (int, np.integer)) and max_samples >= 2):
+        raise ConfigurationError(f"max_samples must be an integer >= 2, got {max_samples!r}")
     if dt is None:
         dt = default_flow_dt(sys)
-    if dt <= 0.0:
-        raise ConfigurationError("dt must be positive")
     M = flow_state_matrix(sys)
     z = flow_initial_state(sys, x0, mu0)
     n, c = sys.dim_primal, sys.num_constraints
+    dim = M.shape[0]
 
     num_full = int(np.floor(t_end / dt + 1e-12))
     remainder = t_end - num_full * dt
     has_remainder = remainder > 1e-12 * max(1.0, t_end)
     total_steps = num_full + (1 if has_remainder else 0)
-    stride = max(1, -(-total_steps // max(1, max_samples - 1)))
+    stride = max(1, -(-total_steps // (max_samples - 1)))
+    strided = num_full // stride  # samples reached by whole strides of full steps
+    has_tail = total_steps > strided * stride
 
     def rk4_operator(step):
         # One classical RK4 step of zdot = Mz is the constant linear map
         # I + step M + step^2 M^2/2 + step^3 M^3/6 + step^4 M^4/24.
-        R = np.eye(M.shape[0])
-        term = np.eye(M.shape[0])
+        R = np.eye(dim)
+        term = np.eye(dim)
         for order in range(1, 5):
             term = term @ (step / order * M)
             R = R + term
         return R
 
     R = rk4_operator(dt)
-    R_rem = rk4_operator(remainder) if has_remainder else None
-
-    times = [0.0]
-    states = [z.copy()]
+    states = np.empty((1 + strided + has_tail, dim))
+    states[0] = z
+    times = np.zeros(len(states))
+    times[1:1 + strided] = _stride_times(dt, stride, strided)
+    stored = 1
     flagged = False
-    t = 0.0
 
     # `flagged` reports a diverging flow, so its overflow warnings are suppressed.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(total_steps):
-            if has_remainder and i == num_full:
-                z = R_rem @ z
-                t += remainder
-            else:
+        block = min(_FLOW_BLOCK, strided)
+        powers = np.empty((block, dim, dim))  # powers[k] = S^(k+1)
+        if block:
+            powers[0] = np.linalg.matrix_power(R, stride)
+        for k in range(1, block):
+            np.matmul(powers[k - 1], powers[0], out=powers[k])
+        stacked = powers.reshape(block * dim, dim)
+
+        while stored <= strided and not flagged:
+            m = min(block, strided + 1 - stored)
+            out = states[stored:stored + m]  # contiguous rows, so the reshape is a view
+            np.matmul(stacked[:m * dim], states[stored - 1], out=out.reshape(m * dim))
+            if not np.isfinite(out).all():
+                z = states[stored - 1]
+                for row in range(m):
+                    for _ in range(stride):
+                        z = R @ z
+                    if not np.isfinite(z).all():
+                        flagged = True
+                        m = row
+                        break
+                    out[row] = z
+            stored += m
+
+        if has_tail and not flagged:
+            z, t = states[stored - 1], times[stored - 1]
+            for _ in range(num_full - strided * stride):
                 z = R @ z
                 t += dt
-            if (i + 1) % stride == 0 or i == total_steps - 1:
-                if not np.all(np.isfinite(z)):
-                    flagged = True
-                    break
-                times.append(t)
-                states.append(z.copy())
+            if has_remainder:
+                z = rk4_operator(remainder) @ z
+                t += remainder
+            if np.isfinite(z).all():
+                states[stored], times[stored] = z, t
+                stored += 1
+            else:
+                flagged = True
 
-    arr = np.array(states)
+    arr = states[:stored]
     return FlowResult(
-        times=np.array(times),
+        times=times[:stored],
         x=arr[:, :n],
         mu=arr[:, n:n + c],
         xdot=arr[:, n + c:2 * n + c],

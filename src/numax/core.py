@@ -162,9 +162,23 @@ def lagrangian_primal_gradient(problem: ConstrainedProblem, x, theta) -> np.ndar
     return _primal_gradient(problem, x, as_vector(theta, problem.num_constraints, "theta"))
 
 
-def project_theta(theta: np.ndarray, num_ineq: int) -> np.ndarray:
+def project_theta(theta, num_ineq: int) -> np.ndarray:
     """Clamp the inequality block theta[:num_ineq] at zero; the equality
-    block is untouched. Idempotent, and normalizes -0.0 to +0.0."""
+    block is untouched. Idempotent, and normalizes -0.0 to +0.0. theta is
+    converted to a new float64 vector, and num_ineq must be an integer in
+    [0, len(theta)]."""
+    theta = np.array(theta, dtype=np.float64, ndmin=1)
+    if theta.ndim != 1:
+        raise ConfigurationError(f"theta must be a vector, got shape {theta.shape}")
+    if not (isinstance(num_ineq, (int, np.integer)) and 0 <= num_ineq <= theta.size):
+        raise ConfigurationError(
+            f"num_ineq must be an integer in [0, {theta.size}], got {num_ineq!r}")
+    return _project_theta(theta, num_ineq)
+
+
+def _project_theta(theta: np.ndarray, num_ineq: int) -> np.ndarray:
+    """`project_theta` for a float64 vector and a num_ineq in range, unchecked:
+    the driver's per-step form. With num_ineq = 0 it returns theta itself."""
     if num_ineq == 0:
         return theta
     lam = theta[:num_ineq]

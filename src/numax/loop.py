@@ -24,10 +24,10 @@ The driver owns the iteration order, the primal step, recording and
 stopping; every rule it applies has one copy elsewhere. `core` holds the
 checked accessors for c(x) and its Jacobian, the Lagrangian
 (`lagrangian_value`), its primal gradient (`_primal_gradient`) and the
-projection (`project_theta`); `dual_optimizers` holds the multiplier
-updates, the dual restarts and the Adam moment update (`adam_moments`),
-which the primal Adam also uses. Projection and restarts both act on the
-stacked theta.
+projection (`_project_theta`, the unchecked form of `project_theta`);
+`dual_optimizers` holds the multiplier updates, the dual restarts and the
+Adam moment update (`adam_moments`), which the primal Adam also uses.
+Projection and restarts both act on the stacked theta.
 
 The dual state is advanced in place and the projected (and restarted) theta
 written back into it. Records fill columns (`Records`) that grow by doubling,
@@ -48,9 +48,9 @@ from .core import (
     ConfigurationError,
     ConstrainedProblem,
     _primal_gradient,
+    _project_theta,
     as_vector,
     lagrangian_value,
-    project_theta,
     read_csv,
 )
 from .dual_optimizers import (
@@ -270,7 +270,7 @@ def run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig) -> Trajecto
 
         if error.size:
             dual_step(state, config.dual_optimizer, error)
-            theta = project_theta(state.theta, m)
+            theta = _project_theta(state.theta, m)
             if config.dual_restarts and m:
                 theta = apply_dual_restarts(theta, m, error[:m])
             replace_theta(state, theta)

@@ -29,6 +29,7 @@ from numax import (
     relative_update_ratio,
     simulate_flow,
 )
+from numax import analysis
 from numax.analysis import default_flow_dt, flow_initial_state, flow_state_matrix
 from reference import flow_reference
 
@@ -341,21 +342,29 @@ def _flow_cases(draw):
     """A QP flow with 1 or 2 primal dimensions and one constraint, a step, a
     horizon of whole steps with or without a shorter final step, and few
     enough samples that only every k-th state (k >= 2) is stored. A diverging
-    case adds 1e4 to H's diagonal, so RK4 overflows within the horizon."""
+    case adds 1e4 to H's diagonal, so RK4 overflows within the horizon, and
+    scales the start, b and c_lin by 10^-e for e in [0, 300]: the flow is
+    linear in them, so a tiny start overflows later than the powers of the
+    RK4 matrix do."""
     entry = st.floats(-2.0, 2.0, allow_nan=False)
     n = draw(st.integers(1, 2))
     diverge = draw(st.booleans())
+    exponent = draw(st.integers(0, 300)) if diverge else 0
+    scale = 10.0 ** -exponent
     L = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
     H = 0.5 * (L @ L.T + (L @ L.T).T) + (1e4 if diverge else 0.0) * np.eye(n)
-    sys = QPSystem(H=H, A=[draw(st.lists(entry, min_size=n, max_size=n))], b=[draw(entry)],
-                   c_lin=draw(st.lists(entry, min_size=n, max_size=n)),
+    sys = QPSystem(H=H, A=[draw(st.lists(entry, min_size=n, max_size=n))],
+                   b=[scale * draw(entry)],
+                   c_lin=scale * np.array(draw(st.lists(entry, min_size=n, max_size=n))),
                    kp=draw(st.floats(0.0, 4.0)), ki=draw(st.floats(0.1, 2.0)))
     x0 = draw(st.lists(entry, min_size=n, max_size=n))
     if diverge:  # a nonzero start, so that the growth shows
         x0[0] = 1.0
-    mu0 = [draw(entry)]
+    x0 = scale * np.array(x0)
+    mu0 = [scale * draw(entry)]
     dt = draw(st.floats(0.005, 0.1))
-    steps = draw(st.integers(120 if diverge else 4, 300))
+    # RK4 grows a diverging state by at least 10^5 per step at dt >= 0.005
+    steps = draw(st.integers(120 + exponent // 2 if diverge else 4, 300 + exponent // 2))
     remainder = draw(st.sampled_from([0.0, 0.25, 0.5, 0.9]))
     max_samples = draw(st.integers(2, steps // 2))
     return sys, x0, mu0, dt, (steps + remainder) * dt, max_samples, diverge
@@ -368,14 +377,92 @@ def test_simulate_flow_matches_stepwise_reference(case):
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging flow overflows in matmul
         ref = flow_reference.simulate_flow(sys, x0, mu0, dt=dt, t_end=t_end,
                                            max_samples=max_samples)
+    _assert_matches_reference(got, ref)
+    assert got.flagged or not diverge
+
+
+def _assert_matches_reference(got, ref):
     assert np.array_equal(got.times, ref.times)
     assert got.flagged == ref.flagged
-    assert got.flagged or not diverge
     scale = max(1.0, max(float(np.max(np.abs(getattr(ref, name))))
                          for name in ("x", "mu", "xdot", "mudot")))
     for name in ("x", "mu", "xdot", "mudot"):
         assert getattr(got, name).shape == getattr(ref, name).shape
         assert float(np.max(np.abs(getattr(got, name) - getattr(ref, name)))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("steps, remainder, max_samples, stride", [
+    (434, 0.0, 20001, 1),
+    (434, 0.5, 20001, 1),
+    (1302, 0.0, 435, 3),
+    (901, 0.5, 452, 2),  # one full step left over after the last stride, then R_rem
+])
+def test_long_flow_matches_stepwise_reference(steps, remainder, max_samples, stride):
+    sys = QPSystem(H=[[2.0, 0.3], [0.3, 1.0]], A=[[1.0, -0.5]], b=[0.2],
+                   c_lin=[0.1, -0.2], kp=2.0, ki=1.0)
+    dt = 0.01
+    t_end = (steps + remainder) * dt
+    got = simulate_flow(sys, [1.5, -0.7], [0.4], dt=dt, t_end=t_end, max_samples=max_samples)
+    ref = flow_reference.simulate_flow(sys, [1.5, -0.7], [0.4], dt=dt, t_end=t_end,
+                                       max_samples=max_samples)
+    _assert_matches_reference(got, ref)
+    assert ref.times[1] == pytest.approx(stride * dt)  # the case has the stride it names
+    assert steps // stride > 3 * analysis._FLOW_BLOCK  # three full blocks and a partial one
+    assert (steps // stride) % analysis._FLOW_BLOCK
+
+
+@pytest.mark.parametrize("dt, stride, count", [
+    (0.013, 70000, 3),  # a stride longer than one chunk of summed steps
+    (0.7, 3, 30000),    # samples that straddle chunk boundaries
+])
+def test_sample_times_are_summed_step_by_step(dt, stride, count):
+    t, expected = 0.0, []
+    for step in range(1, stride * count + 1):
+        t += dt
+        if step % stride == 0:
+            expected.append(t)
+    assert np.array_equal(analysis._stride_times(dt, stride, count), expected)
+
+
+def test_benchmark_bilinear_flow_matches_reference_and_keeps_norm():
+    sys = QPSystem(H=[[0.0]], A=[[1.0]], b=[0.0], c_lin=[0.0], kp=0.0, ki=1.0)
+    got = simulate_flow(sys, [0.3], [-1.2], dt=0.01, t_end=1000.0)
+    ref = flow_reference.simulate_flow(sys, [0.3], [-1.2], dt=0.01, t_end=1000.0)
+    _assert_matches_reference(got, ref)
+    assert ref.times[1] == pytest.approx(5 * 0.01)
+    norms = np.linalg.norm(np.hstack([got.x, got.mu, got.xdot, got.mudot]), axis=1)
+    assert float(np.max(np.abs(norms - norms[0]))) <= 1e-6
+
+
+@pytest.mark.parametrize("setting", [
+    dict(dt=float("nan")),
+    dict(dt=float("inf")),
+    dict(t_end=float("nan")),
+    dict(t_end=float("inf")),
+    dict(t_end=-5.0),
+    dict(max_samples=0),
+    dict(max_samples=1),
+    dict(max_samples=-3),
+])
+def test_malformed_flow_input_rejected_before_any_matrix(setting, monkeypatch):
+    def no_matrix(*_args):
+        raise AssertionError("a matrix was built before the inputs were checked")
+
+    for name in ("default_flow_dt", "flow_state_matrix", "flow_initial_state"):
+        monkeypatch.setattr(analysis, name, no_matrix)
+    sys = QPSystem(H=[[1.0]], A=[[1.0]], b=[0.3], c_lin=[0.1], kp=1.0, ki=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=next(iter(setting))):
+            simulate_flow(sys, [1.0], [0.0], **setting)
+
+
+def test_zero_horizon_is_the_initial_sample():
+    sys = QPSystem(H=[[1.0]], A=[[1.0]], b=[0.3], c_lin=[0.1], kp=1.0, ki=1.0)
+    res = simulate_flow(sys, [1.0], [0.5], dt=0.1, t_end=0.0)
+    assert np.array_equal(res.times, [0.0]) and not res.flagged
+    z = np.concatenate([res.x[0], res.mu[0], res.xdot[0], res.mudot[0]])
+    assert np.array_equal(z, flow_initial_state(sys, [1.0], [0.5]))
 
 
 def test_diverging_flow_is_flagged_without_warning():

@@ -1,5 +1,7 @@
 """Tests for the problem abstraction, Lagrangian evaluation, and projection."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,36 @@ class TestProjectDuals:
         twice = project_theta(once, 50)
         assert np.array_equal(once, twice)
         assert np.array_equal(np.signbit(once), np.signbit(twice))
+
+
+    def test_list_input_becomes_a_new_float_vector(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for theta, num_ineq, expected in (([-1.0, 2.0], 1, [0.0, 2.0]),
+                                              ([-1.0, 2.0], 0, [-1.0, 2.0])):
+                out = project_theta(theta, num_ineq)
+                assert isinstance(out, np.ndarray) and out.dtype == np.float64
+                np.testing.assert_array_equal(out, expected)
+                assert theta == [-1.0, 2.0]
+
+    def test_returns_a_new_array(self):
+        theta = np.array([-1.0, 2.0])
+        for num_ineq in (0, 1, 2):
+            out = project_theta(theta, num_ineq)
+            assert not np.shares_memory(out, theta)
+        np.testing.assert_array_equal(theta, [-1.0, 2.0])
+
+    @pytest.mark.parametrize("theta, num_ineq", [
+        (np.array([-1.0]), 3),
+        (np.array([-1.0, 2.0]), -1),
+        (np.array([-1.0, 2.0]), 1.0),
+        (np.zeros((2, 2)), 1),
+    ])
+    def test_num_ineq_outside_vector_rejected(self, theta, num_ineq):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError):
+                project_theta(theta, num_ineq)
 
 
 class TestValidateGradients:
