@@ -321,8 +321,8 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
     sample where a stepwise integration puts it.
 
     dt (default: `default_flow_dt`) must be finite and positive, t_end
-    finite and >= 0, and max_samples an integer >= 2; anything else is a
-    ConfigurationError.
+    finite and >= 0 with a finite step count t_end / dt, and max_samples an
+    integer >= 2; anything else is a ConfigurationError.
     """
     if dt is not None and not (np.isfinite(dt) and dt > 0.0):
         raise ConfigurationError(f"dt must be finite and positive, got {dt!r}")
@@ -332,6 +332,8 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
         raise ConfigurationError(f"max_samples must be an integer >= 2, got {max_samples!r}")
     if dt is None:
         dt = default_flow_dt(sys)
+    if not np.isfinite(float(t_end) / float(dt)):
+        raise ConfigurationError(f"t_end / dt must be finite, got {t_end!r} / {dt!r}")
     M = flow_state_matrix(sys)
     z = flow_initial_state(sys, x0, mu0)
     n, c = sys.dim_primal, sys.num_constraints

@@ -112,11 +112,15 @@ class ConstrainedProblem:
         return self.num_ineq + self.num_eq
 
     def constraints(self, x: np.ndarray) -> np.ndarray:
-        """Stacked violations c(x) = [g(x), h(x)]."""
-        return np.concatenate([
-            as_vector(self.eval_ineq(x), self.num_ineq, "g(x)"),
-            as_vector(self.eval_eq(x), self.num_eq, "h(x)"),
-        ])
+        """Stacked violations c(x) = [g(x), h(x)]. Both blocks are checked;
+        when one is empty, the other is returned without a copy."""
+        g = as_vector(self.eval_ineq(x), self.num_ineq, "g(x)")
+        h = as_vector(self.eval_eq(x), self.num_eq, "h(x)")
+        if not h.size:
+            return g
+        if not g.size:
+            return h
+        return np.concatenate([g, h])
 
     def constraint_jacobian(self, x: np.ndarray) -> np.ndarray:
         """Jc(x), checked to have shape (dim_primal, num_constraints)."""

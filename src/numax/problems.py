@@ -2,9 +2,9 @@
 
 - Hard-margin linear SVM on labeled points: min ||w||^2/2 subject to
   y_i (w'x_i + b) >= 1, stored in violation form g_i = 1 - y_i(w'x_i + b)
-  so that positive means violated. The dual oracle solves the dual QP with
-  projected gradient plus an active-set polish, independently of any
-  descent-ascent loop.
+  so that positive means violated. The dual oracle runs projected gradient
+  on the dual QP and stops at the first exact active-set polish, tried every
+  200 iterations, that meets its tolerance; it is independent of any loop.
 - A 2D nonconvex equality-constrained benchmark with a brute-force optimum
   found by searching along the feasibility curve.
 - Equality-constrained QPs built from a QPSystem.
@@ -166,14 +166,6 @@ def _project_dual_feasible(v: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, v - t * y)
 
 
-def _estimate_bias(X, y, lam, w) -> float:
-    """Average y_i - w'x_i over the points with the largest multipliers."""
-    if np.max(lam) <= 0.0:
-        return 0.0
-    heavy = lam > 0.5 * np.max(lam)
-    return float(np.mean(y[heavy] - X[heavy] @ w))
-
-
 def _svm_kkt_residual(X, y, lam, w, b) -> float:
     margins = y * (X @ w + b)
     viol = 1.0 - margins
@@ -193,21 +185,22 @@ def svm_dual_oracle(data: SvmDataset, tol: float = 1e-8,
         max  sum(lam) - 1/2 || sum_i lam_i y_i x_i ||^2
         s.t. lam >= 0,  y'lam = 0,
 
-    via accelerated projected gradient followed by an active-set polish that
-    solves the support-vector KKT system exactly. Independent of the
-    descent-ascent loop. Raises if the data is not linearly separable (the
-    dual is unbounded) or the KKT residual cannot be driven below tol.
+    via accelerated projected gradient and an active-set polish that solves
+    the support-vector KKT system exactly. The polish is tried every 200
+    iterations; the first one whose KKT residual is at most tol is returned.
+    Independent of the descent-ascent loop. Raises if the data is not
+    linearly separable (the dual is unbounded) or the polish after the last
+    iteration cannot drive the KKT residual below tol.
     """
     X, y = data.points, data.labels
-    m = data.num_points
-    G = X @ X.T
-    Q = (y[:, None] * y[None, :]) * G
+    Q = (y[:, None] * y[None, :]) * (X @ X.T)
     lipschitz = float(np.max(np.linalg.eigvalsh(Q)))
     step = 1.0 / max(lipschitz, 1e-12)
 
-    lam = np.zeros(m)
+    lam = np.zeros(data.num_points)
     z = lam.copy()
     t_acc = 1.0
+    tried = None  # the last support set whose polish failed
     for it in range(max_pgd_iters):
         grad = Q @ z - 1.0
         lam_next = _project_dual_feasible(z - step * grad, y)
@@ -218,16 +211,23 @@ def svm_dual_oracle(data: SvmDataset, tol: float = 1e-8,
             raise ConfigurationError(
                 "data is not linearly separable: dual objective is unbounded")
         if it % 200 == 199:
-            w = (lam * y) @ X
-            b_est = _estimate_bias(X, y, lam, w)
-            if _svm_kkt_residual(X, y, lam, w, b_est) < 1e-4:
-                break
+            support = lam > 1e-6 * max(1.0, float(np.max(lam)))
+            if np.array_equal(support, tried):
+                continue  # the polish depends only on the start set: it would fail again
+            tried = support
+            try:
+                return _polish_support(X, y, Q, support, tol)
+            except ConfigurationError:
+                pass  # the iterates are not yet close enough to lambda*
+    return _polish_support(X, y, Q, lam > 1e-6 * max(1.0, float(np.max(lam))), tol)
 
-    w = (lam * y) @ X
-    support = lam > 1e-6 * max(1.0, float(np.max(lam)))
 
-    # Active-set polish: on the support set S, margins are exactly 1 and
-    # y'lam = 0, giving the linear system [[Q_SS, y_S], [y_S', 0]].
+def _polish_support(X, y, Q, support, tol) -> SvmSolution:
+    """Active-set polish from the boolean start set `support`: on the support
+    set S, margins are exactly 1 and y'lam = 0, giving the linear system
+    [[Q_SS, y_S], [y_S', 0]]. Raises ConfigurationError when no valid S is
+    found, the system is degenerate or the KKT residual exceeds tol."""
+    support, m = support.copy(), support.size
     for _ in range(4 * m):
         S = np.flatnonzero(support)
         if S.size == 0 or len(set(y[S])) < 2:

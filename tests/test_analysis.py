@@ -440,6 +440,7 @@ def test_benchmark_bilinear_flow_matches_reference_and_keeps_norm():
     dict(t_end=float("nan")),
     dict(t_end=float("inf")),
     dict(t_end=-5.0),
+    dict(dt=1e-300, t_end=1e10),
     dict(max_samples=0),
     dict(max_samples=1),
     dict(max_samples=-3),

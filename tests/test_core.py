@@ -100,6 +100,33 @@ class TestEvaluateLagrangian:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+class TestConstraints:
+    def test_stacks_inequalities_before_equalities(self):
+        problem = quadratic_with_linear_constraints()
+        x = np.arange(4.0)
+        stacked = np.concatenate([problem.eval_ineq(x), problem.eval_eq(x)])
+        np.testing.assert_array_equal(problem.constraints(x), stacked)
+        assert single_ineq_line().constraints(np.array([3.0])).tolist() == [2.0]
+
+    @pytest.mark.parametrize("num_ineq, num_eq, ineq, eq, name", [
+        (0, 1, np.zeros(1), np.ones(1), "g"),
+        (1, 0, np.ones(1), np.zeros(2), "h"),
+    ])
+    def test_empty_block_still_checked(self, num_ineq, num_eq, ineq, eq, name):
+        # A single-block problem returns its one block as is, but the empty
+        # block's callable still runs and must still have shape (0,).
+        problem = ConstrainedProblem(
+            dim_primal=1, num_ineq=num_ineq, num_eq=num_eq,
+            eval_objective=lambda x: 0.0,
+            eval_objective_grad=lambda x: np.zeros(1),
+            eval_ineq=lambda x: ineq,
+            eval_eq=lambda x: eq,
+            eval_constraint_jacobian=lambda x: np.zeros((1, 1)),
+        )
+        with pytest.raises(ConfigurationError, match=rf"{name}\(x\) must have shape \(0,\)"):
+            problem.constraints(np.zeros(1))
+
+
 class TestPrimalGradient:
     def test_no_constraints_gives_objective_gradient(self):
         problem = unconstrained_square()

@@ -25,6 +25,8 @@ from numax import (
     train_validation_split,
     validate_gradients,
 )
+from numax import problems
+from reference import svm_oracle_reference
 
 
 def two_point_dataset():
@@ -105,6 +107,52 @@ class TestSvmDualOracle:
         assert np.max(np.abs(stationarity)) <= 1e-6
         assert abs(train.labels @ sol.lam) <= 1e-8
         assert svm_train_accuracy(train, sol.w, sol.b) == 1.0
+
+    def test_matches_frozen_reference(self):
+        # The oracle stops at the first polish that meets tol; the frozen
+        # reference runs gradient steps to a loose KKT estimate and polishes
+        # once. Both must land on the same bits: the 16 Iris splits the
+        # benchmark draws from, seeded random sets, and two sets whose
+        # support points are collinear, so that lambda* is not unique.
+        data = load_dataset_csv(iris_csv_path())
+        datasets = [train_validation_split(data, seed=split)[0] for split in range(16)]
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            datasets.append(random_separable_dataset(
+                rng, m=int(rng.integers(4, 31)), d=int(rng.integers(1, 5)),
+                margin=float(rng.uniform(0.05, 0.8))))
+        datasets.append(SvmDataset(
+            points=[[-1, 1], [0, 1], [1, 1], [-1, -1], [0, -1], [1, -1], [0, 3], [2, -4]],
+            labels=[1, 1, 1, -1, -1, -1, 1, -1]))
+        datasets.append(SvmDataset(
+            points=[[0, 1, 0], [1, 1, 0], [2, 1, 0], [3, 1, 1], [0, -1, 0], [1, -1, 0],
+                    [2, -1, 0]],
+            labels=[1, 1, 1, 1, -1, -1, -1]))
+        for i, data in enumerate(datasets):
+            sol = svm_dual_oracle(data)
+            lam, w, b, residual = svm_oracle_reference.svm_dual_oracle(data.points, data.labels)
+            assert np.array_equal(sol.lam, lam), i
+            assert np.array_equal(sol.w, w), i
+            assert np.array_equal(sol.b, b), i
+            assert np.array_equal(sol.kkt_residual, residual), i
+
+    def test_failed_start_set_is_not_polished_again(self, monkeypatch):
+        # Overlapping classes: the dual is unbounded along one fixed support
+        # set, so every check after the first would repeat a failed polish.
+        rng = np.random.default_rng(5)
+        data = SvmDataset(points=rng.standard_normal((70, 4)),
+                          labels=np.where(rng.standard_normal(70) > 0, 1.0, -1.0))
+        polish, starts = problems._polish_support, []
+
+        def recorded(X, y, Q, support, tol):
+            starts.append(support.copy())
+            return polish(X, y, Q, support, tol)
+
+        monkeypatch.setattr(problems, "_polish_support", recorded)
+        with pytest.raises(ConfigurationError, match="did not reach KKT residual"):
+            svm_dual_oracle(data, max_pgd_iters=2000)
+        # one polish at the first of ten checks, one after the last iteration
+        assert len(starts) == 2 and np.array_equal(starts[0], starts[1])
 
     def test_non_separable_reported(self):
         data = SvmDataset(points=[[0.0], [0.0], [1.0], [1.0]],
