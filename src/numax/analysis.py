@@ -282,6 +282,9 @@ _FLOW_BLOCK = 128
 # Sample times are summed over at most this many steps at a time: a horizon
 # can span far more steps than it stores samples.
 _TIME_CHUNK = 1 << 16
+# The most RK4 steps one horizon may span. Summing the sample times costs
+# about 5 ns per step, so this many take about 5 s; a longer horizon is refused.
+_MAX_FLOW_STEPS = 10**9
 
 
 def _stride_times(dt: float, stride: int, count: int) -> np.ndarray:
@@ -321,8 +324,9 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
     sample where a stepwise integration puts it.
 
     dt (default: `default_flow_dt`) must be finite and positive, t_end
-    finite and >= 0 with a finite step count t_end / dt, and max_samples an
-    integer >= 2; anything else is a ConfigurationError.
+    finite and >= 0 with a step count t_end / dt of at most 1e9
+    (`_MAX_FLOW_STEPS`), and max_samples an integer >= 2; anything else is a
+    ConfigurationError, raised before any work starts.
     """
     if dt is not None and not (np.isfinite(dt) and dt > 0.0):
         raise ConfigurationError(f"dt must be finite and positive, got {dt!r}")
@@ -332,8 +336,9 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
         raise ConfigurationError(f"max_samples must be an integer >= 2, got {max_samples!r}")
     if dt is None:
         dt = default_flow_dt(sys)
-    if not np.isfinite(float(t_end) / float(dt)):
-        raise ConfigurationError(f"t_end / dt must be finite, got {t_end!r} / {dt!r}")
+    if not float(t_end) / float(dt) <= _MAX_FLOW_STEPS:  # an infinite ratio fails too
+        raise ConfigurationError(f"t_end / dt must be at most {_MAX_FLOW_STEPS:.0e} steps, "
+                                 f"got {t_end!r} / {dt!r}")
     M = flow_state_matrix(sys)
     z = flow_initial_state(sys, x0, mu0)
     n, c = sys.dim_primal, sys.num_constraints

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ from .loop import (
     PrimalOptimizerConfig,
     Scheme,
     TerminationReason,
-    Trajectory,
+    _run_columns,
     run,
     write_trajectory_csv,
 )
@@ -231,17 +230,17 @@ _METRICS = ("dist_to_lambda_star", "max_violation", "overshoot")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergent cells are flagged by the caller
-def _compute_metric(metric: str, trajectory: Trajectory, lambda_star) -> float:
-    final = trajectory.final
+def _compute_metric(metric: str, result, lambda_star) -> float:
+    """The metric of a run's result: a `Trajectory`, or one grid cell of
+    `loop._run_columns`; each has the `final` record and the `overshoot`."""
+    final = result.final
     if metric == "dist_to_lambda_star":
         return float(np.linalg.norm(final.lam - lambda_star))
     if metric == "max_violation":
         viol_g = float(np.max(np.maximum(final.g, 0.0), initial=0.0))
         viol_h = float(np.max(np.abs(final.h), initial=0.0))
         return max(viol_g, viol_h)
-    # overshoot, as a running max() over records: rows with a NaN are skipped, 0.0 beats -0.0
-    per_record = np.max(np.maximum(-trajectory.column("g"), 0.0), axis=1, initial=-np.inf)
-    return max(0.0, float(np.max(per_record[~np.isnan(per_record)], initial=0.0)))
+    return max(0.0, result.overshoot)  # 0.0 beats -0.0 and -inf
 
 
 def _echo_config(config, path: Path) -> None:
@@ -317,24 +316,6 @@ _GRID_COLUMNS = ("kp", "ki", "nu", "final_metric", "diverged_flag")
 _REGIME_SWEEP_COLUMNS = ("kp", "re_lambda1", "im_lambda1", "re_lambda2", "im_lambda2", "regime")
 
 
-def _grid_worker(payload):
-    """Run one grid cell: `numax run`'s problem and loop settings with the
-    cell's nuPI gains. Problems hold closures, so each worker rebuilds its
-    own. Crashes are recorded in-row so the grid continues."""
-    config, seed, loop_config, cell, metric, lambda_star = payload
-    kp, ki, nu = cell
-    try:
-        bundle = _build_problem(config, seed)
-        cell_config = replace(loop_config, dual_optimizer=NuPIConfig(nu=nu, kp=kp, ki=ki))
-        trajectory = run(bundle.problem, bundle.x0, np.zeros(bundle.problem.num_constraints),
-                         cell_config)
-        value = _compute_metric(metric, trajectory, lambda_star)
-    except Exception as exc:  # recorded in-row, grid continues
-        return (kp, ki, nu, float("nan"), 1, f"{type(exc).__name__}: {exc}")
-    diverged = 1 if (not math.isfinite(value) or value > 1e3) else 0
-    return (kp, ki, nu, value, diverged, "")
-
-
 def cmd_grid(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
@@ -346,17 +327,24 @@ def cmd_grid(args) -> int:
                                        for key in ("kp", "ki", "nu"))
     if not kp_values or not ki_values:
         raise ConfigurationError("[grid] kp and ki must be nonempty lists")
-    seed, metric, loop_config, bundle, out_dir, lambda_star = _prepare(config, args.output_dir)
+    _, metric, loop_config, bundle, out_dir, lambda_star = _prepare(config, args.output_dir)
     nu_values = nu_values or [loop_config.dual_optimizer.nu]
 
+    # Every cell is `numax run` with the cell's nuPI gains; all run as one
+    # recursion, a column each. A crash is recorded in every row.
     cells = [(kp, ki, nu) for kp in kp_values for ki in ki_values for nu in nu_values]
-    payloads = [(config, seed, loop_config, cell, metric, lambda_star) for cell in cells]
-    jobs = min(args.jobs or os.cpu_count() or 1, len(cells))
-    if jobs > 1:
-        with Pool(processes=jobs) as pool:
-            rows = pool.map(_grid_worker, payloads)
-    else:
-        rows = [_grid_worker(p) for p in payloads]
+    gains = np.array(cells).T[:, :, None]  # kp, ki and nu, each of shape (cells, 1)
+    try:
+        results = _run_columns(
+            bundle.problem, bundle.x0, np.zeros(bundle.problem.num_constraints),
+            replace(loop_config, dual_optimizer=NuPIConfig(kp=gains[0], ki=gains[1], nu=gains[2])),
+            len(cells))
+        values = [_compute_metric(metric, result, lambda_star) for result in results]
+        notes = [""] * len(cells)
+    except Exception as exc:  # recorded in-row
+        values, notes = [math.nan] * len(cells), [f"{type(exc).__name__}: {exc}"] * len(cells)
+    rows = [(*cell, value, int(not math.isfinite(value) or value > 1e3), note)
+            for cell, value, note in zip(cells, values, notes)]
 
     grid_path = out_dir / "grid.csv"
     with open(grid_path, "w") as fh:
@@ -487,7 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--config", help="INI-style run configuration with a [grid] section")
     p_grid.add_argument("--output-dir")
     p_grid.add_argument("--jobs", type=int, default=None,
-                        help="worker processes, >= 1 (default: available cores)")
+                        help="accepted for compatibility, >= 1; no effect: the cells "
+                        "run in this process as one recursion")
 
     p_sweep = sub.add_parser("sweep-regime", help="eigenvalue/damping sweep over kp "
                              "for the 1D constrained QP")

@@ -70,13 +70,15 @@ def read_csv(path, what: str, header: tuple | None = None, text_columns: int = 0
     return comments, head, rows
 
 
-def as_vector(value, length: int, name: str) -> np.ndarray:
-    """Coerce to a float64 vector of the given length or raise."""
+def as_vector(value, length: int, name: str, lead: tuple = ()) -> np.ndarray:
+    """Coerce to a float64 vector of the given length, or to a stack of such
+    vectors with leading shape `lead`, or raise."""
     v = np.asarray(value, dtype=np.float64)
-    if v.ndim == 0 and length == 1:
+    if v.ndim == 0 and length == 1 and not lead:
         v = v.reshape(1)
-    if v.shape != (length,):
-        raise ConfigurationError(f"{name} must have shape ({length},), got {v.shape}")
+    expected = lead + (length,)
+    if v.shape != expected:
+        raise ConfigurationError(f"{name} must have shape {expected}, got {v.shape}")
     return v
 
 
@@ -89,7 +91,10 @@ class ConstrainedProblem:
     gradient of the j-th entry of c(x) = [g(x), h(x)].
 
     All callables must be re-entrant; instances are immutable after
-    construction and safe to share across threads.
+    construction and safe to share across threads. The built-in problems'
+    callables also take a stack of points x of shape (K, dim_primal) and
+    return one result per row, each bit for bit the one-point result; the
+    checked accessors below and `_primal_gradient` accept such stacks too.
     """
 
     dim_primal: int
@@ -114,19 +119,22 @@ class ConstrainedProblem:
     def constraints(self, x: np.ndarray) -> np.ndarray:
         """Stacked violations c(x) = [g(x), h(x)]. Both blocks are checked;
         when one is empty, the other is returned without a copy."""
-        g = as_vector(self.eval_ineq(x), self.num_ineq, "g(x)")
-        h = as_vector(self.eval_eq(x), self.num_eq, "h(x)")
-        if not h.size:
+        lead = x.shape[:-1]
+        g = as_vector(self.eval_ineq(x), self.num_ineq, "g(x)", lead)
+        h = as_vector(self.eval_eq(x), self.num_eq, "h(x)", lead)
+        if not self.num_eq:
             return g
-        if not g.size:
+        if not self.num_ineq:
             return h
-        return np.concatenate([g, h])
+        return np.concatenate([g, h], axis=-1)
 
     def constraint_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Jc(x), checked to have shape (dim_primal, num_constraints)."""
+        """Jc(x), checked to have shape (dim_primal, num_constraints). For a
+        stack of points it is one such matrix per point, or one matrix that
+        holds for every point (a constant Jacobian)."""
         jac = np.asarray(self.eval_constraint_jacobian(x), dtype=np.float64)
-        expected = (self.dim_primal, self.num_constraints)
-        if jac.shape != expected:
+        expected = (*x.shape[:-1], self.dim_primal, self.num_constraints)
+        if jac.shape != expected and jac.shape != expected[-2:]:
             raise ConfigurationError(
                 f"constraint Jacobian must have shape {expected}, got {jac.shape}")
         return jac
@@ -153,11 +161,13 @@ def evaluate_lagrangian(problem: ConstrainedProblem, x, theta) -> float:
 
 
 def _primal_gradient(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """grad f(x) + Jc(x) @ theta for a checked x and stacked theta = [lam, mu]."""
-    grad = as_vector(problem.eval_objective_grad(x), problem.dim_primal, "grad f(x)")
+    """grad f(x) + Jc(x) @ theta for a checked x and stacked theta = [lam, mu],
+    or row by row for a stack of points x (K, dim_primal) and theta (K, num_constraints)."""
+    grad = as_vector(problem.eval_objective_grad(x), problem.dim_primal, "grad f(x)",
+                     x.shape[:-1])
     if problem.num_constraints == 0:
         return grad
-    return grad + problem.constraint_jacobian(x) @ theta
+    return grad + np.matvec(problem.constraint_jacobian(x), theta)
 
 
 def lagrangian_primal_gradient(problem: ConstrainedProblem, x, theta) -> np.ndarray:
@@ -181,12 +191,13 @@ def project_theta(theta, num_ineq: int) -> np.ndarray:
 
 
 def _project_theta(theta: np.ndarray, num_ineq: int) -> np.ndarray:
-    """`project_theta` for a float64 vector and a num_ineq in range, unchecked:
-    the driver's per-step form. With num_ineq = 0 it returns theta itself."""
+    """`project_theta` for a float64 vector, or a stack of them (K, n), and a
+    num_ineq in range, unchecked: the drivers' per-step form. With num_ineq =
+    0 it returns theta itself."""
     if num_ineq == 0:
         return theta
-    lam = theta[:num_ineq]
-    return np.concatenate([np.where(lam > 0.0, lam, 0.0), theta[num_ineq:]])
+    lam = theta[..., :num_ineq]
+    return np.concatenate([np.where(lam > 0.0, lam, 0.0), theta[..., num_ineq:]], axis=-1)
 
 
 # Central differences with per-coordinate step 1e-6 * max(1, |x_i|): the

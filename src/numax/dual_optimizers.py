@@ -9,6 +9,11 @@ advances the caller's state unchecked. No step projects: the driver writes
 the projected (and restarted) stacked theta back into the state
 (`replace_theta`) and the recursion continues from it.
 
+Because every rule is elementwise, one state can carry K independent
+columns: theta of shape (K, n), an error of the same shape, and a config
+whose gains are arrays of shape (K, 1), one row per column. Column k then
+equals the run with the scalar gains of row k bit for bit.
+
 The nuPI controller follows the recursion
 
     theta_1     = theta_0 + ki * e_0 + kp * xi_0
@@ -33,8 +38,8 @@ import numpy as np
 from .core import ConfigurationError, NumericalError, as_vector
 
 
-def _checked_error(error, expected_len: int) -> np.ndarray:
-    e = as_vector(error, expected_len, "error signal")
+def _checked_error(error, theta: np.ndarray) -> np.ndarray:
+    e = as_vector(error, theta.shape[-1], "error signal", theta.shape[:-1])
     if not np.all(np.isfinite(e)):
         bad = np.flatnonzero(~np.isfinite(e))
         raise NumericalError(
@@ -135,11 +140,14 @@ def map_um_to_nupi(config: UMConfig) -> NuPIConfig:
         nu = beta,  ki = alpha / (1 - beta),
         kp = -alpha beta / (1 - beta)^2 * [1 - gamma (1 - beta)],
         xi_0 = (1 - beta) e_0.
+
+    The UM parameters may be arrays of per-column values (see `NuPIState`);
+    each entry maps bit for bit as the scalar would.
     """
-    if config.beta == 1.0:
+    if np.any(config.beta == 1.0):
         raise ConfigurationError("beta = 1 has no nuPI equivalent")
     one_minus_beta = 1.0 - config.beta
-    kp = (-config.alpha * config.beta / one_minus_beta**2
+    kp = (-config.alpha * config.beta / (one_minus_beta * one_minus_beta)
           * (1.0 - config.gamma * one_minus_beta))
     return NuPIConfig(
         nu=config.beta,
@@ -167,9 +175,11 @@ class GAState:
 
 def apply_dual_restarts(theta: np.ndarray, num_ineq: int, ineq_violation) -> np.ndarray:
     """Reset lam_i = theta[i], i < num_ineq, to zero wherever g_i(x) < 0 (strictly
-    satisfied), like `core.project_theta` on stacked theta; theta[num_ineq:] is kept."""
-    g = as_vector(ineq_violation, num_ineq, "violation vector")
-    return np.concatenate([np.where(g < 0.0, 0.0, theta[:num_ineq]), theta[num_ineq:]])
+    satisfied), like `core.project_theta` on stacked theta; theta[num_ineq:] is kept.
+    A stack of multipliers (K, n) takes a stack of violations (K, num_ineq)."""
+    g = as_vector(ineq_violation, num_ineq, "violation vector", theta.shape[:-1])
+    return np.concatenate([np.where(g < 0.0, 0.0, theta[..., :num_ineq]),
+                           theta[..., num_ineq:]], axis=-1)
 
 
 # Adam's moment decay rates and the denominator guard, on both sides.
@@ -251,13 +261,14 @@ def dual_step(state, config: DualOptimizerConfig, error):
 
 def checked_dual_step(state, config: DualOptimizerConfig, error):
     """One update on a copy of `state`, which is left as it was. A state of
-    another rule or an error of the wrong length is a ConfigurationError, a
-    non-finite error a NumericalError naming its indices."""
+    another rule or an error whose shape is not theta's is a
+    ConfigurationError, a non-finite error a NumericalError naming its (flat)
+    indices."""
     state_class = _rule(config)[0]
     if type(state) is not state_class:
         raise ConfigurationError(f"a {type(state).__name__} cannot be stepped with a "
                                  f"{type(config).__name__}, which needs a {state_class.__name__}")
-    return state_class.advance(copy.copy(state), config, _checked_error(error, state.theta.size))
+    return state_class.advance(copy.copy(state), config, _checked_error(error, state.theta))
 
 
 def dual_config_warnings(config: DualOptimizerConfig) -> list:

@@ -33,13 +33,21 @@ The dual state is advanced in place and the projected (and restarted) theta
 written back into it. Records fill columns (`Records`) that grow by doubling,
 which `Trajectory.steps` reads as `StepRecord` views and the CSV writer in
 blocks.
+
+The loop control exists twice. `run` drives one cell. `_run_columns`, which
+`numax grid` calls, drives K cells of one problem in lockstep as the rows
+of stacked arrays, with per-row nuPI gains, through the same rules (the
+problem's callables, `_primal_gradient`, `dual_step`, `_project_theta`,
+`apply_dual_restarts`, `_PrimalOptimizer`); each row drops out where `run`
+of its cell would stop, and what it keeps equals that run's bit for bit.
+At K = 1 the stacked form costs more per step, so `run` is not built on it.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -183,6 +191,11 @@ class Trajectory:
     def final(self) -> StepRecord:
         return self.steps[-1]
 
+    @property
+    def overshoot(self) -> float:
+        """`_overshoot` over every record (-inf when nothing counts)."""
+        return float(_overshoot(self.column("g")))
+
     def column(self, name: str) -> np.ndarray:
         """A copy of one StepRecord field over all records, one row each."""
         cols, n, m = self.steps, len(self.steps), self.steps.num_ineq
@@ -196,7 +209,7 @@ class _PrimalOptimizer:
     x <- x - eta v), or Adam (the dual side's `adam_moments`) on the primal
     variables."""
 
-    def __init__(self, config: PrimalOptimizerConfig, dim: int):
+    def __init__(self, config: PrimalOptimizerConfig, dim: int | tuple):
         self.config = config
         self.velocity = np.zeros(dim)
         self.m = np.zeros(dim)
@@ -301,6 +314,137 @@ def run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig) -> Trajecto
     counters = {"objective": evaluations, "ineq": evaluations, "eq": evaluations,
                 "objective_grad": primal_steps, "jacobian": primal_steps if num_constraints else 0}
     return Trajectory(steps=records, terminated_reason=reason, counters=counters)
+
+
+def _overshoot(g: np.ndarray, running=-np.inf):
+    """The running maximum, from `running` (shape ...) over the record rows
+    of g (..., rows, num_ineq), of each row's largest over-satisfaction
+    max_i max(-g_i, 0). A row holding a NaN is skipped and a row without
+    inequalities counts -inf; the `overshoot` metric is max(0.0, this)."""
+    per_row = np.max(np.maximum(-g, 0.0), axis=-1, initial=-np.inf)
+    return np.fmax(running, np.max(per_row, axis=-1, initial=-np.inf, where=~np.isnan(per_row)))
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """What `_run_columns` keeps of one column: its final record, why it
+    stopped, and `Trajectory.overshoot` of the records `run` would keep."""
+
+    final: StepRecord
+    terminated_reason: TerminationReason
+    overshoot: float
+
+
+def _keep_rows(rows, state, config, primal):
+    """Keep `rows` of every per-column array: the dual state's and the primal
+    optimizer's (in place) and the dual config's gains (returned anew)."""
+    for obj in (state, primal):
+        for name, value in list(vars(obj).items()):
+            if isinstance(value, np.ndarray):
+                setattr(obj, name, value[rows])
+    return replace(config, **{name: value[rows] for name, value in vars(config).items()
+                              if isinstance(value, np.ndarray)})
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _run_columns(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
+                 cells: int) -> list:
+    """`run` for `cells` columns of one problem in lockstep: x is (cells,
+    dim_primal) and theta (cells, num_constraints), and the dual config's
+    array gains have shape (cells, 1), one row per column (scalar gains are
+    shared). x0 and theta0 are one start for every column or one row each.
+
+    Each column stops where `run` with its own gains stops, for the same
+    reason, and is then dropped from the arrays. Its `_Cell` holds bit for
+    bit that run's final record, termination reason and
+    `Trajectory.overshoot`; no other record is kept. The problem's
+    callables must accept stacks of points, as the built-in problems' do.
+    """
+    n, m, num_constraints = problem.dim_primal, problem.num_ineq, problem.num_constraints
+    x = np.array(np.broadcast_to(np.asarray(x0, dtype=np.float64), (cells, n)))
+    theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=np.float64),
+                                     (cells, num_constraints)))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(theta))):
+        raise ConfigurationError("x0 and the initial multipliers must be finite")
+    if np.any(theta[:, :m] < 0.0):
+        raise ConfigurationError("initial inequality multipliers must be >= 0")
+
+    simultaneous = config.scheme is Scheme.SIMULTANEOUS
+    tolerance = config.stop_tolerance
+    dual = config.dual_optimizer
+    state = make_dual_state(dual, theta)
+    primal = _PrimalOptimizer(config.primal_optimizer, (cells, n))
+    column = np.arange(cells)  # the column of each row
+    streak = np.zeros(cells, dtype=np.int64)
+    last_dual_increment = np.full(cells, np.inf)
+    over = np.full(cells, -np.inf)
+    cells_out = [None] * cells
+
+    def finish(rows, t, x, f, c, theta, reason):
+        for i in np.flatnonzero(rows):
+            final = StepRecord(t=t, x=x[i], f=float(f[i]), g=c[i, :m], h=c[i, m:],
+                               lam=theta[i, :m], mu=theta[i, m:],
+                               lagrangian=lagrangian_value(float(f[i]), c[i, :m], c[i, m:],
+                                                           theta[i, :m], theta[i, m:]))
+            cells_out[column[i]] = _Cell(final, reason, float(over[i]))
+
+    for t in range(config.max_steps):
+        f = as_vector(problem.eval_objective(x), len(column), "f(x)")
+        error = problem.constraints(x)
+        finite = np.isfinite(f) & np.logical_and.reduce(np.isfinite(error), axis=-1)
+        stop = ~finite
+        recorded = t % config.record_every == 0
+        if recorded or not finite.all():  # the rows `run` records at this step
+            over = np.where(recorded | stop, _overshoot(error[:, None, :m], over), over)
+        if recorded and tolerance is not None:
+            viol = np.max(np.abs(error), axis=-1, initial=0.0)
+            streak = np.where((viol <= tolerance) & (last_dual_increment <= tolerance),
+                              streak + 1, 0)
+            stop |= streak >= _STOP_PATIENCE
+        if stop.any():
+            finish(~finite, t, x, f, error, state.theta, TerminationReason.NON_FINITE)
+            finish(stop & finite, t, x, f, error, state.theta, TerminationReason.TOLERANCE)
+            keep = ~stop
+            dual = _keep_rows(keep, state, dual, primal)
+            x, error, column, streak, last_dual_increment, over = (
+                a[keep] for a in (x, error, column, streak, last_dual_increment, over))
+            if not column.size:
+                return cells_out
+        theta_t = state.theta
+
+        if num_constraints:
+            dual_step(state, dual, error)
+            theta = _project_theta(state.theta, m)
+            if config.dual_restarts and m:
+                theta = apply_dual_restarts(theta, m, error[:, :m])
+            replace_theta(state, theta)
+            if tolerance is not None:
+                last_dual_increment = np.max(np.abs(theta - theta_t), axis=-1)
+        else:
+            last_dual_increment = np.zeros(len(column))
+
+        grad = _primal_gradient(problem, x, theta_t if simultaneous else state.theta)
+        x = primal.step(x, grad)
+
+        finite = (np.logical_and.reduce(np.isfinite(x), axis=-1)
+                  & np.logical_and.reduce(np.isfinite(state.theta), axis=-1))
+        if not finite.all():
+            # `run` records (t + 1, x, nan, nan, theta): a NaN row, which no overshoot counts
+            nan = np.full((len(column), num_constraints), np.nan)
+            finish(~finite, t + 1, x, np.full(len(column), np.nan), nan, state.theta,
+                   TerminationReason.NON_FINITE)
+            dual = _keep_rows(finite, state, dual, primal)
+            x, column, streak, last_dual_increment, over = (
+                a[finite] for a in (x, column, streak, last_dual_increment, over))
+            if not column.size:
+                return cells_out
+
+    # Terminal record of the final state, as `run` appends it.
+    f, error = as_vector(problem.eval_objective(x), len(column), "f(x)"), problem.constraints(x)
+    over = _overshoot(error[:, None, :m], over)
+    finish(np.ones(len(column), dtype=bool), config.max_steps, x, f, error, state.theta,
+           TerminationReason.MAX_STEPS)
+    return cells_out
 
 
 # CSV serialization. Header: t,f,linf_g,linf_h,lagrangian,lambda_0..,mu_0..,x_0..

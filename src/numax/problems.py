@@ -8,6 +8,13 @@
 - A 2D nonconvex equality-constrained benchmark with a brute-force optimum
   found by searching along the feasibility curve.
 - Equality-constrained QPs built from a QPSystem.
+
+Every built-in problem's callables take one point x of shape (n,) or a stack
+of points (K, n), and row k of a stacked result is bit for bit the result at
+point k (a constant Jacobian is returned once for the whole stack). So the
+products are `np.vecdot`, `np.matvec` and `np.vecmat`, whose rows match the
+one-point product bit for bit, and no callable uses an integer power, which
+numpy rounds differently for a scalar and for an array.
 """
 
 from __future__ import annotations
@@ -111,19 +118,16 @@ def build_svm_problem(data: SvmDataset) -> ConstrainedProblem:
     jac = -np.vstack([X.T * y, y])
 
     def objective(xvec):
-        w = xvec[:d]
-        return 0.5 * float(w @ w)
+        w = xvec[..., :d]
+        return 0.5 * np.vecdot(w, w)
 
     def objective_grad(xvec):
-        grad = np.zeros(d + 1)
-        grad[:d] = xvec[:d]
+        grad = np.zeros(xvec.shape)
+        grad[..., :d] = xvec[..., :d]
         return grad
 
     def ineq(xvec):
-        return 1.0 - y * (X @ xvec[:d] + xvec[d])
-
-    def eq(_xvec):
-        return np.zeros(0)
+        return 1.0 - y * (np.matvec(X, xvec[..., :d]) + xvec[..., d:])
 
     return ConstrainedProblem(
         dim_primal=d + 1,
@@ -132,7 +136,7 @@ def build_svm_problem(data: SvmDataset) -> ConstrainedProblem:
         eval_objective=objective,
         eval_objective_grad=objective_grad,
         eval_ineq=ineq,
-        eval_eq=eq,
+        eval_eq=_no_constraints,
         eval_constraint_jacobian=lambda _xvec: jac,
     )
 
@@ -273,23 +277,30 @@ def build_2d_benchmark() -> ConstrainedProblem:
     """
 
     def objective(x):
-        r1 = x[0] + np.exp(-x[1])
-        r2 = x[0] * x[0] + 2.0 * x[1] + 1.0
-        return float(r1 * r1 + r2 * r2)
+        x0, x1 = _coordinates(x)
+        r1 = x0 + np.exp(-x1)
+        r2 = x0 * x0 + 2.0 * x1 + 1.0
+        return r1 * r1 + r2 * r2
 
     def objective_grad(x):
-        r1 = x[0] + np.exp(-x[1])
-        r2 = x[0] * x[0] + 2.0 * x[1] + 1.0
-        return np.array([
-            2.0 * r1 + 4.0 * x[0] * r2,
-            -2.0 * r1 * np.exp(-x[1]) + 4.0 * r2,
-        ])
+        x0, x1 = _coordinates(x)
+        r1 = x0 + np.exp(-x1)
+        r2 = x0 * x0 + 2.0 * x1 + 1.0
+        grad = np.empty(x.shape)
+        grad.T[0] = 2.0 * r1 + 4.0 * x0 * r2
+        grad.T[1] = -2.0 * r1 * np.exp(-x1) + 4.0 * r2
+        return grad
 
     def eq(x):
-        return np.array([x[0] + x[0] ** 3 + x[1] + x[1] * x[1] - 2.0])
+        x0, x1 = _coordinates(x)
+        return (x0 + x0 * x0 * x0 + x1 + x1 * x1 - 2.0)[..., None]
 
     def jacobian(x):
-        return np.array([[1.0 + 3.0 * x[0] * x[0]], [1.0 + 2.0 * x[1]]])
+        x0, x1 = _coordinates(x)
+        jac = np.empty(x.shape + (1,))
+        jac.T[0, 0] = 1.0 + 3.0 * x0 * x0
+        jac.T[0, 1] = 1.0 + 2.0 * x1
+        return jac
 
     return ConstrainedProblem(
         dim_primal=2,
@@ -297,7 +308,7 @@ def build_2d_benchmark() -> ConstrainedProblem:
         num_eq=1,
         eval_objective=objective,
         eval_objective_grad=objective_grad,
-        eval_ineq=lambda _x: np.zeros(0),
+        eval_ineq=_no_constraints,
         eval_eq=eq,
         eval_constraint_jacobian=jacobian,
     )
@@ -370,9 +381,21 @@ def build_qp_problem(sys: QPSystem) -> ConstrainedProblem:
         dim_primal=sys.dim_primal,
         num_ineq=0,
         num_eq=sys.num_constraints,
-        eval_objective=lambda x: 0.5 * float(x @ H @ x) + float(c_lin @ x),
-        eval_objective_grad=lambda x: H @ x + c_lin,
-        eval_ineq=lambda _x: np.zeros(0),
-        eval_eq=lambda x: A @ x - b,
+        eval_objective=lambda x: 0.5 * np.vecdot(np.vecmat(x, H), x) + np.vecdot(c_lin, x),
+        eval_objective_grad=lambda x: np.matvec(H, x) + c_lin,
+        eval_ineq=_no_constraints,
+        eval_eq=lambda x: np.matvec(A, x) - b,
         eval_constraint_jacobian=lambda _x: jac,
     )
+
+
+def _no_constraints(x):
+    """An empty constraint block: shape (0,) for one point, (K, 0) for a stack."""
+    return x[..., :0]
+
+
+def _coordinates(x):
+    """The coordinates of x as numpy scalars for one point, or as the
+    columns of a stack of points."""
+    xt = x.T
+    return xt[0], xt[1]

@@ -1,11 +1,14 @@
-"""The cells of `numax grid` as they were computed before grid dispatch was
-changed: every cell is a `numax.run` of its own, one after another in this
-process, and the rows are written as `cmd_grid` writes `grid.csv`.
+"""The cells of `numax grid` as they were computed before the grid became
+one column recursion: every cell is a `numax.run` of its own, one after
+another in this process, and the rows are written as `cmd_grid` writes
+`grid.csv`.
 
-`_cell` is `cli._grid_worker` and `_metric` is `cli._compute_metric`, both
-kept verbatim apart from their names; the settings are read through the CLI's
-own converters, so only the cell loop, the metrics and the row writer are
-this module's own. Test-only code.
+`_cell` is the per-cell worker the grid used to send to its process pool,
+and `_metric` the metric rules as they read a whole `Trajectory` (the
+overshoot over every record's g); both are kept verbatim apart from their
+names. The settings are read through the CLI's own converters, so only the
+cell loop, the metrics and the row writer are this module's own. Test-only
+code.
 """
 
 from __future__ import annotations

@@ -57,22 +57,44 @@ def random_separable_dataset(rng, m=24, d=3, margin=0.4):
 def test_criterion_1_unified_momentum_equivalence():
     start = time.monotonic()
     rng = np.random.default_rng(20240201)
-    worst = 0.0
+    draws = []
     for _ in range(200):
         alpha = float(rng.uniform(1e-6, 2.0))
         beta = float(rng.uniform(-0.9, 0.9))
         gamma = float(rng.choice([0.0, 1.0]))
         errors = rng.uniform(-10.0, 10.0, size=1000)
-        um_cfg = nx.UMConfig(alpha=alpha, beta=beta, gamma=gamma)
+        draws.append((alpha, beta, gamma, errors))
+    # One recursion over every draw: column k of theta (200, 1) steps with
+    # draw k's gains, and its error at step t is errors[k, t].
+    alpha, beta, gamma = (np.array([[draw[i]] for draw in draws]) for i in range(3))
+    errors = np.array([draw[3] for draw in draws])
+    um_cfg = nx.UMConfig(alpha=alpha, beta=beta, gamma=gamma)
+    pi_cfg = nx.map_um_to_nupi(um_cfg)
+    um_state = nx.make_dual_state(um_cfg, np.zeros((len(draws), 1)))
+    pi_state = nx.make_dual_state(pi_cfg, np.zeros((len(draws), 1)))
+    scalar_draws = (0, 1, 99, 199)  # also stepped one at a time, which must agree bit for bit
+    columns = np.empty((errors.shape[1], len(scalar_draws), 2))
+    worst = 0.0
+    for t in range(errors.shape[1]):
+        um_state = nx.checked_dual_step(um_state, um_cfg, errors[:, t:t + 1])
+        pi_state = nx.checked_dual_step(pi_state, pi_cfg, errors[:, t:t + 1])
+        worst = max(worst, float(np.max(np.abs(um_state.theta - pi_state.theta))))
+        columns[t] = np.hstack([um_state.theta, pi_state.theta])[list(scalar_draws)]
+    columns_exact = True
+    for j, k in enumerate(scalar_draws):
+        alpha_k, beta_k, gamma_k, errors_k = draws[k]
+        um_cfg = nx.UMConfig(alpha=alpha_k, beta=beta_k, gamma=gamma_k)
         pi_cfg = nx.map_um_to_nupi(um_cfg)
         um_state, pi_state = nx.make_dual_state(um_cfg, [0.0]), nx.make_dual_state(pi_cfg, [0.0])
-        for e in errors:
+        for t, e in enumerate(errors_k):
             um_state = nx.checked_dual_step(um_state, um_cfg, [e])
             pi_state = nx.checked_dual_step(pi_state, pi_cfg, [e])
             worst = max(worst, abs(um_state.theta[0] - pi_state.theta[0]))
+            columns_exact &= (um_state.theta[0], pi_state.theta[0]) == tuple(columns[t, j])
     elapsed = time.monotonic() - start
-    _report(1, "unified-momentum / nuPI iterate equivalence", worst <= 1e-9 and elapsed < 10.0,
-            f"max |diff| = {worst:.2e}, {elapsed:.1f}s")
+    _report(1, "unified-momentum / nuPI iterate equivalence",
+            worst <= 1e-9 and columns_exact and elapsed < 10.0,
+            f"max |diff| = {worst:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_2_table_embeddings():

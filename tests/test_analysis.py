@@ -1,6 +1,7 @@
 """Tests for update-ratio interpretation, QP spectra, damping regimes, and
 the continuous-time flow."""
 
+import time
 import warnings
 
 import numpy as np
@@ -456,6 +457,15 @@ def test_malformed_flow_input_rejected_before_any_matrix(setting, monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(ConfigurationError, match=next(iter(setting))):
             simulate_flow(sys, [1.0], [0.0], **setting)
+
+
+@pytest.mark.parametrize("dt,t_end", [(1e-9, 1e10), (1.0, 1e9 + 1.0)])
+def test_huge_step_count_rejected_at_once(dt, t_end):
+    sys = QPSystem(H=[[1.0]], A=[[1.0]], b=[0.3], c_lin=[0.1], kp=1.0, ki=1.0)
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError, match="at most 1e\\+09 steps"):
+        simulate_flow(sys, [1.0], [0.0], dt=dt, t_end=t_end)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_zero_horizon_is_the_initial_sample():

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -244,6 +245,20 @@ class TestGrid:
         rows = read_grid_csv(out / "grid.csv")
         assert rows[0][4] == 1
 
+    def test_raising_run_flags_every_row(self, tmp_path, capsys, monkeypatch):
+        def boom(*_args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "_run_columns", boom)
+        config = tmp_path / "grid.ini"
+        write_svm_config(config)
+        assert main(["grid", "--config", str(config), "--output-dir", str(tmp_path / "out")]) == 0
+        rows = read_grid_csv(tmp_path / "out" / "grid.csv")
+        assert len(rows) == 4 and all(math.isnan(r[3]) and r[4] == 1 for r in rows)
+        failed = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
+        assert failed == [f"cell kp={kp} ki={ki} nu=0.0 failed: ValueError: boom"
+                          for kp, ki, *_ in rows]
+
     def test_empty_axis_is_config_error(self, tmp_path):
         config = tmp_path / "grid.ini"
         write_svm_config(config)
@@ -313,30 +328,6 @@ class TestGridMatchesRun:
                              "--dual.ki", repr(ki), "--dual.nu", repr(nu)]) == 0
                 summary = json.loads((run_dir / "summary.json").read_text())
                 assert value == summary["metric_value"], (metric, kp, ki, nu)
-
-    def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
-        started = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(cli, "Pool", SerialPool)
-        config = tmp_path / "grid.ini"
-        write_svm_config(config, max_steps=10)
-        assert main(["grid", "--config", str(config), "--output-dir", str(tmp_path / "out"),
-                     "--grid.kp", "0,1", "--grid.ki", "0.01", "--jobs", "3"]) == 0
-        assert started == [2]
-        assert len(read_grid_csv(tmp_path / "out" / "grid.csv")) == 2
 
 
 # A QP run with a metric that a QP problem can report, so that the QP file is read
@@ -415,7 +406,8 @@ def _no_step(*_args, **_kwargs):
 
 @pytest.mark.parametrize("command,case", _MALFORMED, ids=[f"{c}-{n}" for c, n in _MALFORMED])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, case):
-    monkeypatch.setattr(cli, "run", _no_step)  # every setting is checked before a step
+    for driver in ("run", "_run_columns"):  # every setting is checked before a step
+        monkeypatch.setattr(cli, driver, _no_step)
     config = tmp_path / "run.ini"
     write_svm_config(config, max_steps=10)
     bad = {**_BAD_SETTINGS, **_BAD_GRID_SETTINGS}[case]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from numax import (
     AdamConfig,
@@ -328,3 +328,61 @@ class TestDispatchTable:
                 assert dual_step(state, config, error) is state
                 for name, value in vars(stepped).items():
                     assert np.array_equal(vars(state)[name], value), (config, name)
+
+
+# Per-column gains of each rule, as keyword arguments of its config.
+_COLUMN_GAINS = {
+    NuPIConfig: st.fixed_dictionaries({"nu": st.floats(-0.95, 0.95), "kp": st.floats(-5.0, 5.0),
+                                       "ki": st.floats(1e-3, 2.0)}),
+    UMConfig: st.fixed_dictionaries({"alpha": st.floats(1e-6, 2.0), "beta": st.floats(-0.9, 0.9),
+                                     "gamma": st.floats(0.0, 1.0)}),
+    GAConfig: st.fixed_dictionaries({"step_size": st.floats(1e-3, 2.0)}),
+    AdamConfig: st.fixed_dictionaries({"step_size": st.floats(1e-3, 2.0)}),
+}
+
+
+class TestArrayGains:
+    @settings(max_examples=60, deadline=None)
+    @given(rule=st.sampled_from(sorted(_COLUMN_GAINS, key=lambda c: c.__name__)),
+           cells=st.integers(1, 8), width=st.integers(1, 4), steps=st.integers(100, 140),
+           policy=st.sampled_from(list(Xi0Policy)), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_column_equals_scalar_gain_run(self, rule, cells, width, steps, policy, seed, data):
+        # column k of a state stepped with (cells, 1) gains is the run with row k's gains
+        gains = [data.draw(_COLUMN_GAINS[rule]) for _ in range(cells)]
+        shared = {"xi0_policy": policy} if rule is NuPIConfig else {}
+        stacked = rule(**{key: np.array([[g[key]] for g in gains]) for key in gains[0]}, **shared)
+        scalar = [rule(**g, **shared) for g in gains]
+        errors = np.random.default_rng(seed).uniform(-10.0, 10.0, size=(steps, cells, width))
+        state = make_dual_state(stacked, np.zeros((cells, width)))
+        columns = [make_dual_state(config, np.zeros(width)) for config in scalar]
+        for e in errors:
+            state = checked_dual_step(state, stacked, e)
+            for k, config in enumerate(scalar):
+                columns[k] = checked_dual_step(columns[k], config, e[k])
+                assert state.theta[k].tobytes() == columns[k].theta.tobytes()
+
+    def test_um_mapping_entrywise(self):
+        # enough draws that a scalar-only operation (such as a float power,
+        # which rounds differently from numpy's) shows in some entry
+        rng = np.random.default_rng(3)
+        alpha, beta = rng.uniform(1e-6, 2.0, (5000, 1)), rng.uniform(-0.9, 0.9, (5000, 1))
+        gamma = rng.choice([0.0, 1.0], (5000, 1))
+        mapped = map_um_to_nupi(UMConfig(alpha=alpha, beta=beta, gamma=gamma))
+        for k in range(5000):
+            one = map_um_to_nupi(UMConfig(alpha=float(alpha[k, 0]), beta=float(beta[k, 0]),
+                                          gamma=float(gamma[k, 0])))
+            assert (mapped.nu[k, 0], mapped.kp[k, 0], mapped.ki[k, 0]) == (one.nu, one.kp, one.ki)
+        with pytest.raises(ConfigurationError):
+            map_um_to_nupi(UMConfig(alpha=alpha, beta=np.where(beta > 0.5, 1.0, beta), gamma=gamma))
+
+    def test_stacked_error_shape_checked(self):
+        config = NuPIConfig(nu=np.zeros((3, 1)), kp=np.ones((3, 1)), ki=np.ones((3, 1)))
+        state = make_dual_state(config, np.zeros((3, 2)))
+        for error in (np.zeros((3, 3)), np.zeros((2, 2)), np.zeros(6), np.zeros((2, 3, 2))):
+            with pytest.raises(ConfigurationError, match=r"error signal must have shape \(3, 2\)"):
+                checked_dual_step(state, config, error)
+        bad = np.zeros((3, 2))
+        bad[2, 1] = np.nan
+        with pytest.raises(NumericalError, match=r"indices \[5\]"):
+            checked_dual_step(state, config, bad)

@@ -15,10 +15,12 @@ from numax import (
     NuPIConfig,
     PrimalKind,
     PrimalOptimizerConfig,
+    QPSystem,
     Scheme,
     TerminationReason,
     UMConfig,
     build_2d_benchmark,
+    build_qp_problem,
     build_svm_problem,
     checked_dual_step,
     evaluate_lagrangian,
@@ -458,3 +460,123 @@ def test_overshoot_matches_reference(primal_step, x0):
     assert _same(_compute_metric("overshoot", traj, None), expected)
     assert _same(expected, loop_reference.overshoot(
         loop_reference.run(problem, x0, np.zeros(3), config)))
+
+
+# The column driver behind `numax grid` against `run`: column k of a K-cell
+# lockstep run is `run` of cell k, bit for bit, in its final record, its
+# termination reason and step, and every grid metric.
+
+def _iris_svm(rng):
+    train, _ = train_validation_split(load_dataset_csv(iris_csv_path()),
+                                      seed=int(rng.integers(16)))
+    return build_svm_problem(train)
+
+
+def _random_qp(rng):
+    n = int(rng.integers(1, 5))
+    c = int(rng.integers(1, n + 1))
+    m = rng.standard_normal((n, n))
+    return build_qp_problem(QPSystem(H=m @ m.T + 0.1 * np.eye(n), A=rng.standard_normal((c, n)),
+                                     b=rng.standard_normal(c), c_lin=rng.standard_normal(n),
+                                     kp=0.0, ki=1.0))
+
+
+_GRID_PROBLEMS = {"svm": _iris_svm, "benchmark2d": lambda _rng: build_2d_benchmark(),
+                  "qp": _random_qp}
+# One cell: nuPI gains, a factor on both gains (1e4 makes the cell diverge)
+# and a factor on a shared start direction (1e200 is non-finite at t = 0).
+_CELL = st.fixed_dictionaries({
+    "kp": st.floats(-0.5, 3.0), "ki": st.floats(0.01, 1.0), "nu": st.floats(-0.5, 0.9),
+    "blow_up": st.sampled_from([1.0, 1.0, 1.0, 1e4]),
+    "x0_scale": st.sampled_from([0.0, 0.5, 1.0, 1e200]),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem_name=st.sampled_from(sorted(_GRID_PROBLEMS)), scheme=st.sampled_from(list(Scheme)),
+       primal_kind=st.sampled_from(list(PrimalKind)),
+       primal_step=st.floats(1e-3, 0.05), restarts=st.booleans(),
+       record_every=st.sampled_from([1, 2, 7]),
+       max_steps=st.integers(1, 10) | st.integers(100, 200),
+       stop_tolerance=st.sampled_from([None, 1e-6, 1e-3, 0.1, 10.0]),
+       seed=st.integers(0, 2**32 - 1),
+       cells=st.lists(_CELL, min_size=1, max_size=6))
+def test_columns_match_run(problem_name, scheme, primal_kind, primal_step, restarts,
+                           record_every, max_steps, stop_tolerance, seed, cells):
+    rng = np.random.default_rng(seed)
+    problem = _GRID_PROBLEMS[problem_name](rng)
+    base = LoopConfig(scheme=scheme, max_steps=max_steps, dual_optimizer=NuPIConfig(0.0, 0.0, 0.0),
+                      primal_optimizer=PrimalOptimizerConfig(kind=primal_kind, step_size=primal_step),
+                      dual_restarts=restarts, record_every=record_every,
+                      stop_tolerance=stop_tolerance)
+    direction = rng.standard_normal(problem.dim_primal)
+    x0 = np.array([cell["x0_scale"] * direction for cell in cells])
+    theta0 = np.zeros(problem.num_constraints)
+    gains = {key: np.array([[cell[key] * (cell["blow_up"] if key != "nu" else 1.0)]
+                            for cell in cells]) for key in ("kp", "ki", "nu")}
+    columns = loop._run_columns(problem, x0, theta0,
+                                dataclasses.replace(base, dual_optimizer=NuPIConfig(**gains)),
+                                len(cells))
+    lambda_star = rng.uniform(0.0, 1.0, problem.num_ineq)
+    metrics = ["max_violation", "overshoot"] + (["dist_to_lambda_star"] if problem.num_ineq else [])
+    for k, cell in enumerate(cells):
+        config = dataclasses.replace(base, dual_optimizer=NuPIConfig(
+            nu=cell["nu"], kp=cell["kp"] * cell["blow_up"], ki=cell["ki"] * cell["blow_up"]))
+        traj, column = run(problem, x0[k], theta0, config), columns[k]
+        assert column.terminated_reason is traj.terminated_reason, k
+        assert type(column.final.t) is int and column.final.t == traj.final.t, k
+        for name in ("x", "f", "g", "h", "lam", "mu", "lagrangian"):
+            assert _same(getattr(column.final, name), getattr(traj.final, name)), (k, name)
+        assert _same(column.overshoot, traj.overshoot), k
+        for metric in metrics:
+            assert _same(_compute_metric(metric, column, lambda_star),
+                         _compute_metric(metric, traj, lambda_star)), (k, metric)
+
+
+def test_columns_cover_every_stop():
+    # one grid, one cell per way of stopping: max steps, tolerance, non-finite
+    # at an evaluation and non-finite after a primal step
+    problem = build_2d_benchmark()
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=3000,
+                        dual_optimizer=NuPIConfig(nu=np.zeros((4, 1)),
+                                                  kp=np.array([[0.0], [3.0], [0.0], [1e4]]),
+                                                  ki=np.array([[1e-3], [0.5], [0.01], [100.0]])),
+                        primal_optimizer=gd(0.002), stop_tolerance=1e-8)
+    x0 = np.array([[-0.5, -2.0], [-0.5, -2.0], [1e200, 0.0], [-0.5, -2.0]])
+    columns = loop._run_columns(problem, x0, np.zeros(1), config, 4)
+    assert [c.terminated_reason for c in columns] == [
+        TerminationReason.MAX_STEPS, TerminationReason.TOLERANCE,
+        TerminationReason.NON_FINITE, TerminationReason.NON_FINITE]
+    assert columns[2].final.t == 0 and not np.isfinite(columns[3].final.f)
+    for k, column in enumerate(columns):
+        cell = dataclasses.replace(config, dual_optimizer=NuPIConfig(
+            nu=0.0, kp=float(config.dual_optimizer.kp[k, 0]), ki=float(config.dual_optimizer.ki[k, 0])))
+        traj = run(problem, x0[k], np.zeros(1), cell)
+        assert (column.terminated_reason, column.final.t) == (traj.terminated_reason, traj.final.t)
+        assert _same(column.final.x, traj.final.x)
+
+
+def test_svm_columns_diverging_between_records_match_run():
+    # Most of these cells overflow f between two recorded steps, while g is
+    # still finite and larger than at any recorded step: `run` keeps that
+    # row, so it sets the cell's overshoot.
+    train, _ = train_validation_split(load_dataset_csv(iris_csv_path()), seed=0)
+    problem = build_svm_problem(train)
+    cells = [(kp, ki) for kp in (0.0, 10.0, 100.0) for ki in (0.01, 1.0, 100.0)]
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=300,
+                        dual_optimizer=NuPIConfig(nu=0.0, kp=0.0, ki=0.0),
+                        primal_optimizer=PrimalOptimizerConfig(
+                            kind=PrimalKind.GRADIENT_DESCENT_MOMENTUM, step_size=1e-3),
+                        record_every=7)
+    gains = np.array(cells)
+    columns = loop._run_columns(problem, np.zeros(5), np.zeros(problem.num_ineq),
+                                dataclasses.replace(config, dual_optimizer=NuPIConfig(
+                                    nu=np.zeros((9, 1)), kp=gains[:, :1], ki=gains[:, 1:])), 9)
+    between_records = 0
+    for (kp, ki), column in zip(cells, columns):
+        traj = run(problem, np.zeros(5), np.zeros(problem.num_ineq),
+                   dataclasses.replace(config, dual_optimizer=NuPIConfig(nu=0.0, kp=kp, ki=ki)))
+        assert (column.terminated_reason, column.final.t) == (traj.terminated_reason, traj.final.t)
+        assert _same(column.final.lam, traj.final.lam) and _same(column.overshoot, traj.overshoot)
+        between_records += traj.final.t % 7 != 0 and traj.overshoot > 1e100
+    assert between_records >= 3

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from numax import (
     ConfigurationError,
@@ -237,6 +238,57 @@ class TestQpProblem:
                        b=rng.standard_normal(2), c_lin=rng.standard_normal(3),
                        kp=1.0, ki=1.0)
         assert validate_gradients(build_qp_problem(sys), num_points=10, seed=0).passed
+
+
+# A coordinate between 1e-3 and 1e3 in size, of either sign.
+_COORDINATE = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+_FIELDS = ("eval_objective", "eval_objective_grad", "eval_ineq", "eval_eq",
+           "eval_constraint_jacobian")
+
+
+def _stacks(dim):
+    """K points of `dim` coordinates, K from 1 to 40, as a (K, dim) array."""
+    return st.lists(st.lists(_COORDINATE, min_size=dim, max_size=dim),
+                    min_size=1, max_size=40).map(np.array)
+
+
+def _assert_rows_are_one_point_calls(problem, points):
+    """Row k of each callable's output on the stack is, bit for bit, its
+    output at point k. A constant Jacobian may be returned once for the
+    whole stack; it then holds for every row."""
+    for field in _FIELDS:
+        fn = getattr(problem, field)
+        with np.errstate(over="ignore", invalid="ignore"):  # exp(1e3) overflows on both paths
+            stacked = np.asarray(fn(points))
+            singles = [np.asarray(fn(x)) for x in points]
+        if field == "eval_constraint_jacobian" and stacked.shape == singles[0].shape:
+            stacked = np.broadcast_to(stacked, (len(points),) + stacked.shape)
+        assert stacked.shape == (len(points),) + singles[0].shape, field
+        for k, single in enumerate(singles):
+            assert stacked[k].tobytes() == single.astype(np.float64).tobytes(), (field, k)
+
+
+class TestStackedEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(split=st.integers(0, 15), points=_stacks(5))
+    def test_svm_rows_are_one_point_calls(self, split, points):
+        train, _ = train_validation_split(load_dataset_csv(iris_csv_path()), seed=split)
+        _assert_rows_are_one_point_calls(build_svm_problem(train), points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=_stacks(2))
+    def test_benchmark2d_rows_are_one_point_calls(self, points):
+        _assert_rows_are_one_point_calls(build_2d_benchmark(), points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_qp_rows_are_one_point_calls(self, n, seed, data):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n))
+        c = int(rng.integers(1, n + 1))
+        sys = QPSystem(H=m @ m.T + 0.1 * np.eye(n), A=rng.standard_normal((c, n)),
+                       b=rng.standard_normal(c), c_lin=rng.standard_normal(n), kp=1.0, ki=1.0)
+        _assert_rows_are_one_point_calls(build_qp_problem(sys), data.draw(_stacks(n)))
 
 
 class TestLoadDatasetCsv:
