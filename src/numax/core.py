@@ -95,6 +95,7 @@ class ConstrainedProblem:
     callables also take a stack of points x of shape (K, dim_primal) and
     return one result per row, each bit for bit the one-point result; the
     checked accessors below and `_primal_gradient` accept such stacks too.
+    The callables take ndarrays; the accessors also take lists.
     """
 
     dim_primal: int
@@ -119,6 +120,7 @@ class ConstrainedProblem:
     def constraints(self, x: np.ndarray) -> np.ndarray:
         """Stacked violations c(x) = [g(x), h(x)]. Both blocks are checked;
         when one is empty, the other is returned without a copy."""
+        x = np.asarray(x)
         lead = x.shape[:-1]
         g = as_vector(self.eval_ineq(x), self.num_ineq, "g(x)", lead)
         h = as_vector(self.eval_eq(x), self.num_eq, "h(x)", lead)
@@ -132,6 +134,7 @@ class ConstrainedProblem:
         """Jc(x), checked to have shape (dim_primal, num_constraints). For a
         stack of points it is one such matrix per point, or one matrix that
         holds for every point (a constant Jacobian)."""
+        x = np.asarray(x)
         jac = np.asarray(self.eval_constraint_jacobian(x), dtype=np.float64)
         expected = (*x.shape[:-1], self.dim_primal, self.num_constraints)
         if jac.shape != expected and jac.shape != expected[-2:]:

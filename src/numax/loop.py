@@ -20,8 +20,15 @@ continues from the rewritten value, so the theta sequence is discontinuous
 at steps where the projection binds or a restart fires. Dual restarts
 likewise reset inequality multipliers without touching xi.
 
-The driver owns the iteration order, the primal step, recording and
-stopping; every rule it applies has one copy elsewhere. `core` holds the
+One loop, `_descent_ascent`, owns the iteration order, the primal step and
+every stop rule, for one point or for K rows of stacked arrays in lockstep;
+a keeper says what is kept. `run` steps one point, and its keeper appends
+every record. `_run_columns`, which `numax grid` calls, steps K cells of
+one problem with per-row nuPI gains; its keeper folds each row's overshoot
+and keeps its final record and stop reason, bit for bit what `run` of that
+cell gives, and a row that stops is dropped from the arrays.
+
+Every rule the loop applies has one copy elsewhere. `core` holds the
 checked accessors for c(x) and its Jacobian, the Lagrangian
 (`lagrangian_value`), its primal gradient (`_primal_gradient`) and the
 projection (`_project_theta`, the unchecked form of `project_theta`);
@@ -33,14 +40,6 @@ The dual state is advanced in place and the projected (and restarted) theta
 written back into it. Records fill columns (`Records`) that grow by doubling,
 which `Trajectory.steps` reads as `StepRecord` views and the CSV writer in
 blocks.
-
-The loop control exists twice. `run` drives one cell. `_run_columns`, which
-`numax grid` calls, drives K cells of one problem in lockstep as the rows
-of stacked arrays, with per-row nuPI gains, through the same rules (the
-problem's callables, `_primal_gradient`, `dual_step`, `_project_theta`,
-`apply_dual_restarts`, `_PrimalOptimizer`); each row drops out where `run`
-of its cell would stop, and what it keeps equals that run's bit for bit.
-At K = 1 the stacked form costs more per step, so `run` is not built on it.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -228,92 +228,158 @@ class _PrimalOptimizer:
         return x - increment
 
 
-# Overflow during a diverging run is detected and flagged as NON_FINITE
-# termination; suppress the numpy warnings it would otherwise emit.
+def _checked_start(problem: ConstrainedProblem, x0, theta0, lead: tuple = ()) -> tuple:
+    """x0 and theta0 = [lam, mu] as new float64 arrays of shape lead +
+    (dim_primal,) and lead + (num_constraints,), each given once for every
+    row or once per row. Both must be finite and lam >= 0."""
+    x = as_vector(x0, problem.dim_primal, "x0", lead if np.ndim(x0) > 1 else ())
+    if not np.all(np.isfinite(x)):
+        raise ConfigurationError("x0 must be finite")
+    theta = as_vector(theta0, problem.num_constraints, "theta0",
+                      lead if np.ndim(theta0) > 1 else ())
+    if not np.all(np.isfinite(theta)):
+        raise ConfigurationError("initial multipliers must be finite")
+    if np.any(theta[..., :problem.num_ineq] < 0.0):
+        raise ConfigurationError("initial inequality multipliers must be >= 0")
+    return (np.array(np.broadcast_to(x, lead + x.shape[-1:])),
+            np.array(np.broadcast_to(theta, lead + theta.shape[-1:])))
+
+
+def _keep_rows(rows, state, dual, primal, keeper, *arrays) -> tuple:
+    """Keep `rows` of every per-row array: the dual state's, the primal
+    optimizer's and the keeper's (in place), and the dual config's gains and
+    `arrays` (returned anew, in that order)."""
+    for obj in (state, primal):
+        for name, value in list(vars(obj).items()):
+            if isinstance(value, np.ndarray):
+                setattr(obj, name, value[rows])
+    keeper.drop(rows)
+    return (replace(dual, **{name: value[rows] for name, value in vars(dual).items()
+                             if isinstance(value, np.ndarray)}),
+            *(a[rows] for a in arrays))
+
+
+# Overflow in a diverging run is flagged as NON_FINITE, without numpy's warnings.
 @np.errstate(over="ignore", invalid="ignore")
+def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarray,
+                    config: LoopConfig, keeper) -> int:
+    """The descent-ascent loop from the checked start x and theta = [lam, mu]:
+    one point (dim_primal,) or K rows (K, dim_primal) in lockstep, whose dual
+    config may hold per-row gains of shape (K, 1).
+
+    A row stops where it is first non-finite, at an evaluation or after its
+    primal step, or where its tolerance streak completes (non-finite wins);
+    the rest get the terminal record at `config.max_steps`. The keeper gets
+    `keep(rows, t, x, f, c, theta)` at each step where `run` records, `rows`
+    masking the rows that record (True: all), then `finish(rows, ..., reason)`
+    with the rows that stop, once per reason. When only some rows stop, they
+    are dropped and `keeper.drop(rows)` gets the rows that go on. Returns how
+    often the rows that stopped last were evaluated."""
+    # Picked once from x's shape; a stack reduces over all its rows. The ufunc
+    # reduce, as ndarray.all's Python wrapper costs more on short vectors.
+    one = x.ndim == 1
+    all_true = np.logical_and.reduce if one else partial(np.logical_and.reduce, axis=None)
+    any_true = bool if one else partial(np.logical_or.reduce, axis=None)
+    finite_f = math.isfinite if one else lambda f: all_true(np.isfinite(f))
+    objective = ((lambda x: float(problem.eval_objective(x))) if one
+                 else lambda x: as_vector(problem.eval_objective(x), len(x), "f(x)"))
+    m, num_constraints = problem.num_ineq, problem.num_constraints
+    simultaneous = config.scheme is Scheme.SIMULTANEOUS
+    tolerance = config.stop_tolerance
+    dual = config.dual_optimizer
+    state = make_dual_state(dual, theta)
+    primal = _PrimalOptimizer(config.primal_optimizer, x.shape)
+    streak = np.zeros(x.shape[:-1], dtype=np.int64)
+    last_dual_increment = np.full(x.shape[:-1], np.inf)  # none before the first dual step
+    keep, finish = keeper.keep, keeper.finish
+
+    for t in range(config.max_steps):
+        f = objective(x)
+        error = problem.constraints(x)
+        theta_t = state.theta
+        recorded = t % config.record_every == 0
+        # One bool per check; per-row masks only at a step where a row stops.
+        stop = not (finite_f(f) and all_true(np.isfinite(error)))
+        if recorded and tolerance is not None:
+            viol = np.maximum.reduce(np.abs(error), axis=-1, initial=0.0)
+            streak = (streak + 1) * ((viol <= tolerance) & (last_dual_increment <= tolerance))
+            stop = stop or any_true(streak >= _STOP_PATIENCE)
+        if stop:
+            bad = ~(np.isfinite(f) & np.logical_and.reduce(np.isfinite(error), axis=-1))
+            done = bad | (streak >= _STOP_PATIENCE)
+            keep(recorded | bad, t, x, f, error, theta_t)
+            finish(bad, t, x, f, error, theta_t, TerminationReason.NON_FINITE)
+            finish(done & ~bad, t, x, f, error, theta_t, TerminationReason.TOLERANCE)
+            if done.all():
+                return t + 1
+            dual, x, error, streak, last_dual_increment = _keep_rows(
+                ~done, state, dual, primal, keeper, x, error, streak, last_dual_increment)
+            theta_t = state.theta
+        elif recorded:
+            keep(True, t, x, f, error, theta_t)
+
+        if num_constraints:
+            dual_step(state, dual, error)
+            theta = _project_theta(state.theta, m)
+            if config.dual_restarts and m:
+                theta = apply_dual_restarts(theta, m, error[..., :m])
+            replace_theta(state, theta)
+            if tolerance is not None:
+                last_dual_increment = np.maximum.reduce(np.abs(theta - theta_t), axis=-1)
+        else:
+            last_dual_increment = np.zeros(x.shape[:-1])
+
+        grad = _primal_gradient(problem, x, theta_t if simultaneous else state.theta)
+        x = primal.step(x, grad)
+
+        if not (all_true(np.isfinite(x)) and all_true(np.isfinite(state.theta))):
+            ok = (np.logical_and.reduce(np.isfinite(x), axis=-1)
+                  & np.logical_and.reduce(np.isfinite(state.theta), axis=-1))
+            # a row that went non-finite records (t + 1, x, nan, nan, theta)
+            nan_f, nan_c = np.full(ok.shape, np.nan), np.full(state.theta.shape, np.nan)
+            keep(~ok, t + 1, x, nan_f, nan_c, state.theta)
+            finish(~ok, t + 1, x, nan_f, nan_c, state.theta, TerminationReason.NON_FINITE)
+            if not ok.any():
+                return t + 1
+            dual, x, streak, last_dual_increment = _keep_rows(
+                ok, state, dual, primal, keeper, x, streak, last_dual_increment)
+
+    # Terminal record of the final state (one extra evaluation).
+    f, error = objective(x), problem.constraints(x)
+    every = np.ones(x.shape[:-1], dtype=bool)
+    keep(every, config.max_steps, x, f, error, state.theta)
+    finish(every, config.max_steps, x, f, error, state.theta, TerminationReason.MAX_STEPS)
+    return config.max_steps + 1
+
+
+class _Recorder:
+    """`run`'s keeper: every record goes to `records`, and `reason` notes
+    why the run stopped. It holds one point, which each call is about."""
+
+    def __init__(self, records: Records):
+        self.records, self.reason = records, None
+
+    def keep(self, rows, t, x, f, c, theta):
+        self.records.append(t, x, f, c, theta)
+
+    def finish(self, rows, t, x, f, c, theta, reason):
+        if rows:
+            self.reason = reason
+
+
 def run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig) -> Trajectory:
     """Descent-ascent from x0 and the stacked multipliers theta0 = [lam, mu]
     under `config.scheme`: the alternating primal step sees the freshly
     updated multipliers, the simultaneous one the pre-update multipliers."""
-    x = as_vector(x0, problem.dim_primal, "x0")
-    if not np.all(np.isfinite(x)):
-        raise ConfigurationError("x0 must be finite")
-    m, num_constraints = problem.num_ineq, problem.num_constraints
-    theta0 = as_vector(theta0, num_constraints, "theta0")
-    if not np.all(np.isfinite(theta0)):
-        raise ConfigurationError("initial multipliers must be finite")
-    if np.any(theta0[:m] < 0.0):
-        raise ConfigurationError("initial inequality multipliers must be >= 0")
-
-    simultaneous = config.scheme is Scheme.SIMULTANEOUS
-    state = make_dual_state(config.dual_optimizer, theta0)
-    primal = _PrimalOptimizer(config.primal_optimizer, problem.dim_primal)
-    records = Records(config.max_steps // config.record_every + 2, problem.dim_primal, m,
-                      problem.num_eq)
-
-    reason = TerminationReason.MAX_STEPS
-    last_dual_increment = np.inf
-    streak = 0
-    stopped_at = None
-    evaluations = primal_steps = 0
-
-    for t in range(config.max_steps):
-        evaluations += 1
-        f = float(problem.eval_objective(x))
-        error = problem.constraints(x)
-        theta_t = state.theta
-        # logical_and.reduce: ndarray.all's Python wrapper costs more on short vectors
-        if not (math.isfinite(f) and np.logical_and.reduce(np.isfinite(error))):
-            records.append(t, x, f, error, theta_t)
-            reason = TerminationReason.NON_FINITE
-            break
-
-        if t % config.record_every == 0:
-            records.append(t, x, f, error, theta_t)
-            if config.stop_tolerance is not None:
-                viol = float(np.max(np.abs(error))) if error.size else 0.0
-                if viol <= config.stop_tolerance and last_dual_increment <= config.stop_tolerance:
-                    streak += 1
-                else:
-                    streak = 0
-                if streak >= _STOP_PATIENCE:
-                    reason = TerminationReason.TOLERANCE
-                    stopped_at = t
-                    break
-
-        if error.size:
-            dual_step(state, config.dual_optimizer, error)
-            theta = _project_theta(state.theta, m)
-            if config.dual_restarts and m:
-                theta = apply_dual_restarts(theta, m, error[:m])
-            replace_theta(state, theta)
-            if config.stop_tolerance is not None:
-                last_dual_increment = float(np.max(np.abs(theta - theta_t)))
-        else:
-            last_dual_increment = 0.0
-
-        primal_steps += 1
-        grad = _primal_gradient(problem, x, theta_t if simultaneous else state.theta)
-        x_next = primal.step(x, grad)
-
-        if not (np.logical_and.reduce(np.isfinite(x_next))
-                and np.logical_and.reduce(np.isfinite(state.theta))):
-            records.append(t + 1, x_next, np.nan, np.full(error.size, np.nan), state.theta)
-            reason = TerminationReason.NON_FINITE
-            break
-        x = x_next
-
-    if reason is not TerminationReason.NON_FINITE:
-        # Terminal record of the final state (one extra evaluation).
-        t_final = stopped_at if stopped_at is not None else config.max_steps
-        if records[-1].t < t_final:
-            evaluations += 1
-            f = float(problem.eval_objective(x))
-            records.append(t_final, x, f, problem.constraints(x), state.theta)
-
+    x, theta0 = _checked_start(problem, x0, theta0)
+    keeper = _Recorder(Records(config.max_steps // config.record_every + 2, problem.dim_primal,
+                               problem.num_ineq, problem.num_eq))
+    evaluations = _descent_ascent(problem, x, theta0, config, keeper)
+    primal_steps = keeper.records[-1].t  # the final record's step is the primal steps taken
     counters = {"objective": evaluations, "ineq": evaluations, "eq": evaluations,
-                "objective_grad": primal_steps, "jacobian": primal_steps if num_constraints else 0}
-    return Trajectory(steps=records, terminated_reason=reason, counters=counters)
+                "objective_grad": primal_steps,
+                "jacobian": primal_steps if problem.num_constraints else 0}
+    return Trajectory(steps=keeper.records, terminated_reason=keeper.reason, counters=counters)
 
 
 def _overshoot(g: np.ndarray, running=-np.inf):
@@ -335,18 +401,31 @@ class _Cell:
     overshoot: float
 
 
-def _keep_rows(rows, state, config, primal):
-    """Keep `rows` of every per-column array: the dual state's and the primal
-    optimizer's (in place) and the dual config's gains (returned anew)."""
-    for obj in (state, primal):
-        for name, value in list(vars(obj).items()):
-            if isinstance(value, np.ndarray):
-                setattr(obj, name, value[rows])
-    return replace(config, **{name: value[rows] for name, value in vars(config).items()
-                              if isinstance(value, np.ndarray)})
+class _Columns:
+    """`_run_columns`'s keeper: each row's running `_overshoot` over the
+    records `run` would keep, the `_Cell` of each row that stops, and the
+    column each remaining row came from."""
+
+    def __init__(self, cells: int, num_ineq: int):
+        self.m, self.column, self.over = num_ineq, np.arange(cells), np.full(cells, -np.inf)
+        self.cells = [None] * cells
+
+    def keep(self, rows, t, x, f, c, theta):
+        self.over = np.where(rows, _overshoot(c[:, None, :self.m], self.over), self.over)
+
+    def finish(self, rows, t, x, f, c, theta, reason):
+        m = self.m
+        for i in np.flatnonzero(rows):
+            final = StepRecord(t=t, x=x[i], f=float(f[i]), g=c[i, :m], h=c[i, m:],
+                               lam=theta[i, :m], mu=theta[i, m:],
+                               lagrangian=lagrangian_value(float(f[i]), c[i, :m], c[i, m:],
+                                                           theta[i, :m], theta[i, m:]))
+            self.cells[self.column[i]] = _Cell(final, reason, float(self.over[i]))
+
+    def drop(self, rows):
+        self.column, self.over = self.column[rows], self.over[rows]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _run_columns(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
                  cells: int) -> list:
     """`run` for `cells` columns of one problem in lockstep: x is (cells,
@@ -354,97 +433,16 @@ def _run_columns(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
     array gains have shape (cells, 1), one row per column (scalar gains are
     shared). x0 and theta0 are one start for every column or one row each.
 
-    Each column stops where `run` with its own gains stops, for the same
-    reason, and is then dropped from the arrays. Its `_Cell` holds bit for
-    bit that run's final record, termination reason and
-    `Trajectory.overshoot`; no other record is kept. The problem's
+    The loop is `run`'s, so each column stops where `run` with its own gains
+    stops, for the same reason, and is then dropped from the arrays. Its
+    `_Cell` holds bit for bit that run's final record, termination reason
+    and `Trajectory.overshoot`; no other record is kept. The problem's
     callables must accept stacks of points, as the built-in problems' do.
     """
-    n, m, num_constraints = problem.dim_primal, problem.num_ineq, problem.num_constraints
-    x = np.array(np.broadcast_to(np.asarray(x0, dtype=np.float64), (cells, n)))
-    theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=np.float64),
-                                     (cells, num_constraints)))
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(theta))):
-        raise ConfigurationError("x0 and the initial multipliers must be finite")
-    if np.any(theta[:, :m] < 0.0):
-        raise ConfigurationError("initial inequality multipliers must be >= 0")
-
-    simultaneous = config.scheme is Scheme.SIMULTANEOUS
-    tolerance = config.stop_tolerance
-    dual = config.dual_optimizer
-    state = make_dual_state(dual, theta)
-    primal = _PrimalOptimizer(config.primal_optimizer, (cells, n))
-    column = np.arange(cells)  # the column of each row
-    streak = np.zeros(cells, dtype=np.int64)
-    last_dual_increment = np.full(cells, np.inf)
-    over = np.full(cells, -np.inf)
-    cells_out = [None] * cells
-
-    def finish(rows, t, x, f, c, theta, reason):
-        for i in np.flatnonzero(rows):
-            final = StepRecord(t=t, x=x[i], f=float(f[i]), g=c[i, :m], h=c[i, m:],
-                               lam=theta[i, :m], mu=theta[i, m:],
-                               lagrangian=lagrangian_value(float(f[i]), c[i, :m], c[i, m:],
-                                                           theta[i, :m], theta[i, m:]))
-            cells_out[column[i]] = _Cell(final, reason, float(over[i]))
-
-    for t in range(config.max_steps):
-        f = as_vector(problem.eval_objective(x), len(column), "f(x)")
-        error = problem.constraints(x)
-        finite = np.isfinite(f) & np.logical_and.reduce(np.isfinite(error), axis=-1)
-        stop = ~finite
-        recorded = t % config.record_every == 0
-        if recorded or not finite.all():  # the rows `run` records at this step
-            over = np.where(recorded | stop, _overshoot(error[:, None, :m], over), over)
-        if recorded and tolerance is not None:
-            viol = np.max(np.abs(error), axis=-1, initial=0.0)
-            streak = np.where((viol <= tolerance) & (last_dual_increment <= tolerance),
-                              streak + 1, 0)
-            stop |= streak >= _STOP_PATIENCE
-        if stop.any():
-            finish(~finite, t, x, f, error, state.theta, TerminationReason.NON_FINITE)
-            finish(stop & finite, t, x, f, error, state.theta, TerminationReason.TOLERANCE)
-            keep = ~stop
-            dual = _keep_rows(keep, state, dual, primal)
-            x, error, column, streak, last_dual_increment, over = (
-                a[keep] for a in (x, error, column, streak, last_dual_increment, over))
-            if not column.size:
-                return cells_out
-        theta_t = state.theta
-
-        if num_constraints:
-            dual_step(state, dual, error)
-            theta = _project_theta(state.theta, m)
-            if config.dual_restarts and m:
-                theta = apply_dual_restarts(theta, m, error[:, :m])
-            replace_theta(state, theta)
-            if tolerance is not None:
-                last_dual_increment = np.max(np.abs(theta - theta_t), axis=-1)
-        else:
-            last_dual_increment = np.zeros(len(column))
-
-        grad = _primal_gradient(problem, x, theta_t if simultaneous else state.theta)
-        x = primal.step(x, grad)
-
-        finite = (np.logical_and.reduce(np.isfinite(x), axis=-1)
-                  & np.logical_and.reduce(np.isfinite(state.theta), axis=-1))
-        if not finite.all():
-            # `run` records (t + 1, x, nan, nan, theta): a NaN row, which no overshoot counts
-            nan = np.full((len(column), num_constraints), np.nan)
-            finish(~finite, t + 1, x, np.full(len(column), np.nan), nan, state.theta,
-                   TerminationReason.NON_FINITE)
-            dual = _keep_rows(finite, state, dual, primal)
-            x, column, streak, last_dual_increment, over = (
-                a[finite] for a in (x, column, streak, last_dual_increment, over))
-            if not column.size:
-                return cells_out
-
-    # Terminal record of the final state, as `run` appends it.
-    f, error = as_vector(problem.eval_objective(x), len(column), "f(x)"), problem.constraints(x)
-    over = _overshoot(error[:, None, :m], over)
-    finish(np.ones(len(column), dtype=bool), config.max_steps, x, f, error, state.theta,
-           TerminationReason.MAX_STEPS)
-    return cells_out
+    x, theta = _checked_start(problem, x0, theta0, (cells,))
+    keeper = _Columns(cells, problem.num_ineq)
+    _descent_ascent(problem, x, theta, config, keeper)
+    return keeper.cells
 
 
 # CSV serialization. Header: t,f,linf_g,linf_h,lagrangian,lambda_0..,mu_0..,x_0..

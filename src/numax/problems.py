@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import QPSystem
-from .core import ConfigurationError, ConstrainedProblem, read_csv, seeded_rng
+from .core import ConfigurationError, ConstrainedProblem, NumericalError, read_csv, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -331,11 +331,6 @@ def benchmark2d_constrained_optimum() -> np.ndarray:
         x2 = (-1.0 + sign * np.sqrt(disc[valid])) / 2.0
         return np.column_stack([x1, x2])
 
-    def f_values(pts):
-        r1 = pts[:, 0] + np.exp(-pts[:, 1])
-        r2 = pts[:, 0] ** 2 + 2.0 * pts[:, 1] + 1.0
-        return r1 * r1 + r2 * r2
-
     # x1 is bounded above by the real root of 4 x^3 + 4 x - 9 = 0.
     roots = np.roots([4.0, 0.0, 4.0, -9.0])
     x1_max = float(np.max(roots[np.abs(roots.imag) < 1e-12].real))
@@ -346,7 +341,7 @@ def benchmark2d_constrained_optimum() -> np.ndarray:
     for sign in (1.0, -1.0):
         grid = np.linspace(-3.0, x1_max, 20001)
         pts = branch_points(grid, sign)
-        vals = f_values(pts)
+        vals = problem.eval_objective(pts)
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val = float(vals[i])
@@ -361,13 +356,15 @@ def benchmark2d_constrained_optimum() -> np.ndarray:
         hi = min(center + 2.0 * width, x1_max)
         grid = np.linspace(lo, hi, 2001)
         pts = branch_points(grid, best_sign)
-        vals = f_values(pts)
+        vals = problem.eval_objective(pts)
         i = int(np.argmin(vals))
         center = pts[i, 0]
         best = pts[i]
         width = (hi - lo) / 2000.0
 
-    assert abs(problem.eval_eq(best)[0]) < 1e-9
+    residual = abs(problem.eval_eq(best)[0])
+    if not residual < 1e-9:
+        raise NumericalError(f"2D benchmark optimum misses h(x) = 0 by {residual:.3g}")
     return best
 
 

@@ -97,61 +97,96 @@ def test_criterion_1_unified_momentum_equivalence():
             f"max |diff| = {worst:.2e}, {elapsed:.2f}s")
 
 
+def _columns_match_scalar_steps(cfg, draws, columns, scalar_draws) -> bool:
+    """Draw k (config values, errors) stepped one at a time through
+    `checked_dual_step` with scalar gains gives, bit for bit, column j of
+    `columns` (steps, len(scalar_draws)), for each k = scalar_draws[j]."""
+    exact = True
+    for j, k in enumerate(scalar_draws):
+        gains, errors = draws[k]
+        cfg_k = cfg(*gains)
+        state = nx.make_dual_state(cfg_k, [0.0])
+        for t, e in enumerate(errors):
+            state = nx.checked_dual_step(state, cfg_k, [e])
+            exact &= state.theta[0] == columns[t, j]
+    return exact
+
+
+def _stacked(draws):
+    """The draws' gains (draws, gains) and errors (draws, steps) as arrays."""
+    return np.array([gains for gains, _ in draws]), np.array([errors for _, errors in draws])
+
+
 def test_criterion_2_table_embeddings():
     rng = np.random.default_rng(7)
-    # gradient ascent embedding, bit-exact
+    ga_draws = [((float(rng.uniform(0.01, 2.0)),), rng.uniform(-10.0, 10.0, size=1000))
+                for _ in range(5)]
+    og_draws = [((float(rng.uniform(0.01, 2.0)),), rng.uniform(-10.0, 10.0, size=1000))
+                for _ in range(5)]
+    scalar_draws = (0, 4)  # also stepped one at a time, which must agree bit for bit
+    # gradient ascent embedding, bit-exact: one recursion, a column per draw
+    alpha, errors = _stacked(ga_draws)  # alpha is a column (5, 1)
+    ga_cfg = nx.GAConfig(step_size=alpha)
+    cfg = nx.NuPIConfig(nu=0.0, kp=0.0, ki=alpha)
+    ga, pi = nx.make_dual_state(ga_cfg, np.zeros((5, 1))), nx.make_dual_state(cfg, np.zeros((5, 1)))
     ga_exact = True
-    for _ in range(5):
-        alpha = float(rng.uniform(0.01, 2.0))
-        errors = rng.uniform(-10.0, 10.0, size=1000)
-        ga_cfg = nx.GAConfig(step_size=alpha)
-        cfg = nx.NuPIConfig(nu=0.0, kp=0.0, ki=alpha)
-        ga, pi = nx.make_dual_state(ga_cfg, [0.0]), nx.make_dual_state(cfg, [0.0])
-        for e in errors:
-            ga = nx.checked_dual_step(ga, ga_cfg, [e])
-            pi = nx.checked_dual_step(pi, cfg, [e])
-            if not np.array_equal(ga.theta, pi.theta):
-                ga_exact = False
-                break
+    columns = np.empty((errors.shape[1], len(scalar_draws)))
+    for t in range(errors.shape[1]):
+        ga = nx.checked_dual_step(ga, ga_cfg, errors[:, t:t + 1])
+        pi = nx.checked_dual_step(pi, cfg, errors[:, t:t + 1])
+        ga_exact &= np.array_equal(ga.theta, pi.theta)
+        columns[t] = pi.theta[list(scalar_draws), 0]
+    ga_exact &= _columns_match_scalar_steps(lambda a: nx.NuPIConfig(nu=0.0, kp=0.0, ki=a),
+                                            ga_draws, columns, scalar_draws)
     # optimistic-gradient recurrence, 1e-12 over 1000 steps
+    alpha, errors = _stacked(og_draws)
+    cfg = nx.NuPIConfig(nu=0.0, kp=alpha, ki=alpha)  # xi0 = e0 default
+    pi = nx.make_dual_state(cfg, np.zeros((5, 1)))
+    oracle = 2.0 * alpha[:, 0] * errors[:, 0]  # theta1; theta0 = 0
     og_worst = 0.0
-    for _ in range(5):
-        alpha = float(rng.uniform(0.01, 2.0))
-        errors = rng.uniform(-10.0, 10.0, size=1000)
-        cfg = nx.NuPIConfig(nu=0.0, kp=alpha, ki=alpha)  # xi0 = e0 default
-        pi = nx.make_dual_state(cfg, [0.0])
-        thetas = []
-        for e in errors:
-            pi = nx.checked_dual_step(pi, cfg, [e])
-            thetas.append(pi.theta[0])
-        oracle = [0.0, 2.0 * alpha * errors[0]]  # theta0 and theta1
-        for t in range(1, len(errors)):
-            oracle.append(oracle[-1] + alpha * errors[t] + alpha * (errors[t] - errors[t - 1]))
-        og_worst = max(og_worst, float(np.max(np.abs(np.array(thetas) - oracle[1:]))))
+    for t in range(errors.shape[1]):
+        pi = nx.checked_dual_step(pi, cfg, errors[:, t:t + 1])
+        if t >= 1:
+            oracle = (oracle + alpha[:, 0] * errors[:, t]
+                      + alpha[:, 0] * (errors[:, t] - errors[:, t - 1]))
+        og_worst = max(og_worst, float(np.max(np.abs(pi.theta[:, 0] - oracle))))
+        columns[t] = pi.theta[list(scalar_draws), 0]
+    og_exact = _columns_match_scalar_steps(lambda a: nx.NuPIConfig(nu=0.0, kp=a, ki=a),
+                                           og_draws, columns, scalar_draws)
     _report(2, "Table-1 embeddings (GA bit-exact, OG recurrence)",
-            ga_exact and og_worst <= 1e-12, f"OG max |diff| = {og_worst:.2e}")
+            ga_exact and og_worst <= 1e-12 and og_exact, f"OG max |diff| = {og_worst:.2e}")
 
 
 def test_criterion_3_cumulative_vs_recursive():
     rng = np.random.default_rng(99)
-    worst = 0.0
+    draws = []
     for _ in range(100):
         nu = float(rng.uniform(-0.95, 0.95))
         kp = float(rng.uniform(-5.0, 5.0))
         ki = float(rng.uniform(1e-3, 2.0))
-        errors = rng.uniform(-10.0, 10.0, size=1000)
-        cfg = nx.NuPIConfig(nu=nu, kp=kp, ki=ki)
-        state = nx.make_dual_state(cfg, [0.0])
-        xi = errors[0]
-        running = 0.0
-        for t, e in enumerate(errors):
-            state = nx.checked_dual_step(state, cfg, [e])
-            if t >= 1:
-                xi = nu * xi + (1.0 - nu) * e
-            running += e
-            cumulative = kp * xi + ki * running
-            worst = max(worst, abs(state.theta[0] - cumulative))
-    _report(3, "cumulative vs recursive nuPI forms", worst <= 1e-9,
+        draws.append(((nu, kp, ki), rng.uniform(-10.0, 10.0, size=1000)))
+    # One recursion over every draw: column k steps with draw k's gains.
+    gains, errors = _stacked(draws)
+    nu, kp, ki = gains.T
+    cfg = nx.NuPIConfig(nu=gains[:, :1], kp=gains[:, 1:2], ki=gains[:, 2:])
+    state = nx.make_dual_state(cfg, np.zeros((len(draws), 1)))
+    scalar_draws = (0, 1, 99)  # also stepped one at a time, which must agree bit for bit
+    columns = np.empty((errors.shape[1], len(scalar_draws)))
+    xi = errors[:, 0]
+    running = np.zeros(len(draws))
+    worst = 0.0
+    for t in range(errors.shape[1]):
+        e = errors[:, t]
+        state = nx.checked_dual_step(state, cfg, e[:, None])
+        if t >= 1:
+            xi = nu * xi + (1.0 - nu) * e
+        running = running + e
+        cumulative = kp * xi + ki * running
+        worst = max(worst, float(np.max(np.abs(state.theta[:, 0] - cumulative))))
+        columns[t] = state.theta[list(scalar_draws), 0]
+    exact = _columns_match_scalar_steps(lambda nu, kp, ki: nx.NuPIConfig(nu=nu, kp=kp, ki=ki),
+                                        draws, columns, scalar_draws)
+    _report(3, "cumulative vs recursive nuPI forms", worst <= 1e-9 and exact,
             f"max |diff| = {worst:.2e}")
 
 

@@ -580,3 +580,43 @@ def test_svm_columns_diverging_between_records_match_run():
         assert _same(column.final.lam, traj.final.lam) and _same(column.overshoot, traj.overshoot)
         between_records += traj.final.t % 7 != 0 and traj.overshoot > 1e100
     assert between_records >= 3
+
+
+def _split_plane():
+    # f = a^2 / 2 on the first coordinate and h = b on the second; every
+    # callable takes one point or a stack
+    return ConstrainedProblem(
+        dim_primal=2, num_ineq=0, num_eq=1,
+        eval_objective=lambda x: 0.5 * x[..., 0] * x[..., 0],
+        eval_objective_grad=lambda x: x * np.array([1.0, 0.0]),
+        eval_ineq=lambda x: x[..., :0],
+        eval_eq=lambda x: x[..., 1:],
+        eval_constraint_jacobian=lambda x: np.array([[0.0], [1.0]]),
+    )
+
+
+def test_columns_stopping_together_match_run():
+    # The primal step 11 multiplies a by -10, so f overflows at t = 10 from
+    # a0 = 1e145. With b0 = 0 nothing moves theta, and the tolerance streak
+    # completes at t = 10 too: row 0 stops there on both rules (non-finite
+    # wins), row 1 on tolerance alone. Row 2's ki = 1e27 overflows b in the
+    # primal step of t = 10, row 3 runs to max_steps, and row 4 is row 0
+    # with b0 = 1, whose violation keeps the streak at zero.
+    problem = _split_plane()
+    x0 = np.array([[1e145, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1e145, 1.0]])
+    ki = np.array([[1.0], [1.0], [1e27], [0.01], [0.01]])
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=50,
+                        dual_optimizer=NuPIConfig(nu=0.0, kp=0.0, ki=ki),
+                        primal_optimizer=gd(11.0), stop_tolerance=1e-3)
+    columns = loop._run_columns(problem, x0, np.zeros(1), config, len(x0))
+    non_finite, tolerance = TerminationReason.NON_FINITE, TerminationReason.TOLERANCE
+    assert [(c.terminated_reason, c.final.t) for c in columns] == [
+        (non_finite, 10), (tolerance, 10), (non_finite, 11),
+        (TerminationReason.MAX_STEPS, 50), (non_finite, 10)]
+    for k, column in enumerate(columns):
+        traj = run(problem, x0[k], np.zeros(1), dataclasses.replace(
+            config, dual_optimizer=NuPIConfig(nu=0.0, kp=0.0, ki=float(ki[k, 0]))))
+        assert (column.terminated_reason, column.final.t) == (traj.terminated_reason, traj.final.t)
+        for name in ("x", "f", "g", "h", "lam", "mu", "lagrangian"):
+            assert _same(getattr(column.final, name), getattr(traj.final, name)), (k, name)
+        assert _same(column.overshoot, traj.overshoot), k

@@ -291,6 +291,16 @@ class TestStackedEvaluation:
         _assert_rows_are_one_point_calls(build_qp_problem(sys), data.draw(_stacks(n)))
 
 
+@pytest.mark.parametrize("x", [[0.1, 0.2], [[0.1, 0.2], [-1.5, 3.0]]], ids=["point", "stack"])
+def test_accessors_take_lists(x):
+    # The raw callables need ndarrays; the checked accessors convert a list.
+    problem = build_2d_benchmark()
+    for accessor in (problem.constraints, problem.constraint_jacobian):
+        from_list, from_array = accessor(x), accessor(np.array(x))
+        assert from_list.shape == from_array.shape
+        assert from_list.tobytes() == from_array.tobytes()
+
+
 class TestLoadDatasetCsv:
     def test_small_file(self, tmp_path):
         path = tmp_path / "d.csv"
