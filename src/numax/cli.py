@@ -236,10 +236,9 @@ def _compute_metric(metric: str, result, lambda_star) -> float:
     final = result.final
     if metric == "dist_to_lambda_star":
         return float(np.linalg.norm(final.lam - lambda_star))
-    if metric == "max_violation":
-        viol_g = float(np.max(np.maximum(final.g, 0.0), initial=0.0))
-        viol_h = float(np.max(np.abs(final.h), initial=0.0))
-        return max(viol_g, viol_h)
+    if metric == "max_violation":  # one np.max, so a NaN in g or h is not dropped
+        return float(np.max(np.concatenate([np.maximum(final.g, 0.0), np.abs(final.h)]),
+                            initial=0.0))
     return max(0.0, result.overshoot)  # 0.0 beats -0.0 and -inf
 
 
@@ -339,19 +338,19 @@ def cmd_grid(args) -> int:
             bundle.problem, bundle.x0, np.zeros(bundle.problem.num_constraints),
             replace(loop_config, dual_optimizer=NuPIConfig(kp=gains[0], ki=gains[1], nu=gains[2])),
             len(cells))
-        values = [_compute_metric(metric, result, lambda_star) for result in results]
-        notes = [""] * len(cells)
+        rows = [(*cell, _compute_metric(metric, result, lambda_star),
+                 result.terminated_reason is TerminationReason.NON_FINITE, "")
+                for cell, result in zip(cells, results)]
     except Exception as exc:  # recorded in-row
-        values, notes = [math.nan] * len(cells), [f"{type(exc).__name__}: {exc}"] * len(cells)
-    rows = [(*cell, value, int(not math.isfinite(value) or value > 1e3), note)
-            for cell, value, note in zip(cells, values, notes)]
+        rows = [(*cell, math.nan, True, f"{type(exc).__name__}: {exc}") for cell in cells]
 
     grid_path = out_dir / "grid.csv"
     with open(grid_path, "w") as fh:
         fh.write(f"# grid over kp x ki x nu, metric = {metric}; "
                  "diverged_flag = 1 when the metric exceeds 1e3 or the run failed\n")
         fh.write(",".join(_GRID_COLUMNS) + "\n")
-        for kp, ki, nu, value, diverged, note in rows:
+        for kp, ki, nu, value, failed, note in rows:
+            diverged = int(failed or not math.isfinite(value) or value > 1e3)
             fh.write(f"{kp:.17g},{ki:.17g},{nu:.17g},{value:.17g},{diverged}\n")
             if note:
                 print(f"cell kp={kp} ki={ki} nu={nu} failed: {note}", file=sys.stderr)

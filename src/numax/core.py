@@ -204,8 +204,10 @@ def _project_theta(theta: np.ndarray, num_ineq: int) -> np.ndarray:
 
 
 # Central differences with per-coordinate step 1e-6 * max(1, |x_i|): the
-# standard truncation/roundoff compromise for float64.
+# standard truncation/roundoff compromise for float64. `validate_gradients`
+# passes a relative error of at most _GRADIENT_CHECK_TOLERANCE.
 FD_REL_STEP = 1e-6
+_GRADIENT_CHECK_TOLERANCE = 1e-5
 
 
 def central_difference_gradient(func: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
@@ -273,15 +275,16 @@ def seeded_rng(seed: int) -> np.random.Generator:
 # Overflow at a sampled point is reported as a failure; suppress the numpy
 # warnings it would otherwise emit.
 @np.errstate(over="ignore", invalid="ignore")
-def validate_gradients(problem: ConstrainedProblem, num_points: int, seed: int,
-                       tolerance: float = 1e-5) -> GradientCheckReport:
+def validate_gradients(problem: ConstrainedProblem, num_points: int,
+                       seed: int) -> GradientCheckReport:
     """Check analytic gradients/Jacobians against central differences at
-    random points. Passes iff the max relative error is <= tolerance and all
-    sampled evaluations, analytic and finite-difference, are finite."""
+    random points. Passes iff the max relative error is at most the report's
+    `tolerance`, 1e-5, and all sampled evaluations, analytic and
+    finite-difference, are finite."""
     if num_points < 1:
         raise ConfigurationError(f"num_points must be >= 1, got {num_points}")
     rng = seeded_rng(seed)
-    report = GradientCheckReport(num_points=num_points, tolerance=tolerance)
+    report = GradientCheckReport(num_points=num_points, tolerance=_GRADIENT_CHECK_TOLERANCE)
     for k in range(num_points):
         x = rng.standard_normal(problem.dim_primal)
         f = float(problem.eval_objective(x))

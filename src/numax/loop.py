@@ -22,11 +22,13 @@ likewise reset inequality multipliers without touching xi.
 
 One loop, `_descent_ascent`, owns the iteration order, the primal step and
 every stop rule, for one point or for K rows of stacked arrays in lockstep;
-a keeper says what is kept. `run` steps one point, and its keeper appends
-every record. `_run_columns`, which `numax grid` calls, steps K cells of
-one problem with per-row nuPI gains; its keeper folds each row's overshoot
-and keeps its final record and stop reason, bit for bit what `run` of that
-cell gives, and a row that stops is dropped from the arrays.
+a keeper says what is kept. `run` steps one point, and its keeper is the
+`Records` it returns, which appends every record and notes the stop
+reason. `_run_columns`, which `numax grid` calls, steps K cells of one
+problem with per-row nuPI gains; its keeper folds each row's overshoot and
+appends the final record of each row that stops to one `Records`, with its
+stop reason, so a cell ends bit for bit as `run` of that cell does; a row
+that stops is dropped from the arrays.
 
 Every rule the loop applies has one copy elsewhere. `core` holds the
 checked accessors for c(x) and its Jacobian, the Lagrangian
@@ -37,9 +39,9 @@ Adam moment update (`adam_moments`), which the primal Adam also uses.
 Projection and restarts both act on the stacked theta.
 
 The dual state is advanced in place and the projected (and restarted) theta
-written back into it. Records fill columns (`Records`) that grow by doubling,
-which `Trajectory.steps` reads as `StepRecord` views and the CSV writer in
-blocks.
+written back into it. Records fill columns (`Records`, the one record
+builder) that grow by doubling, which `Trajectory.steps` reads as
+`StepRecord` views and the CSV writer in blocks.
 """
 
 from __future__ import annotations
@@ -142,14 +144,16 @@ _RECORDS_INITIAL_ROWS = 1 << 16
 
 
 class Records(Sequence):
-    """A run's records as columns; rows [0, len) are filled. Item i is a
-    `StepRecord` whose arrays are views of row i."""
+    """Records as columns, and the only code that builds one; rows [0, len)
+    are filled, and item i is a `StepRecord` whose arrays are views of row i.
+    As `run`'s keeper it is about one point: `keep` appends a record, and
+    `finish` notes in `reason` why the run stopped."""
 
     _COLUMNS = ("t", "f", "lagrangian", "x", "c", "theta")
 
     def __init__(self, rows: int, dim_primal: int, num_ineq: int, num_eq: int):
         rows = min(rows, _RECORDS_INITIAL_ROWS)
-        self.num_ineq, self.size = num_ineq, 0
+        self.num_ineq, self.size, self.reason = num_ineq, 0, None
         self.t = np.empty(rows, dtype=np.int64)
         self.f, self.lagrangian = np.empty(rows), np.empty(rows)
         self.x = np.empty((rows, dim_primal))
@@ -167,6 +171,13 @@ class Records(Sequence):
         self.t[i], self.f[i], self.x[i], self.c[i], self.theta[i] = t, f, x, c, theta
         self.lagrangian[i] = lagrangian_value(f, c[:m], c[m:], theta[:m], theta[m:])
         self.size = i + 1
+
+    def keep(self, rows, t, x, f, c, theta) -> None:
+        self.append(t, x, f, c, theta)
+
+    def finish(self, rows, t, x, f, c, theta, reason) -> None:
+        if rows:
+            self.reason = reason
 
     def __len__(self) -> int:
         return self.size
@@ -352,34 +363,19 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
     return config.max_steps + 1
 
 
-class _Recorder:
-    """`run`'s keeper: every record goes to `records`, and `reason` notes
-    why the run stopped. It holds one point, which each call is about."""
-
-    def __init__(self, records: Records):
-        self.records, self.reason = records, None
-
-    def keep(self, rows, t, x, f, c, theta):
-        self.records.append(t, x, f, c, theta)
-
-    def finish(self, rows, t, x, f, c, theta, reason):
-        if rows:
-            self.reason = reason
-
-
 def run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig) -> Trajectory:
     """Descent-ascent from x0 and the stacked multipliers theta0 = [lam, mu]
     under `config.scheme`: the alternating primal step sees the freshly
     updated multipliers, the simultaneous one the pre-update multipliers."""
     x, theta0 = _checked_start(problem, x0, theta0)
-    keeper = _Recorder(Records(config.max_steps // config.record_every + 2, problem.dim_primal,
-                               problem.num_ineq, problem.num_eq))
-    evaluations = _descent_ascent(problem, x, theta0, config, keeper)
-    primal_steps = keeper.records[-1].t  # the final record's step is the primal steps taken
+    records = Records(config.max_steps // config.record_every + 2, problem.dim_primal,
+                      problem.num_ineq, problem.num_eq)
+    evaluations = _descent_ascent(problem, x, theta0, config, records)
+    primal_steps = records[-1].t  # the final record's step is the primal steps taken
     counters = {"objective": evaluations, "ineq": evaluations, "eq": evaluations,
                 "objective_grad": primal_steps,
                 "jacobian": primal_steps if problem.num_constraints else 0}
-    return Trajectory(steps=keeper.records, terminated_reason=keeper.reason, counters=counters)
+    return Trajectory(steps=records, terminated_reason=records.reason, counters=counters)
 
 
 def _overshoot(g: np.ndarray, running=-np.inf):
@@ -393,8 +389,9 @@ def _overshoot(g: np.ndarray, running=-np.inf):
 
 @dataclass(frozen=True)
 class _Cell:
-    """What `_run_columns` keeps of one column: its final record, why it
-    stopped, and `Trajectory.overshoot` of the records `run` would keep."""
+    """What `_run_columns` keeps of one column: its final record, a row of
+    `_Columns.finals`, why it stopped, and `Trajectory.overshoot` of the
+    records `run` would keep."""
 
     final: StepRecord
     terminated_reason: TerminationReason
@@ -403,24 +400,22 @@ class _Cell:
 
 class _Columns:
     """`_run_columns`'s keeper: each row's running `_overshoot` over the
-    records `run` would keep, the `_Cell` of each row that stops, and the
-    column each remaining row came from."""
+    records `run` would keep, the column each remaining row came from, and
+    `finals`, one `Records` holding the final record of each row that stops,
+    which the row's `_Cell` in `cells` wraps."""
 
-    def __init__(self, cells: int, num_ineq: int):
-        self.m, self.column, self.over = num_ineq, np.arange(cells), np.full(cells, -np.inf)
+    def __init__(self, cells: int, problem: ConstrainedProblem):
+        self.m, self.column, self.over = problem.num_ineq, np.arange(cells), np.full(cells, -np.inf)
+        self.finals = Records(cells, problem.dim_primal, problem.num_ineq, problem.num_eq)
         self.cells = [None] * cells
 
     def keep(self, rows, t, x, f, c, theta):
         self.over = np.where(rows, _overshoot(c[:, None, :self.m], self.over), self.over)
 
     def finish(self, rows, t, x, f, c, theta, reason):
-        m = self.m
         for i in np.flatnonzero(rows):
-            final = StepRecord(t=t, x=x[i], f=float(f[i]), g=c[i, :m], h=c[i, m:],
-                               lam=theta[i, :m], mu=theta[i, m:],
-                               lagrangian=lagrangian_value(float(f[i]), c[i, :m], c[i, m:],
-                                                           theta[i, :m], theta[i, m:]))
-            self.cells[self.column[i]] = _Cell(final, reason, float(self.over[i]))
+            self.finals.append(t, x[i], f[i], c[i], theta[i])
+            self.cells[self.column[i]] = _Cell(self.finals[-1], reason, float(self.over[i]))
 
     def drop(self, rows):
         self.column, self.over = self.column[rows], self.over[rows]
@@ -440,7 +435,7 @@ def _run_columns(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
     callables must accept stacks of points, as the built-in problems' do.
     """
     x, theta = _checked_start(problem, x0, theta0, (cells,))
-    keeper = _Columns(cells, problem.num_ineq)
+    keeper = _Columns(cells, problem)
     _descent_ascent(problem, x, theta, config, keeper)
     return keeper.cells
 

@@ -182,8 +182,10 @@ def _svm_kkt_residual(X, y, lam, w, b) -> float:
     )
 
 
-def svm_dual_oracle(data: SvmDataset, tol: float = 1e-8,
-                    max_pgd_iters: int = 20000) -> SvmSolution:
+_SVM_KKT_TOL = 1e-8  # the KKT residual the SVM dual oracle's polish must reach
+
+
+def svm_dual_oracle(data: SvmDataset, max_pgd_iters: int = 20000) -> SvmSolution:
     """Reference solution of the SVM dual QP
 
         max  sum(lam) - 1/2 || sum_i lam_i y_i x_i ||^2
@@ -191,10 +193,10 @@ def svm_dual_oracle(data: SvmDataset, tol: float = 1e-8,
 
     via accelerated projected gradient and an active-set polish that solves
     the support-vector KKT system exactly. The polish is tried every 200
-    iterations; the first one whose KKT residual is at most tol is returned.
+    iterations, and the first one within `_SVM_KKT_TOL` is returned.
     Independent of the descent-ascent loop. Raises if the data is not
     linearly separable (the dual is unbounded) or the polish after the last
-    iteration cannot drive the KKT residual below tol.
+    iteration cannot drive the KKT residual below it.
     """
     X, y = data.points, data.labels
     Q = (y[:, None] * y[None, :]) * (X @ X.T)
@@ -220,10 +222,10 @@ def svm_dual_oracle(data: SvmDataset, tol: float = 1e-8,
                 continue  # the polish depends only on the start set: it would fail again
             tried = support
             try:
-                return _polish_support(X, y, Q, support, tol)
+                return _polish_support(X, y, Q, support, _SVM_KKT_TOL)
             except ConfigurationError:
                 pass  # the iterates are not yet close enough to lambda*
-    return _polish_support(X, y, Q, lam > 1e-6 * max(1.0, float(np.max(lam))), tol)
+    return _polish_support(X, y, Q, lam > 1e-6 * max(1.0, float(np.max(lam))), _SVM_KKT_TOL)
 
 
 def _polish_support(X, y, Q, support, tol) -> SvmSolution:

@@ -6,9 +6,11 @@ another in this process, and the rows are written as `cmd_grid` writes
 `_cell` is the per-cell worker the grid used to send to its process pool,
 and `_metric` the metric rules as they read a whole `Trajectory` (the
 overshoot over every record's g); both are kept verbatim apart from their
-names. The settings are read through the CLI's own converters, so only the
-cell loop, the metrics and the row writer are this module's own. Test-only
-code.
+names and two later rule changes that `cmd_grid` shares: a cell whose run
+ended non-finite is flagged whatever its metric, and `max_violation` keeps
+a NaN in g or h. The settings are read through the CLI's own converters,
+so only the cell loop, the metrics and the row writer are this module's
+own. Test-only code.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from numax import NuPIConfig, run, svm_dual_oracle
+from numax import NuPIConfig, TerminationReason, run, svm_dual_oracle
 from numax.cli import _FLOATS, _INT, _build_problem, _dual_config, _loop_config, _setting
 
 
@@ -27,10 +29,9 @@ def _metric(metric: str, trajectory, lambda_star) -> float:
     final = trajectory.final
     if metric == "dist_to_lambda_star":
         return float(np.linalg.norm(final.lam - lambda_star))
-    if metric == "max_violation":
-        viol_g = float(np.max(np.maximum(final.g, 0.0), initial=0.0))
-        viol_h = float(np.max(np.abs(final.h), initial=0.0))
-        return max(viol_g, viol_h)
+    if metric == "max_violation":  # a NaN in g or h propagates
+        return float(np.max(np.concatenate([np.maximum(final.g, 0.0), np.abs(final.h)]),
+                            initial=0.0))
     # overshoot, as a running max() over records: rows with a NaN are skipped, 0.0 beats -0.0
     per_record = np.max(np.maximum(-trajectory.column("g"), 0.0), axis=1, initial=-np.inf)
     return max(0.0, float(np.max(per_record[~np.isnan(per_record)], initial=0.0)))
@@ -46,7 +47,8 @@ def _cell(config, seed, loop_config, cell, metric, lambda_star):
         value = _metric(metric, trajectory, lambda_star)
     except Exception as exc:  # recorded in-row, grid continues
         return (kp, ki, nu, float("nan"), 1, f"{type(exc).__name__}: {exc}")
-    diverged = 1 if (not math.isfinite(value) or value > 1e3) else 0
+    failed = trajectory.terminated_reason is TerminationReason.NON_FINITE
+    diverged = 1 if (failed or not math.isfinite(value) or value > 1e3) else 0
     return (kp, ki, nu, value, diverged, "")
 
 

@@ -12,6 +12,7 @@ from scipy.linalg import expm
 
 import numax as nx
 from numax.analysis import flow_initial_state, flow_state_matrix
+from numax.loop import _run_columns
 
 SPLIT_SEED = 4  # documented split choice; see README (dataset section)
 
@@ -201,28 +202,32 @@ def test_criterion_4_svm_grid(iris_split, iris_oracle):
     ki_values = np.logspace(-3.5, 0.0, 8)
     kp_values = [0.0, 1.0, 10.0, 100.0]
 
+    # One recursion over every (kp, ki) cell, a column each; the column driver
+    # ends each cell bit for bit as `nx.run` with the cell's gains does.
+    cells = [(kp, float(ki)) for kp in kp_values for ki in ki_values]
+    kp_column, ki_column = np.array(cells).T[:, :, None]  # each of shape (cells, 1)
+    config = nx.LoopConfig(scheme=nx.Scheme.ALTERNATING, max_steps=5000,
+                           dual_optimizer=nx.NuPIConfig(nu=0.0, kp=kp_column, ki=ki_column),
+                           primal_optimizer=primal, record_every=5000)
+    results = _run_columns(problem, np.zeros(problem.dim_primal), np.zeros(problem.num_ineq),
+                           config, len(cells))
+
     nupi_hits = 0
     ga_hits = 0
     accuracy_ok = True
-    for kp in kp_values:
-        for ki in ki_values:
-            config = nx.LoopConfig(scheme=nx.Scheme.ALTERNATING, max_steps=5000,
-                                   dual_optimizer=nx.NuPIConfig(nu=0.0, kp=kp, ki=float(ki)),
-                                   primal_optimizer=primal, record_every=5000)
-            traj = nx.run(problem, np.zeros(problem.dim_primal), np.zeros(problem.num_ineq),
-                          config)
-            with np.errstate(over="ignore", invalid="ignore"):  # divergent cells -> inf
-                dist = float(np.linalg.norm(traj.final.lam - lam_star))
-            hit = np.isfinite(dist) and dist <= threshold
-            if kp == 0.0:
-                ga_hits += hit
-            else:
-                nupi_hits += hit
-            diverged = (not np.isfinite(dist)) or dist > 1e3
-            if not diverged:
-                acc = nx.svm_train_accuracy(train, traj.final.x[:-1], float(traj.final.x[-1]))
-                if acc < 1.0:
-                    accuracy_ok = False
+    for (kp, _), result in zip(cells, results):
+        with np.errstate(over="ignore", invalid="ignore"):  # divergent cells -> inf
+            dist = float(np.linalg.norm(result.final.lam - lam_star))
+        hit = np.isfinite(dist) and dist <= threshold
+        if kp == 0.0:
+            ga_hits += hit
+        else:
+            nupi_hits += hit
+        diverged = (not np.isfinite(dist)) or dist > 1e3
+        if not diverged:
+            acc = nx.svm_train_accuracy(train, result.final.x[:-1], float(result.final.x[-1]))
+            if acc < 1.0:
+                accuracy_ok = False
     elapsed = time.monotonic() - start
     _report(4, "SVM grid: nuPI recovers lambda*, GA row does not",
             nupi_hits >= 1 and ga_hits == 0 and accuracy_ok and elapsed < 300.0,

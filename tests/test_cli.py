@@ -245,6 +245,29 @@ class TestGrid:
         rows = read_grid_csv(out / "grid.csv")
         assert rows[0][4] == 1
 
+    def test_non_finite_cells_flagged(self, tmp_path):
+        # Each cell's run ends non-finite while its metric reads finite or NaN.
+        blowup = ["--problem.kind", "benchmark2d", "--problem.x0", "2,0",
+                  "--loop.max_steps", "50", "--grid.ki", "1e308"]
+        cases = [["--problem.kind", "svm", "--loop.primal_kind", "gd", "--loop.max_steps", "200",
+                  "--loop.primal_step_size", "1e300", "--grid.ki", "1e-3",
+                  "--run.metric", "dist_to_lambda_star"],
+                 [*blowup, "--run.metric", "max_violation"],
+                 [*blowup, "--run.metric", "overshoot"]]
+        for k, settings in enumerate(cases):
+            settings = [*settings, "--run.seed", "0", "--grid.kp", "0"]
+            grid_dir, run_dir = tmp_path / f"grid{k}", tmp_path / f"run{k}"
+            assert main(["grid", "--output-dir", str(grid_dir), *settings]) == 0
+            [(_, _, _, value, flag)] = read_grid_csv(grid_dir / "grid.csv")
+            assert flag == 1
+            cell = [arg.replace("--grid.", "--dual.") for arg in settings]
+            assert main(["run", "--output-dir", str(run_dir), *cell]) == 3
+            summary = json.loads((run_dir / "summary.json").read_text())
+            assert summary["terminated_reason"] == "non-finite"
+            np.testing.assert_equal(value, summary["metric_value"])
+            if "max_violation" in settings:  # the final h is NaN
+                assert math.isnan(value) and math.isnan(summary["max_violation"])
+
     def test_raising_run_flags_every_row(self, tmp_path, capsys, monkeypatch):
         def boom(*_args):
             raise ValueError("boom")
