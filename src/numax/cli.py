@@ -242,6 +242,14 @@ def _compute_metric(metric: str, result, lambda_star) -> float:
     return max(0.0, result.overshoot)  # 0.0 beats -0.0 and -inf
 
 
+def _json_value(value):
+    """A summary value as strict JSON: a non-finite float becomes the
+    string "nan", "inf" or "-inf", the CSVs' spelling, which float() reads."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
 def _echo_config(config, path: Path) -> None:
     lines = []
     for section in sorted(config):
@@ -299,7 +307,9 @@ def cmd_run(args) -> int:
     summary["metric_value"] = _compute_metric(metric, trajectory, lambda_star)
 
     write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (out_dir / "summary.json").write_text(json.dumps(
+        {key: _json_value(value) for key, value in summary.items()},
+        indent=2, sort_keys=True, allow_nan=False) + "\n")
     _echo_config(config, out_dir / "resolved_config.txt")
     print(f"run complete: {out_dir / 'summary.json'}")
     for key in sorted(summary):

@@ -10,7 +10,7 @@ module indexes by this contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -90,12 +90,21 @@ class ConstrainedProblem:
     constraints, shape (dim_primal, num_ineq + num_eq): column j is the
     gradient of the j-th entry of c(x) = [g(x), h(x)].
 
+    Two optional callables fuse what the loop needs at each step:
+    eval_values(x) -> (f(x), c(x)) and eval_primal_gradient(x, theta) ->
+    grad f(x) + Jc(x) @ theta. `values` and `primal_gradient`, the loop's
+    one evaluation path, use them when given and otherwise compose the five
+    callables; `check_fused` checks at a start point that both ways agree bit
+    for bit. A fused callable may share subexpressions, but only through the
+    same float operations in the same order as the five callables.
+
     All callables must be re-entrant; instances are immutable after
     construction and safe to share across threads. The built-in problems'
     callables also take a stack of points x of shape (K, dim_primal) and
     return one result per row, each bit for bit the one-point result; the
-    checked accessors below and `_primal_gradient` accept such stacks too.
-    The callables take ndarrays; the accessors also take lists.
+    checked accessors and the evaluation path below accept such stacks too.
+    The callables and the evaluation path take ndarrays; the accessors also
+    take lists.
     """
 
     dim_primal: int
@@ -106,6 +115,8 @@ class ConstrainedProblem:
     eval_ineq: Callable[[np.ndarray], np.ndarray]
     eval_eq: Callable[[np.ndarray], np.ndarray]
     eval_constraint_jacobian: Callable[[np.ndarray], np.ndarray]
+    eval_values: Callable[[np.ndarray], tuple] | None = None
+    eval_primal_gradient: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim_primal < 1:
@@ -142,15 +153,56 @@ class ConstrainedProblem:
                 f"constraint Jacobian must have shape {expected}, got {jac.shape}")
         return jac
 
+    def values(self, x: np.ndarray) -> tuple:
+        """(f(x), c(x)): f a float for one point and a vector for a stack, c
+        checked like `constraints`. From `eval_values` when given, else from
+        eval_objective and `constraints`."""
+        if self.eval_values is None:
+            f, c = self.eval_objective(x), self.constraints(x)
+        else:
+            f, c = self.eval_values(x)
+            c = as_vector(c, self.num_constraints, "c(x)", x.shape[:-1])
+        return (float(f) if x.ndim == 1 else as_vector(f, len(x), "f(x)")), c
 
-def lagrangian_value(f: float, g: np.ndarray, h: np.ndarray,
-                     lam: np.ndarray, mu: np.ndarray) -> float:
-    """f + lam . g + mu . h from already evaluated values, summed in that order."""
+    def primal_gradient(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """grad f(x) + Jc(x) @ theta for stacked theta = [lam, mu], or row by
+        row for a stack of points x (K, dim_primal) and theta (K,
+        num_constraints). From `eval_primal_gradient` when given, else from
+        eval_objective_grad and `constraint_jacobian`."""
+        lead = x.shape[:-1]
+        if self.eval_primal_gradient is not None:
+            return as_vector(self.eval_primal_gradient(x, theta), self.dim_primal,
+                             "grad_x L(x, theta)", lead)
+        grad = as_vector(self.eval_objective_grad(x), self.dim_primal, "grad f(x)", lead)
+        if self.num_constraints == 0:
+            return grad
+        return grad + np.matvec(self.constraint_jacobian(x), theta)
+
+    def check_fused(self, x: np.ndarray, theta: np.ndarray) -> None:
+        """Raise ConfigurationError unless `values` and `primal_gradient` at x
+        and theta equal, bit for bit, what the five callables give there. A
+        problem without fused callables passes without an evaluation."""
+        if self.eval_values is None and self.eval_primal_gradient is None:
+            return
+        five = replace(self, eval_values=None, eval_primal_gradient=None)
+        fused = (*self.values(x), self.primal_gradient(x, theta))
+        composed = (*five.values(x), five.primal_gradient(x, theta))
+        for name, a, b in zip(("f(x)", "c(x)", "grad_x L(x, theta)"), fused, composed):
+            if np.asarray(a).tobytes() != np.asarray(b).tobytes():
+                raise ConfigurationError(
+                    f"the problem's fused {name} differs from its five callables' at the start")
+
+
+def lagrangian_value(f, g: np.ndarray, h: np.ndarray, lam: np.ndarray, mu: np.ndarray):
+    """f + lam . g + mu . h from already evaluated values, summed in that
+    order: one value, or one per row of stacked blocks (an empty block adds
+    nothing, so f = -0.0 stays -0.0). The dot products are `np.vecdot`, whose
+    rows equal `lam @ g` bit for bit."""
     value = f
-    if lam.size:
-        value += float(lam @ g)
-    if mu.size:
-        value += float(mu @ h)
+    if lam.shape[-1]:
+        value = value + np.vecdot(lam, g)
+    if mu.shape[-1]:
+        value = value + np.vecdot(mu, h)
     return value
 
 
@@ -160,23 +212,14 @@ def evaluate_lagrangian(problem: ConstrainedProblem, x, theta) -> float:
     theta = as_vector(theta, problem.num_constraints, "theta")
     c = problem.constraints(x)
     m = problem.num_ineq
-    return lagrangian_value(float(problem.eval_objective(x)), c[:m], c[m:], theta[:m], theta[m:])
-
-
-def _primal_gradient(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """grad f(x) + Jc(x) @ theta for a checked x and stacked theta = [lam, mu],
-    or row by row for a stack of points x (K, dim_primal) and theta (K, num_constraints)."""
-    grad = as_vector(problem.eval_objective_grad(x), problem.dim_primal, "grad f(x)",
-                     x.shape[:-1])
-    if problem.num_constraints == 0:
-        return grad
-    return grad + np.matvec(problem.constraint_jacobian(x), theta)
+    return float(lagrangian_value(float(problem.eval_objective(x)), c[:m], c[m:],
+                                  theta[:m], theta[m:]))
 
 
 def lagrangian_primal_gradient(problem: ConstrainedProblem, x, theta) -> np.ndarray:
     """grad_x L = grad f(x) + Jc(x) @ theta, with theta = [lam, mu]."""
     x = as_vector(x, problem.dim_primal, "x")
-    return _primal_gradient(problem, x, as_vector(theta, problem.num_constraints, "theta"))
+    return problem.primal_gradient(x, as_vector(theta, problem.num_constraints, "theta"))
 
 
 def project_theta(theta, num_ineq: int) -> np.ndarray:
@@ -199,6 +242,8 @@ def _project_theta(theta: np.ndarray, num_ineq: int) -> np.ndarray:
     0 it returns theta itself."""
     if num_ineq == 0:
         return theta
+    if num_ineq == theta.shape[-1]:  # inequalities only: no block to keep
+        return np.where(theta > 0.0, theta, 0.0)
     lam = theta[..., :num_ineq]
     return np.concatenate([np.where(lam > 0.0, lam, 0.0), theta[..., num_ineq:]], axis=-1)
 

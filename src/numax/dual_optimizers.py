@@ -178,6 +178,8 @@ def apply_dual_restarts(theta: np.ndarray, num_ineq: int, ineq_violation) -> np.
     satisfied), like `core.project_theta` on stacked theta; theta[num_ineq:] is kept.
     A stack of multipliers (K, n) takes a stack of violations (K, num_ineq)."""
     g = as_vector(ineq_violation, num_ineq, "violation vector", theta.shape[:-1])
+    if num_ineq == theta.shape[-1]:  # inequalities only: no block to keep
+        return np.where(g < 0.0, 0.0, theta)
     return np.concatenate([np.where(g < 0.0, 0.0, theta[..., :num_ineq]),
                            theta[..., num_ineq:]], axis=-1)
 

@@ -31,17 +31,23 @@ stop reason, so a cell ends bit for bit as `run` of that cell does; a row
 that stops is dropped from the arrays.
 
 Every rule the loop applies has one copy elsewhere. `core` holds the
-checked accessors for c(x) and its Jacobian, the Lagrangian
-(`lagrangian_value`), its primal gradient (`_primal_gradient`) and the
-projection (`_project_theta`, the unchecked form of `project_theta`);
-`dual_optimizers` holds the multiplier updates, the dual restarts and the
-Adam moment update (`adam_moments`), which the primal Adam also uses.
-Projection and restarts both act on the stacked theta.
+problem's evaluation path, `ConstrainedProblem.values` (f and c) and
+`primal_gradient` (grad f + Jc theta), which use the problem's fused
+callables when it has them and otherwise compose its five; the Lagrangian
+(`lagrangian_value`); and the projection (`_project_theta`, the unchecked
+form of `project_theta`). `dual_optimizers` holds the multiplier updates,
+the dual restarts and the Adam moment update (`adam_moments`), which the
+primal Adam also uses. Projection and restarts both act on the stacked
+theta. Before the first step the loop checks, through
+`ConstrainedProblem.check_fused`, that the fused callables give at the
+start point bit for bit what the five give.
 
 The dual state is advanced in place and the projected (and restarted) theta
 written back into it. Records fill columns (`Records`, the one record
 builder) that grow by doubling, which `Trajectory.steps` reads as
-`StepRecord` views and the CSV writer in blocks.
+`StepRecord` views and the CSV writer in blocks. The Lagrangian column is
+not written per step: reading it fills the new rows in one
+`lagrangian_value` pass.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ import numpy as np
 from .core import (
     ConfigurationError,
     ConstrainedProblem,
-    _primal_gradient,
     _project_theta,
     as_vector,
     lagrangian_value,
@@ -147,21 +152,25 @@ class Records(Sequence):
     """Records as columns, and the only code that builds one; rows [0, len)
     are filled, and item i is a `StepRecord` whose arrays are views of row i.
     As `run`'s keeper it is about one point: `keep` appends a record, and
-    `finish` notes in `reason` why the run stopped."""
+    `finish` notes in `reason` why the run stopped.
 
-    _COLUMNS = ("t", "f", "lagrangian", "x", "c", "theta")
+    The Lagrangian column is not written by `append`: reading it fills the
+    rows appended since the last read in one `lagrangian_value` pass, bit
+    for bit what that rule gives row by row."""
+
+    _COLUMNS = ("t", "f", "_lagrangian", "x", "c", "theta")
 
     def __init__(self, rows: int, dim_primal: int, num_ineq: int, num_eq: int):
         rows = min(rows, _RECORDS_INITIAL_ROWS)
-        self.num_ineq, self.size, self.reason = num_ineq, 0, None
+        self.num_ineq, self.size, self.filled, self.reason = num_ineq, 0, 0, None
         self.t = np.empty(rows, dtype=np.int64)
-        self.f, self.lagrangian = np.empty(rows), np.empty(rows)
+        self.f, self._lagrangian = np.empty(rows), np.empty(rows)
         self.x = np.empty((rows, dim_primal))
         self.c = np.empty((rows, num_ineq + num_eq))  # [g, h]
         self.theta = np.empty((rows, num_ineq + num_eq))  # [lam, mu]
 
     def append(self, t: int, x: np.ndarray, f: float, c: np.ndarray, theta: np.ndarray) -> None:
-        i, m = self.size, self.num_ineq
+        i = self.size
         if i == len(self.t):
             for name in self._COLUMNS:
                 old = getattr(self, name)
@@ -169,8 +178,20 @@ class Records(Sequence):
                 grown[:i] = old
                 setattr(self, name, grown)
         self.t[i], self.f[i], self.x[i], self.c[i], self.theta[i] = t, f, x, c, theta
-        self.lagrangian[i] = lagrangian_value(f, c[:m], c[m:], theta[:m], theta[m:])
         self.size = i + 1
+
+    @property
+    def lagrangian(self) -> np.ndarray:
+        """The Lagrangian column, filled up to the last appended row. A row
+        that overflows holds inf or nan, without numpy's warnings."""
+        start, stop, m = self.filled, self.size, self.num_ineq
+        if start < stop:
+            c, theta = self.c[start:stop], self.theta[start:stop]
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._lagrangian[start:stop] = lagrangian_value(
+                    self.f[start:stop], c[:, :m], c[:, m:], theta[:, :m], theta[:, m:])
+            self.filled = stop
+        return self._lagrangian
 
     def keep(self, rows, t, x, f, c, theta) -> None:
         self.append(t, x, f, c, theta)
@@ -270,6 +291,23 @@ def _keep_rows(rows, state, dual, primal, keeper, *arrays) -> tuple:
             *(a[rows] for a in arrays))
 
 
+# Up to this many entries, a vector's finiteness is tested on Python floats,
+# which is faster than two ufunc calls.
+_SHORT_VECTOR = 16
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    # The ufunc reduce, as ndarray.all's Python wrapper costs more on short vectors.
+    return np.logical_and.reduce(np.isfinite(a), axis=None)
+
+
+def _finite_test(like: np.ndarray):
+    """An exact test that every entry of an array shaped like `like` is finite."""
+    if like.ndim == 1 and like.size <= _SHORT_VECTOR:
+        return lambda a: all(map(math.isfinite, a.tolist()))
+    return _all_finite
+
+
 # Overflow in a diverging run is flagged as NON_FINITE, without numpy's warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarray,
@@ -286,14 +324,13 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
     with the rows that stop, once per reason. When only some rows stop, they
     are dropped and `keeper.drop(rows)` gets the rows that go on. Returns how
     often the rows that stopped last were evaluated."""
-    # Picked once from x's shape; a stack reduces over all its rows. The ufunc
-    # reduce, as ndarray.all's Python wrapper costs more on short vectors.
+    # Picked once from the shapes; a stack reduces over all its rows.
     one = x.ndim == 1
-    all_true = np.logical_and.reduce if one else partial(np.logical_and.reduce, axis=None)
     any_true = bool if one else partial(np.logical_or.reduce, axis=None)
-    finite_f = math.isfinite if one else lambda f: all_true(np.isfinite(f))
-    objective = ((lambda x: float(problem.eval_objective(x))) if one
-                 else lambda x: as_vector(problem.eval_objective(x), len(x), "f(x)"))
+    finite_f = math.isfinite if one else _all_finite
+    finite_x, finite_theta = _finite_test(x), _finite_test(theta)  # c is shaped like theta
+    problem.check_fused(x, theta)
+    values, primal_gradient = problem.values, problem.primal_gradient
     m, num_constraints = problem.num_ineq, problem.num_constraints
     simultaneous = config.scheme is Scheme.SIMULTANEOUS
     tolerance = config.stop_tolerance
@@ -305,12 +342,11 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
     keep, finish = keeper.keep, keeper.finish
 
     for t in range(config.max_steps):
-        f = objective(x)
-        error = problem.constraints(x)
+        f, error = values(x)
         theta_t = state.theta
         recorded = t % config.record_every == 0
         # One bool per check; per-row masks only at a step where a row stops.
-        stop = not (finite_f(f) and all_true(np.isfinite(error)))
+        stop = not (finite_f(f) and finite_theta(error))
         if recorded and tolerance is not None:
             viol = np.maximum.reduce(np.abs(error), axis=-1, initial=0.0)
             streak = (streak + 1) * ((viol <= tolerance) & (last_dual_increment <= tolerance))
@@ -340,10 +376,10 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
         else:
             last_dual_increment = np.zeros(x.shape[:-1])
 
-        grad = _primal_gradient(problem, x, theta_t if simultaneous else state.theta)
+        grad = primal_gradient(x, theta_t if simultaneous else state.theta)
         x = primal.step(x, grad)
 
-        if not (all_true(np.isfinite(x)) and all_true(np.isfinite(state.theta))):
+        if not (finite_x(x) and finite_theta(state.theta)):
             ok = (np.logical_and.reduce(np.isfinite(x), axis=-1)
                   & np.logical_and.reduce(np.isfinite(state.theta), axis=-1))
             # a row that went non-finite records (t + 1, x, nan, nan, theta)
@@ -356,7 +392,7 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
                 ok, state, dual, primal, keeper, x, streak, last_dual_increment)
 
     # Terminal record of the final state (one extra evaluation).
-    f, error = objective(x), problem.constraints(x)
+    f, error = values(x)
     every = np.ones(x.shape[:-1], dtype=bool)
     keep(every, config.max_steps, x, f, error, state.theta)
     finish(every, config.max_steps, x, f, error, state.theta, TerminationReason.MAX_STEPS)

@@ -15,6 +15,11 @@ point k (a constant Jacobian is returned once for the whole stack). So the
 products are `np.vecdot`, `np.matvec` and `np.vecmat`, whose rows match the
 one-point product bit for bit, and no callable uses an integer power, which
 numpy rounds differently for a scalar and for an array.
+
+Each built-in problem also supplies the fused pair `eval_values` and
+`eval_primal_gradient` that the descent-ascent loop calls at every step:
+the same float operations in the same order as the five callables, with
+shared subexpressions computed once.
 """
 
 from __future__ import annotations
@@ -129,6 +134,10 @@ def build_svm_problem(data: SvmDataset) -> ConstrainedProblem:
     def ineq(xvec):
         return 1.0 - y * (np.matvec(X, xvec[..., :d]) + xvec[..., d:])
 
+    def values(xvec):
+        w = xvec[..., :d]
+        return 0.5 * np.vecdot(w, w), 1.0 - y * (np.matvec(X, w) + xvec[..., d:])
+
     return ConstrainedProblem(
         dim_primal=d + 1,
         num_ineq=data.num_points,
@@ -138,6 +147,8 @@ def build_svm_problem(data: SvmDataset) -> ConstrainedProblem:
         eval_ineq=ineq,
         eval_eq=_no_constraints,
         eval_constraint_jacobian=lambda _xvec: jac,
+        eval_values=values,
+        eval_primal_gradient=lambda xvec, theta: objective_grad(xvec) + np.matvec(jac, theta),
     )
 
 
@@ -304,6 +315,29 @@ def build_2d_benchmark() -> ConstrainedProblem:
         jac.T[0, 1] = 1.0 + 2.0 * x1
         return jac
 
+    # The fused pair: the operations above, with x0 * x0, r1, r2 and exp(-x1)
+    # computed once.
+    def values(x):
+        x0, x1 = _coordinates(x)
+        square = x0 * x0
+        r1 = x0 + np.exp(-x1)
+        r2 = square + 2.0 * x1 + 1.0
+        return r1 * r1 + r2 * r2, (x0 + square * x0 + x1 + x1 * x1 - 2.0)[..., None]
+
+    def primal_gradient(x, theta):
+        x0, x1 = _coordinates(x)
+        mu = theta.T[0]
+        decay = np.exp(-x1)
+        r1 = x0 + decay
+        r2 = x0 * x0 + 2.0 * x1 + 1.0
+        grad = np.empty(x.shape)
+        # np.matvec sums its one product onto 0.0, so a -0.0 product reaches
+        # grad f as +0.0. Adding the product directly is the same: neither
+        # entry of grad f can be -0.0, as exp(-x1) >= +0.0 and r2 ends in + 1.0.
+        grad.T[0] = 2.0 * r1 + 4.0 * x0 * r2 + (1.0 + 3.0 * x0 * x0) * mu
+        grad.T[1] = -2.0 * r1 * decay + 4.0 * r2 + (1.0 + 2.0 * x1) * mu
+        return grad
+
     return ConstrainedProblem(
         dim_primal=2,
         num_ineq=0,
@@ -313,6 +347,8 @@ def build_2d_benchmark() -> ConstrainedProblem:
         eval_ineq=_no_constraints,
         eval_eq=eq,
         eval_constraint_jacobian=jacobian,
+        eval_values=values,
+        eval_primal_gradient=primal_gradient,
     )
 
 
@@ -376,15 +412,26 @@ def build_qp_problem(sys: QPSystem) -> ConstrainedProblem:
     H, A, b, c_lin = sys.H, sys.A, sys.b, sys.c_lin
     jac = A.T.copy()
 
+    def objective(x):
+        return 0.5 * np.vecdot(np.vecmat(x, H), x) + np.vecdot(c_lin, x)
+
+    def objective_grad(x):
+        return np.matvec(H, x) + c_lin
+
+    def eq(x):
+        return np.matvec(A, x) - b
+
     return ConstrainedProblem(
         dim_primal=sys.dim_primal,
         num_ineq=0,
         num_eq=sys.num_constraints,
-        eval_objective=lambda x: 0.5 * np.vecdot(np.vecmat(x, H), x) + np.vecdot(c_lin, x),
-        eval_objective_grad=lambda x: np.matvec(H, x) + c_lin,
+        eval_objective=objective,
+        eval_objective_grad=objective_grad,
         eval_ineq=_no_constraints,
-        eval_eq=lambda x: np.matvec(A, x) - b,
+        eval_eq=eq,
         eval_constraint_jacobian=lambda _x: jac,
+        eval_values=lambda x: (objective(x), eq(x)),
+        eval_primal_gradient=lambda x, theta: objective_grad(x) + np.matvec(jac, theta),
     )
 
 

@@ -1,15 +1,20 @@
-"""The benchmark's span hooks still find every numax name they replace.
+"""The benchmark's span hooks still find every numax name they replace, and
+its set-up probe still stops where solving begins.
 
 `perfbench/spans.py` hooks module attributes by name and reports a metric as
 absent when its target is gone, so a rename in the package would silently
-drop per-layer metrics. This test loads the hook module by path, installs
-every hook and builds one problem through a hooked builder.
+drop per-layer metrics. These tests load the hook module by path, install
+every hook and build one problem through a hooked builder. The set-up probe
+stops at the first call of a problem's five callables; an evaluation path
+that bypassed them would let the probe run the whole workload into
+`setup_s`.
 """
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from numax import cli
 
@@ -36,3 +41,17 @@ def test_every_hook_resolves():
     assert spans.absent_metrics(patches.missing) == set()
     recorded = [tracer.names[i] for i in tracer.name_id]
     assert recorded == ["problems.build", "problems.objective"]
+
+
+@pytest.mark.parametrize("argv,artefact", [
+    (["run", "--problem.kind", "benchmark2d", "--loop.max_steps", "50000"], "trajectory.csv"),
+    (["grid", "--problem.kind", "benchmark2d", "--loop.max_steps", "50000",
+      "--grid.kp", "0,3", "--grid.ki", "0.01"], "grid.csv"),
+], ids=["run", "grid"])
+def test_first_step_stop_fires_before_the_first_step(tmp_path, argv, artefact):
+    spans = _load_spans()
+    with spans.Patches() as patches:
+        spans.install_first_step_stop(patches)
+        with pytest.raises(spans.FirstStep):
+            cli.main([*argv, "--output-dir", str(tmp_path)])
+    assert not (tmp_path / artefact).exists()

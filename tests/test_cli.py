@@ -1,6 +1,7 @@
 """Tests for the experiment harness CLI: subcommands, exit codes, artifacts."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 
 from numax import (
     ConfigurationError,
+    build_2d_benchmark,
     cli,
     iris_csv_path,
     load_dataset_csv,
@@ -149,6 +151,20 @@ metric = max_violation
         summary = json.loads((out / "summary.json").read_text())
         assert summary["terminated_reason"] == "non-finite"
 
+    def test_fused_pair_that_disagrees_exits_2(self, tmp_path, capsys, monkeypatch):
+        def one_ulp_off():
+            problem = build_2d_benchmark()
+            return dataclasses.replace(problem, eval_primal_gradient=lambda x, theta: np.nextafter(
+                problem.eval_primal_gradient(x, theta), np.inf))
+
+        monkeypatch.setattr(cli, "build_2d_benchmark", one_ulp_off)
+        out = tmp_path / "out"
+        assert main(["run", "--problem.kind", "benchmark2d", "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == ("configuration error: the problem's fused "
+                                           "grad_x L(x, theta) differs from its five "
+                                           "callables' at the start\n")
+        assert not (out / "trajectory.csv").exists()
+
     def test_env_fallback_output_dir(self, tmp_path, monkeypatch):
         config = tmp_path / "run.ini"
         write_benchmark_config(config, max_steps=10)
@@ -212,6 +228,10 @@ metric = max_violation
                      "--output-dir", str(tmp_path / "out")]) == 2
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 class TestGrid:
     def test_grid_schema_and_order(self, tmp_path):
         config = tmp_path / "grid.ini"
@@ -262,11 +282,13 @@ class TestGrid:
             assert flag == 1
             cell = [arg.replace("--grid.", "--dual.") for arg in settings]
             assert main(["run", "--output-dir", str(run_dir), *cell]) == 3
-            summary = json.loads((run_dir / "summary.json").read_text())
+            summary = json.loads((run_dir / "summary.json").read_text(),
+                                 parse_constant=_reject_constant)  # strict JSON
             assert summary["terminated_reason"] == "non-finite"
-            np.testing.assert_equal(value, summary["metric_value"])
+            assert not math.isfinite(float(summary["final_f"]))
+            np.testing.assert_equal(value, float(summary["metric_value"]))
             if "max_violation" in settings:  # the final h is NaN
-                assert math.isnan(value) and math.isnan(summary["max_violation"])
+                assert math.isnan(value) and math.isnan(float(summary["max_violation"]))
 
     def test_raising_run_flags_every_row(self, tmp_path, capsys, monkeypatch):
         def boom(*_args):

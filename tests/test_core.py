@@ -13,7 +13,7 @@ from numax import (
     project_theta,
     validate_gradients,
 )
-from numax.core import central_difference_gradient
+from numax.core import central_difference_gradient, lagrangian_value
 
 
 def unconstrained_square():
@@ -77,6 +77,13 @@ class TestEvaluateLagrangian:
         value = evaluate_lagrangian(problem, np.zeros(problem.dim_primal),
                                     np.ones(train.num_points))
         assert value == pytest.approx(70.0, abs=1e-12)
+
+    def test_empty_block_adds_nothing(self):
+        # f = -0.0 stays -0.0 when a block is empty, for one point or a stack
+        empty, empties = np.zeros(0), np.zeros((2, 0))
+        assert np.signbit(lagrangian_value(-0.0, empty, empty, empty, empty))
+        value = lagrangian_value(np.array([-0.0, 1.0]), empties, empties, empties, empties)
+        assert value.tolist() == [-0.0, 1.0] and np.signbit(value[0])
 
     def test_dimension_mismatch_is_fatal(self):
         problem = single_ineq_line()

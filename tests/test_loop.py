@@ -1,6 +1,7 @@
 """Tests for the alternating/simultaneous descent-ascent drivers."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -33,8 +34,9 @@ from numax import (
     validate_gradients,
     write_trajectory_csv,
 )
-from numax import loop
+from numax import cli, loop
 from numax.cli import _compute_metric
+from numax.core import lagrangian_value
 from numax.loop import _PrimalOptimizer
 from reference import loop_reference
 
@@ -620,3 +622,113 @@ def test_columns_stopping_together_match_run():
         for name in ("x", "f", "g", "h", "lam", "mu", "lagrangian"):
             assert _same(getattr(column.final, name), getattr(traj.final, name)), (k, name)
         assert _same(column.overshoot, traj.overshoot), k
+
+
+# The Lagrangian column is filled when it is read, in one pass over the rows
+# appended since the last read. Each row must be, bit for bit, what
+# `lagrangian_value` gives for that record alone, and what f + lam . g + mu . h
+# gives with each dot product taken as a 1-D `@` and summed one at a time.
+
+def _assert_lagrangian_rows(records, column):
+    """`column`, read from `records`, against the per-record rules. Overflow
+    in the rules is silenced here; the column read itself must warn of none."""
+    n, m = len(records), records.num_ineq
+    assert len(column) >= n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            f, c, theta = float(records.f[i]), records.c[i], records.theta[i]
+            g, h, lam, mu = c[:m], c[m:], theta[:m], theta[m:]
+            summed = f
+            if m:
+                summed += float(lam @ g)
+            if len(mu):
+                summed += float(mu @ h)
+            assert _same(column[i], np.float64(lagrangian_value(f, g, h, lam, mu))), i
+            assert _same(column[i], np.float64(summed)), i
+
+
+def test_lagrangian_column_fills_as_records_grow(monkeypatch):
+    # Reads between appends fill a few rows at a time, across two growths of
+    # the columns; some rows overflow to inf or nan.
+    monkeypatch.setattr(loop, "_RECORDS_INITIAL_ROWS", 4)
+    rng = np.random.default_rng(3)
+    records = loop.Records(1000, 2, 2, 1)
+    for batch in (1, 2, 5, 13, 40, 1):
+        for _ in range(batch):
+            scale = rng.choice([1.0, 1.0, 1.0, 1e160, 1e300])
+            records.append(len(records), rng.standard_normal(2), float(rng.standard_normal()),
+                           scale * rng.standard_normal(3), scale * np.abs(rng.standard_normal(3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            column = records.lagrangian
+        assert records.filled == len(records)
+        _assert_lagrangian_rows(records, column)
+    assert len(records) == 62 and len(records.t) == 64
+    assert not np.all(np.isfinite(records.lagrangian[:len(records)]))
+
+
+def _svm_reference_grid():
+    """The SVM grid of test_cli's `_REFERENCE_GRIDS`: seed 4, 150 steps,
+    kp in {0, 100} and ki in {0.01, 10}; the cell (100, 10) diverges."""
+    settings = ["--problem.kind", "svm", "--run.seed", "4", "--loop.max_steps", "150",
+                "--loop.primal_kind", "gd-momentum", "--loop.primal_step_size", "1e-3"]
+    config = cli._load_config(None, cli._split_overrides(settings))
+    bundle = cli._build_problem(config, 4)
+    return (bundle.problem, bundle.x0, cli._loop_config(config, cli._dual_config(config)),
+            [(kp, ki) for kp in (0.0, 100.0) for ki in (0.01, 10.0)])
+
+
+def test_lagrangian_of_grid_finals_and_diverging_svm_cell():
+    problem, x0, config, cells = _svm_reference_grid()
+    gains = np.array(cells)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # each stopping row's record is read as it is appended, while the grid runs
+        columns = loop._run_columns(problem, x0, np.zeros(problem.num_ineq),
+                                    dataclasses.replace(config, dual_optimizer=NuPIConfig(
+                                        nu=np.zeros((4, 1)), kp=gains[:, :1], ki=gains[:, 1:])),
+                                    len(cells))
+    assert len({column.final.t for column in columns}) > 1
+    finals = loop.Records(len(cells), problem.dim_primal, problem.num_ineq, problem.num_eq)
+    for column in columns:
+        final = column.final
+        finals.append(final.t, final.x, final.f, np.concatenate([final.g, final.h]),
+                      np.concatenate([final.lam, final.mu]))
+    _assert_lagrangian_rows(finals, [column.final.lagrangian for column in columns])
+
+    traj = run(problem, x0, np.zeros(problem.num_ineq),
+               dataclasses.replace(config, dual_optimizer=NuPIConfig(nu=0.0, kp=100.0, ki=10.0)))
+    assert traj.terminated_reason is TerminationReason.NON_FINITE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        column = traj.column("lagrangian")
+    _assert_lagrangian_rows(traj.steps, column)
+    overflowed = ~np.isfinite(column)
+    assert overflowed.any() and np.isfinite(traj.column("f")[overflowed]).any()
+    assert _same(column[-1], np.float64(columns[3].final.lagrangian))
+
+
+def _disagreeing(problem, which):
+    """`problem` whose fused f, c or gradient is one ulp off its five callables'."""
+    def values(x):
+        f, c = problem.eval_values(x)
+        return (np.nextafter(f, np.inf) if which == "f" else f,
+                np.nextafter(c, np.inf) if which == "c" else c)
+
+    def primal_gradient(x, theta):
+        grad = problem.eval_primal_gradient(x, theta)
+        return np.nextafter(grad, np.inf) if which == "gradient" else grad
+
+    return dataclasses.replace(problem, eval_values=values, eval_primal_gradient=primal_gradient)
+
+
+@pytest.mark.parametrize("which", ["f", "c", "gradient"])
+def test_fused_pair_that_disagrees_is_refused_at_start(which):
+    problem = _disagreeing(build_2d_benchmark(), which)
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5,
+                        dual_optimizer=NuPIConfig(nu=0.0, kp=1.0, ki=0.1), primal_optimizer=gd(0.01))
+    with pytest.raises(ConfigurationError, match="fused .* differs from its five callables"):
+        run(problem, [-0.5, -2.0], np.zeros(1), config)
+    with pytest.raises(ConfigurationError, match="fused"):
+        loop._run_columns(problem, [-0.5, -2.0], np.zeros(1), config, 3)
+    run(_disagreeing(build_2d_benchmark(), None), [-0.5, -2.0], np.zeros(1), config)

@@ -1,5 +1,7 @@
 """Tests for the built-in benchmark problems and their oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,20 +244,35 @@ class TestQpProblem:
 
 # A coordinate between 1e-3 and 1e3 in size, of either sign.
 _COORDINATE = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+# A second benchmark2d coordinate x1 at which exp(-x1) overflows.
+_OVERFLOWING = st.floats(-1e3, -710.0)
+# Multipliers, signed zeros included: a zero times a negative Jacobian entry is -0.0.
+_MULTIPLIER = _COORDINATE | st.sampled_from([0.0, -0.0])
 _FIELDS = ("eval_objective", "eval_objective_grad", "eval_ineq", "eval_eq",
            "eval_constraint_jacobian")
 
 
-def _stacks(dim):
-    """K points of `dim` coordinates, K from 1 to 40, as a (K, dim) array."""
-    return st.lists(st.lists(_COORDINATE, min_size=dim, max_size=dim),
-                    min_size=1, max_size=40).map(np.array)
+def _stacks(dim, last=_COORDINATE):
+    """K points of `dim` coordinates, the last drawn from `last`, K from 1 to
+    40, as a (K, dim) array."""
+    point = st.tuples(*[_COORDINATE] * (dim - 1), last)
+    return st.lists(point, min_size=1, max_size=40).map(np.array)
 
 
-def _assert_rows_are_one_point_calls(problem, points):
+def _same_bits(a, b):
+    """Equal bit for bit, except that any NaN equals any NaN."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def _assert_rows_are_one_point_calls(problem, points, theta):
     """Row k of each callable's output on the stack is, bit for bit, its
     output at point k. A constant Jacobian may be returned once for the
-    whole stack; it then holds for every row."""
+    whole stack; it then holds for every row. The fused `values` and
+    `primal_gradient` (at multipliers `theta`, one row per point) equal the
+    five callables' composition bit for bit, on the stack and at each point."""
     for field in _FIELDS:
         fn = getattr(problem, field)
         with np.errstate(over="ignore", invalid="ignore"):  # exp(1e3) overflows on both paths
@@ -266,19 +283,46 @@ def _assert_rows_are_one_point_calls(problem, points):
         assert stacked.shape == (len(points),) + singles[0].shape, field
         for k, single in enumerate(singles):
             assert stacked[k].tobytes() == single.astype(np.float64).tobytes(), (field, k)
+    assert problem.eval_values is not None and problem.eval_primal_gradient is not None
+    with np.errstate(over="ignore", invalid="ignore"):
+        five = dataclasses.replace(problem, eval_values=None, eval_primal_gradient=None)
+        for x, th in [(points, theta), *zip(points, theta)]:
+            fused = (*problem.values(x), problem.primal_gradient(x, th))
+            composed = (*five.values(x), five.primal_gradient(x, th))
+            for name, a, b in zip(("f", "c", "gradient"), fused, composed):
+                assert _same_bits(a, b), (name, x, th)
+        stacked = (*problem.values(points), problem.primal_gradient(points, theta))
+        for k, (x, th) in enumerate(zip(points, theta)):
+            single = (*problem.values(x), problem.primal_gradient(x, th))
+            for a, b in zip(stacked, single):
+                assert _same_bits(a[k], b), k
+
+
+def _multipliers(points, num_constraints, data):
+    """One row of multipliers per point."""
+    return np.array(data.draw(st.lists(
+        st.lists(_MULTIPLIER, min_size=num_constraints, max_size=num_constraints),
+        min_size=len(points), max_size=len(points))))
 
 
 class TestStackedEvaluation:
     @settings(max_examples=60, deadline=None)
-    @given(split=st.integers(0, 15), points=_stacks(5))
-    def test_svm_rows_are_one_point_calls(self, split, points):
+    @given(split=st.integers(0, 15), points=_stacks(5), seed=st.integers(0, 2**32 - 1))
+    def test_svm_rows_are_one_point_calls(self, split, points, seed):
         train, _ = train_validation_split(load_dataset_csv(iris_csv_path()), seed=split)
-        _assert_rows_are_one_point_calls(build_svm_problem(train), points)
+        problem = build_svm_problem(train)
+        # 70 multipliers a row: drawn by numpy, a third of them signed zeros
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal((len(points), problem.num_constraints))
+        theta[rng.random(theta.shape) < 1 / 3] = 0.0
+        theta *= np.where(rng.random(theta.shape) < 0.5, -1.0, 1.0)
+        _assert_rows_are_one_point_calls(problem, points, theta)
 
     @settings(max_examples=60, deadline=None)
-    @given(points=_stacks(2))
-    def test_benchmark2d_rows_are_one_point_calls(self, points):
-        _assert_rows_are_one_point_calls(build_2d_benchmark(), points)
+    @given(points=_stacks(2) | _stacks(2, last=_OVERFLOWING), data=st.data())
+    def test_benchmark2d_rows_are_one_point_calls(self, points, data):
+        _assert_rows_are_one_point_calls(build_2d_benchmark(), points,
+                                         _multipliers(points, 1, data))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -288,7 +332,9 @@ class TestStackedEvaluation:
         c = int(rng.integers(1, n + 1))
         sys = QPSystem(H=m @ m.T + 0.1 * np.eye(n), A=rng.standard_normal((c, n)),
                        b=rng.standard_normal(c), c_lin=rng.standard_normal(n), kp=1.0, ki=1.0)
-        _assert_rows_are_one_point_calls(build_qp_problem(sys), data.draw(_stacks(n)))
+        points = data.draw(_stacks(n))
+        _assert_rows_are_one_point_calls(build_qp_problem(sys), points,
+                                         _multipliers(points, c, data))
 
 
 @pytest.mark.parametrize("x", [[0.1, 0.2], [[0.1, 0.2], [-1.5, 3.0]]], ids=["point", "stack"])
