@@ -120,19 +120,14 @@ def _setting(config, section, key, convert=_finite_float, expected="a finite num
         raise ConfigurationError(f"[{section}] {key} must be {expected}, got {raw!r}") from exc
 
 
-# [dual] kind -> (config class, the [dual] keys it takes)
-_DUAL_KINDS = {
-    "nupi": (NuPIConfig, ("nu", "kp", "ki")),
-    "ga": (GAConfig, ("step_size",)),
-    "um": (UMConfig, ("alpha", "beta", "gamma")),
-    "adam": (AdamConfig, ("step_size",)),
-}
+# [dual] kind -> config class; the [dual] keys it takes are its GAINS
+_DUAL_KINDS = {"nupi": NuPIConfig, "ga": GAConfig, "um": UMConfig, "adam": AdamConfig}
 
 
 def _dual_config(config):
-    cls, keys = _setting(config, "dual", "kind", lambda raw: _DUAL_KINDS[raw.lower()],
-                         "|".join(_DUAL_KINDS))
-    return cls(**{key: _setting(config, "dual", key) for key in keys})
+    cls = _setting(config, "dual", "kind", lambda raw: _DUAL_KINDS[raw.lower()],
+                   "|".join(_DUAL_KINDS))
+    return cls(**{key: _setting(config, "dual", key) for key in cls.GAINS})
 
 
 def _loop_config(config, dual_config) -> LoopConfig:

@@ -14,6 +14,15 @@ columns: theta of shape (K, n), an error of the same shape, and a config
 whose gains are arrays of shape (K, 1), one row per column. Column k then
 equals the run with the scalar gains of row k bit for bit.
 
+A config holds its gains (the fields named in its `GAINS`) and, as fields
+set in `__post_init__`, the products of gains its update uses, so a step
+computes no product of gains. Before the first step the loop passes
+`gain_arrays(config, theta.shape)`: the same config with every gain a
+float64 array of theta's shape, which costs a few theta-sized arrays per
+run and lets every operation of a step multiply arrays of one shape, with
+no broadcast of a (K, 1) gain and no Python-float operand. Every entry is
+the bits the scalar gain gives.
+
 The nuPI controller follows the recursion
 
     theta_1     = theta_0 + ki * e_0 + kp * xi_0
@@ -30,8 +39,9 @@ kp = 0 gives plain gradient ascent with step ki. The start xi_0 is e_0
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,21 +65,47 @@ class Xi0Policy(Enum):
     MATCH_UM = "match-um"        # xi_0 = (1 - nu) * e_0; set by the momentum mapper
 
 
+def _product():
+    """A field that `__post_init__` computes from the gains."""
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class NuPIConfig:
+    GAINS: ClassVar[tuple] = ("nu", "kp", "ki")
+
     nu: float
     kp: float
     ki: float
     xi0_policy: Xi0Policy = Xi0Policy.MATCH_ERROR
+    one_minus_nu: float = _product()     # 1 - nu
+    kp_one_minus_nu: float = _product()  # kp * (1 - nu)
+
+    def __post_init__(self):
+        object.__setattr__(self, "one_minus_nu", 1.0 - self.nu)
+        object.__setattr__(self, "kp_one_minus_nu", self.kp * self.one_minus_nu)
+
+
+def _named(name: str, value, bad) -> str:
+    """A gain as a warning names it: a scalar by its value, per-row gains by
+    how many rows the test `bad` flags."""
+    if np.ndim(bad) == 0:
+        return f"{name} = {value}"
+    rows = np.reshape(bad, (len(bad), -1)).any(axis=1)
+    return f"{name} ({np.count_nonzero(rows)} of {len(rows)} rows)"
 
 
 def nupi_config_warnings(config: NuPIConfig) -> list:
-    """Soft validation; out-of-range values are permitted but flagged."""
+    """Soft validation; out-of-range values are permitted but flagged, for a
+    scalar gain or elementwise for per-row gains."""
     warnings = []
-    if config.ki <= 0:
-        warnings.append(f"ki = {config.ki} is not positive; the integral term will not ascend")
-    if not -1.0 < config.nu < 1.0:
-        warnings.append(f"nu = {config.nu} is outside (-1, 1); the error EMA does not contract")
+    ki, nu = np.asarray(config.ki), np.asarray(config.nu)
+    if np.any(bad := ki <= 0):
+        warnings.append(f"{_named('ki', config.ki, bad)} is not positive; "
+                        "the integral term will not ascend")
+    if np.any(bad := ~((-1.0 < nu) & (nu < 1.0))):
+        warnings.append(f"{_named('nu', config.nu, bad)} is outside (-1, 1); "
+                        "the error EMA does not contract")
     return warnings
 
 
@@ -86,13 +122,13 @@ class NuPIState:
             if config.xi0_policy is Xi0Policy.MATCH_ERROR:
                 xi0 = e.copy()
             else:
-                xi0 = (1.0 - config.nu) * e
+                xi0 = config.one_minus_nu * e
             self.theta = self.theta + config.ki * e + config.kp * xi0
             self.xi = xi0
             return self
         xi = self.xi  # xi_{t-1}
-        self.theta = self.theta + config.ki * e + config.kp * (1.0 - config.nu) * (e - xi)
-        self.xi = config.nu * xi + (1.0 - config.nu) * e
+        self.theta = self.theta + config.ki * e + config.kp_one_minus_nu * (e - xi)
+        self.xi = config.nu * xi + config.one_minus_nu * e
         return self
 
 
@@ -101,18 +137,25 @@ class UMConfig:
     """Unified momentum: gamma = 0 is Polyak heavy-ball, gamma = 1 is
     Nesterov (constant momentum coefficient)."""
 
+    GAINS: ClassVar[tuple] = ("alpha", "beta", "gamma")
+
     alpha: float
     beta: float
     gamma: float = 0.0
+    beta_gamma: float = _product()  # beta * gamma
+
+    def __post_init__(self):
+        object.__setattr__(self, "beta_gamma", self.beta * self.gamma)
 
 
 def um_config_warnings(config: UMConfig) -> list:
-    warnings = []
-    if config.beta < 1.0 and not 0.0 <= config.gamma <= 1.0 / (1.0 - config.beta):
-        warnings.append(
-            f"gamma = {config.gamma} is outside [0, 1/(1-beta)] = [0, {1.0 / (1.0 - config.beta):g}]"
-        )
-    return warnings
+    beta, gamma = np.asarray(config.beta), np.asarray(config.gamma)
+    with np.errstate(divide="ignore"):  # beta = 1 has no interval to test
+        bound = 1.0 / (1.0 - beta)
+    if not np.any(bad := (beta < 1.0) & ~((0.0 <= gamma) & (gamma <= bound))):
+        return []
+    interval = "[0, 1/(1-beta)]" + (f" = [0, {bound:g}]" if np.ndim(bad) == 0 else "")
+    return [f"{_named('gamma', config.gamma, bad)} is outside {interval}"]
 
 
 @dataclass
@@ -129,7 +172,7 @@ class UMState:
 
     def advance(self, config: UMConfig, e: np.ndarray) -> UMState:
         phi = config.beta * self.phi + config.alpha * e
-        self.theta = self.theta + phi + config.beta * config.gamma * (phi - self.phi)
+        self.theta = self.theta + phi + config.beta_gamma * (phi - self.phi)
         self.phi = phi
         return self
 
@@ -159,6 +202,8 @@ def map_um_to_nupi(config: UMConfig) -> NuPIConfig:
 
 @dataclass(frozen=True)
 class GAConfig:
+    GAINS: ClassVar[tuple] = ("step_size",)
+
     step_size: float
 
 
@@ -192,6 +237,8 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class AdamConfig:
+    GAINS: ClassVar[tuple] = ("step_size",)
+
     step_size: float
 
 
@@ -248,6 +295,19 @@ def _rule(config: DualOptimizerConfig) -> tuple:
     except KeyError:
         raise ConfigurationError(
             f"unknown dual optimizer config: {type(config).__name__}") from None
+
+
+def gain_arrays(config: DualOptimizerConfig, shape: tuple) -> DualOptimizerConfig:
+    """`config` with every gain a new float64 array of `shape`, theta's:
+    a scalar gain is repeated, a per-row gain of shape (K, 1) spread along
+    its row. The products of gains follow in `__post_init__`."""
+    try:
+        return replace(config, **{name: np.array(np.broadcast_to(getattr(config, name), shape),
+                                                 dtype=np.float64)
+                                  for name in config.GAINS})
+    except ValueError as exc:
+        raise ConfigurationError(f"{type(config).__name__} gains must be scalars or arrays "
+                                 f"that broadcast to the multipliers' shape {shape}") from exc
 
 
 def make_dual_state(config: DualOptimizerConfig, theta0):

@@ -25,7 +25,7 @@ every stop rule, for one point or for K rows of stacked arrays in lockstep;
 a keeper says what is kept. `run` steps one point, and its keeper is the
 `Records` it returns, which appends every record and notes the stop
 reason. `_run_columns`, which `numax grid` calls, steps K cells of one
-problem with per-row nuPI gains; its keeper folds each row's overshoot and
+problem with per-row gains; its keeper folds each row's overshoot and
 appends the final record of each row that stops to one `Records`, with its
 stop reason, so a cell ends bit for bit as `run` of that cell does; a row
 that stops is dropped from the arrays.
@@ -41,6 +41,13 @@ primal Adam also uses. Projection and restarts both act on the stacked
 theta. Before the first step the loop checks, through
 `ConstrainedProblem.check_fused`, that the fused callables give at the
 start point bit for bit what the five give.
+
+Once per run, the loop also turns every gain into an array of its
+operand's shape: the dual config's through
+`dual_optimizers.gain_arrays` (theta's shape, which also gives the config's
+products of gains) and the primal step size and momentum (x's shape). A
+step then multiplies arrays of one shape, with the same bits as the scalar
+or (K, 1) gains. When rows stop, the gains are re-sliced with the rest.
 
 The dual state is advanced in place and the projected (and restarted) theta
 written back into it. Records fill columns (`Records`, the one record
@@ -73,6 +80,7 @@ from .dual_optimizers import (
     adam_moments,
     dual_step,
     apply_dual_restarts,
+    gain_arrays,
     make_dual_state,
     replace_theta,
 )
@@ -239,24 +247,26 @@ class Trajectory:
 class _PrimalOptimizer:
     """Gradient descent, heavy-ball momentum (v <- beta v + grad,
     x <- x - eta v), or Adam (the dual side's `adam_moments`) on the primal
-    variables."""
+    variables. The step size eta and the momentum beta are held as arrays of
+    x's shape, as the loop holds the dual gains (`gain_arrays`)."""
 
     def __init__(self, config: PrimalOptimizerConfig, dim: int | tuple):
-        self.config = config
+        self.kind = config.kind
+        self.step_size = np.full(dim, config.step_size, dtype=np.float64)
+        self.momentum = np.full(dim, config.momentum, dtype=np.float64)
         self.velocity = np.zeros(dim)
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
         self.t = 0
 
     def step(self, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        if cfg.kind is PrimalKind.GRADIENT_DESCENT:
-            return x - cfg.step_size * grad
-        if cfg.kind is PrimalKind.GRADIENT_DESCENT_MOMENTUM:
-            self.velocity = cfg.momentum * self.velocity + grad
-            return x - cfg.step_size * self.velocity
+        if self.kind is PrimalKind.GRADIENT_DESCENT:
+            return x - self.step_size * grad
+        if self.kind is PrimalKind.GRADIENT_DESCENT_MOMENTUM:
+            self.velocity = self.momentum * self.velocity + grad
+            return x - self.step_size * self.velocity
         self.t += 1
-        self.m, self.v, increment = adam_moments(self.m, self.v, self.t, cfg.step_size, grad)
+        self.m, self.v, increment = adam_moments(self.m, self.v, self.t, self.step_size, grad)
         return x - increment
 
 
@@ -279,15 +289,15 @@ def _checked_start(problem: ConstrainedProblem, x0, theta0, lead: tuple = ()) ->
 
 def _keep_rows(rows, state, dual, primal, keeper, *arrays) -> tuple:
     """Keep `rows` of every per-row array: the dual state's, the primal
-    optimizer's and the keeper's (in place), and the dual config's gains and
-    `arrays` (returned anew, in that order)."""
+    optimizer's and the keeper's (in place), and the dual config's gains
+    (whose products it recomputes) and `arrays` (returned anew, in that
+    order)."""
     for obj in (state, primal):
         for name, value in list(vars(obj).items()):
             if isinstance(value, np.ndarray):
                 setattr(obj, name, value[rows])
     keeper.drop(rows)
-    return (replace(dual, **{name: value[rows] for name, value in vars(dual).items()
-                             if isinstance(value, np.ndarray)}),
+    return (replace(dual, **{name: getattr(dual, name)[rows] for name in dual.GAINS}),
             *(a[rows] for a in arrays))
 
 
@@ -317,7 +327,8 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
     config may hold per-row gains of shape (K, 1).
 
     A row stops where it is first non-finite, at an evaluation or after its
-    primal step, or where its tolerance streak completes (non-finite wins);
+    steps (x after the primal step, theta as the dual step gives it, before
+    the projection), or where its tolerance streak completes (non-finite wins);
     the rest get the terminal record at `config.max_steps`. The keeper gets
     `keep(rows, t, x, f, c, theta)` at each step where `run` records, `rows`
     masking the rows that record (True: all), then `finish(rows, ..., reason)`
@@ -334,8 +345,8 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
     m, num_constraints = problem.num_ineq, problem.num_constraints
     simultaneous = config.scheme is Scheme.SIMULTANEOUS
     tolerance = config.stop_tolerance
-    dual = config.dual_optimizer
-    state = make_dual_state(dual, theta)
+    state = make_dual_state(config.dual_optimizer, theta)
+    dual = gain_arrays(config.dual_optimizer, theta.shape)
     primal = _PrimalOptimizer(config.primal_optimizer, x.shape)
     streak = np.zeros(x.shape[:-1], dtype=np.int64)
     last_dual_increment = np.full(x.shape[:-1], np.inf)  # none before the first dual step
@@ -365,9 +376,12 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
         elif recorded:
             keep(True, t, x, f, error, theta_t)
 
+        # The dual step's output, tested below: the projection would turn a
+        # -inf or nan multiplier into 0.
+        stepped = theta_t
         if num_constraints:
-            dual_step(state, dual, error)
-            theta = _project_theta(state.theta, m)
+            stepped = dual_step(state, dual, error).theta
+            theta = _project_theta(stepped, m)
             if config.dual_restarts and m:
                 theta = apply_dual_restarts(theta, m, error[..., :m])
             replace_theta(state, theta)
@@ -379,13 +393,15 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
         grad = primal_gradient(x, theta_t if simultaneous else state.theta)
         x = primal.step(x, grad)
 
-        if not (finite_x(x) and finite_theta(state.theta)):
+        if not (finite_x(x) and finite_theta(stepped)):
             ok = (np.logical_and.reduce(np.isfinite(x), axis=-1)
-                  & np.logical_and.reduce(np.isfinite(state.theta), axis=-1))
-            # a row that went non-finite records (t + 1, x, nan, nan, theta)
-            nan_f, nan_c = np.full(ok.shape, np.nan), np.full(state.theta.shape, np.nan)
-            keep(~ok, t + 1, x, nan_f, nan_c, state.theta)
-            finish(~ok, t + 1, x, nan_f, nan_c, state.theta, TerminationReason.NON_FINITE)
+                  & np.logical_and.reduce(np.isfinite(stepped), axis=-1))
+            # a row that went non-finite records (t + 1, x, nan, nan, theta),
+            # theta holding the dual step's output where that is not finite
+            theta = np.where(np.isfinite(stepped), state.theta, stepped)
+            nan_f, nan_c = np.full(ok.shape, np.nan), np.full(theta.shape, np.nan)
+            keep(~ok, t + 1, x, nan_f, nan_c, theta)
+            finish(~ok, t + 1, x, nan_f, nan_c, theta, TerminationReason.NON_FINITE)
             if not ok.any():
                 return t + 1
             dual, x, streak, last_dual_increment = _keep_rows(
@@ -461,8 +477,9 @@ def _run_columns(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
                  cells: int) -> list:
     """`run` for `cells` columns of one problem in lockstep: x is (cells,
     dim_primal) and theta (cells, num_constraints), and the dual config's
-    array gains have shape (cells, 1), one row per column (scalar gains are
-    shared). x0 and theta0 are one start for every column or one row each.
+    array gains, of any rule, have shape (cells, 1), one row per column
+    (scalar gains are shared). x0 and theta0 are one start for every column
+    or one row each.
 
     The loop is `run`'s, so each column stops where `run` with its own gains
     stops, for the same reason, and is then dropped from the arrays. Its

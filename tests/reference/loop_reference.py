@@ -131,8 +131,10 @@ def _run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
                     stopped_at = t
                     break
 
+        stepped = state.theta
         if error.size:
             state = dual_step(state, config.dual_optimizer, error)
+            stepped = state.theta  # tested for finiteness before the projection
             state = replace_theta(state, project_theta(state.theta, m))
             if config.dual_restarts and m:
                 lam, mu = apply_dual_restarts(state.theta[:m], state.theta[m:], g)
@@ -147,9 +149,10 @@ def _run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
             grad = grad + problem.constraint_jacobian(x) @ theta_for_primal
         x_next = primal.step(x, grad)
 
-        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(state.theta))):
+        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(stepped))):
+            theta = np.where(np.isfinite(stepped), state.theta, stepped)
             records.append(_record(t + 1, x_next, np.nan, np.full(m, np.nan),
-                                   np.full(problem.num_eq, np.nan), state.theta, m))
+                                   np.full(problem.num_eq, np.nan), theta, m))
             reason = TerminationReason.NON_FINITE
             break
         x = x_next

@@ -4,7 +4,8 @@ its set-up probe still stops where solving begins.
 `perfbench/spans.py` hooks module attributes by name and reports a metric as
 absent when its target is gone, so a rename in the package would silently
 drop per-layer metrics. These tests load the hook module by path, install
-every hook and build one problem through a hooked builder. The set-up probe
+every hook and build one problem through a hooked builder, and check that a
+traced run records a span for every dual step. The set-up probe
 stops at the first call of a problem's five callables; an evaluation path
 that bypassed them would let the probe run the whole workload into
 `setup_s`.
@@ -16,7 +17,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from numax import cli
+from numax import (
+    LoopConfig,
+    NuPIConfig,
+    PrimalKind,
+    PrimalOptimizerConfig,
+    Scheme,
+    build_2d_benchmark,
+    cli,
+    loop,
+)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,6 +51,24 @@ def test_every_hook_resolves():
     assert spans.absent_metrics(patches.missing) == set()
     recorded = [tracer.names[i] for i in tracer.name_id]
     assert recorded == ["problems.build", "problems.objective"]
+
+
+def test_traced_run_records_every_dual_step():
+    # The per-layer dual metrics count the spans around the names the loop
+    # calls; a step that bypassed them would read as no dual work.
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=37,
+                        dual_optimizer=NuPIConfig(nu=0.0, kp=3.0, ki=0.01),
+                        primal_optimizer=PrimalOptimizerConfig(kind=PrimalKind.GRADIENT_DESCENT,
+                                                               step_size=0.002))
+    with spans.Patches() as patches:
+        tracer.install(patches)
+        trajectory = loop.run(build_2d_benchmark(), [-0.5, -2.0], np.zeros(1), config)
+    assert patches.missing == [] and trajectory.final.t == 37
+    recorded = [tracer.names[i] for i in tracer.name_id]
+    assert recorded.count("dual_optimizers.dual_step") == 37
+    assert recorded.count("dual_optimizers.replace_theta") == 37
 
 
 @pytest.mark.parametrize("argv,artefact", [

@@ -22,6 +22,7 @@ from numax import (
 from numax.dual_optimizers import (
     ADAM_EPS,
     dual_config_warnings,
+    gain_arrays,
     nupi_config_warnings,
     replace_theta,
     um_config_warnings,
@@ -305,6 +306,26 @@ class TestDispatchTable:
         assert dual_config_warnings(GAConfig(step_size=-1.0)) == []
         assert dual_config_warnings(AdamConfig(step_size=-1.0)) == []
 
+    def test_warnings_per_row(self):
+        # scalar gains keep their messages; per-row gains are tested
+        # elementwise, and the message names how many rows are out of range
+        assert dual_config_warnings(NuPIConfig(nu=1.5, kp=1.0, ki=-0.1)) == [
+            "ki = -0.1 is not positive; the integral term will not ascend",
+            "nu = 1.5 is outside (-1, 1); the error EMA does not contract"]
+        assert dual_config_warnings(UMConfig(alpha=0.5, beta=-0.5, gamma=1.0)) == [
+            "gamma = 1.0 is outside [0, 1/(1-beta)] = [0, 0.666667]"]
+        rows = NuPIConfig(nu=np.array([[0.5], [1.5], [-2.0]]), kp=1.0,
+                          ki=np.array([[0.1], [0.0], [0.2]]))
+        assert dual_config_warnings(rows) == [
+            "ki (1 of 3 rows) is not positive; the integral term will not ascend",
+            "nu (2 of 3 rows) is outside (-1, 1); the error EMA does not contract"]
+        assert dual_config_warnings(NuPIConfig(nu=np.zeros((3, 1)), kp=1.0,
+                                               ki=np.ones((3, 1)))) == []
+        # beta = 1 and beta > 1 have no interval to leave
+        um = UMConfig(alpha=0.1, beta=np.array([[0.5], [1.0], [0.5], [2.0]]),
+                      gamma=np.array([[3.0], [5.0], [1.0], [7.0]]))
+        assert dual_config_warnings(um) == ["gamma (1 of 4 rows) is outside [0, 1/(1-beta)]"]
+
     def test_replace_theta_keeps_controller_state(self):
         for config in self.CONFIGS:
             state = dual_step(make_dual_state(config, [0.5, 0.5]), config, [1.0, -1.0])
@@ -361,6 +382,17 @@ class TestArrayGains:
             for k, config in enumerate(scalar):
                 columns[k] = checked_dual_step(columns[k], config, e[k])
                 assert state.theta[k].tobytes() == columns[k].theta.tobytes()
+
+    def test_gain_arrays_spread_gains_and_products(self):
+        config = gain_arrays(NuPIConfig(nu=np.array([[0.5], [-0.25]]), kp=3.0, ki=0.1), (2, 3))
+        for name in ("nu", "kp", "ki", "one_minus_nu", "kp_one_minus_nu"):
+            value = getattr(config, name)
+            assert value.shape == (2, 3) and value.dtype == np.float64, name
+        assert config.kp_one_minus_nu.tolist() == [[1.5] * 3, [3.75] * 3]
+        assert gain_arrays(UMConfig(alpha=1.0, beta=0.5, gamma=0.5), (4,)).beta_gamma.tolist() == [
+            0.25] * 4
+        with pytest.raises(ConfigurationError, match=r"broadcast to the multipliers' shape \(2, 3\)"):
+            gain_arrays(NuPIConfig(nu=np.zeros((3, 1)), kp=1.0, ki=1.0), (2, 3))
 
     def test_um_mapping_entrywise(self):
         # enough draws that a scalar-only operation (such as a float power,

@@ -28,6 +28,7 @@ from numax import (
     iris_csv_path,
     load_dataset_csv,
     make_dual_state,
+    map_um_to_nupi,
     read_trajectory_csv,
     train_validation_split,
     run,
@@ -622,6 +623,102 @@ def test_columns_stopping_together_match_run():
         for name in ("x", "f", "g", "h", "lam", "mu", "lagrangian"):
             assert _same(getattr(column.final, name), getattr(traj.final, name)), (k, name)
         assert _same(column.overshoot, traj.overshoot), k
+
+
+def _cell_matches_run(column, problem, x0, theta0, config):
+    """`column`, a `_run_columns` cell, against `run` of its row alone."""
+    traj = run(problem, x0, theta0, config)
+    assert (column.terminated_reason, column.final.t) == (traj.terminated_reason, traj.final.t)
+    for name in ("x", "f", "g", "h", "lam", "mu", "lagrangian"):
+        assert _same(getattr(column.final, name), getattr(traj.final, name)), name
+    assert _same(column.overshoot, traj.overshoot)
+
+
+def _ramp():
+    # f = |x|^2 / 2 with g = 1 - x0 <= 0 and h = x1 - 0.5 = 0; every callable
+    # takes one point or a stack
+    return ConstrainedProblem(
+        dim_primal=2, num_ineq=1, num_eq=1,
+        eval_objective=lambda x: 0.5 * (x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]),
+        eval_objective_grad=lambda x: 1.0 * x,
+        eval_ineq=lambda x: 1.0 - x[..., :1],
+        eval_eq=lambda x: x[..., 1:] - 0.5,
+        eval_constraint_jacobian=lambda x: np.array([[-1.0, 0.0], [0.0, 1.0]]),
+    )
+
+
+# One factor per row on every rule's gains: the small ones run to max_steps
+# or stop on tolerance, the large ones overflow, each at its own step.
+_ROW_SCALES = np.array([[1.0], [30.0], [1e3], [1e5], [1e200]])
+_ROW_RULES = {
+    "nupi": NuPIConfig(nu=np.full((5, 1), 0.5), kp=0.5 * _ROW_SCALES, ki=0.1 * _ROW_SCALES),
+    "nupi-match-um": map_um_to_nupi(UMConfig(alpha=0.1 * _ROW_SCALES, beta=np.full((5, 1), 0.5),
+                                             gamma=np.ones((5, 1)))),
+    "um": UMConfig(alpha=0.1 * _ROW_SCALES, beta=np.full((5, 1), 0.5), gamma=np.ones((5, 1))),
+    "ga": GAConfig(step_size=0.1 * _ROW_SCALES),
+    "adam": AdamConfig(step_size=0.01 * _ROW_SCALES),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_ROW_RULES))
+def test_every_rule_columns_match_run(rule):
+    # Per-row gains of each rule through the column driver: rows stop at
+    # staggered steps, so the gain arrays and their products are re-sliced
+    # as rows are dropped, and every cell must still be its row's run.
+    dual = _ROW_RULES[rule]
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=1500, dual_optimizer=dual,
+                        primal_optimizer=PrimalOptimizerConfig(
+                            kind=PrimalKind.GRADIENT_DESCENT_MOMENTUM, step_size=0.05),
+                        stop_tolerance=1e-5, record_every=2)
+    problem, x0, theta0 = _ramp(), [3.0, -1.0], [0.0, 0.0]
+    columns = loop._run_columns(problem, x0, theta0, config, len(_ROW_SCALES))
+    assert len({column.final.t for column in columns}) >= 3
+    for k, column in enumerate(columns):
+        row = dataclasses.replace(dual, **{name: float(getattr(dual, name)[k, 0])
+                                           for name in dual.GAINS})
+        _cell_matches_run(column, problem, x0, theta0,
+                          dataclasses.replace(config, dual_optimizer=row))
+
+
+def _ray(ineq: bool):
+    # f = 0 with the one constraint x - 1, an inequality or an equality
+    one, empty = (lambda x: x - 1.0), (lambda x: x[..., :0])
+    return ConstrainedProblem(
+        dim_primal=1, num_ineq=int(ineq), num_eq=int(not ineq),
+        eval_objective=lambda x: 0.0 * x[..., 0],
+        eval_objective_grad=lambda x: 0.0 * x,
+        eval_ineq=one if ineq else empty,
+        eval_eq=empty if ineq else one,
+        eval_constraint_jacobian=lambda x: np.ones((1, 1)),
+    )
+
+
+@pytest.mark.parametrize("ineq", [True, False], ids=["inequality", "equality"])
+def test_overflowing_multiplier_stops_non_finite(ineq):
+    # ki * g(x0) = 1e10 * -1e300 overflows to -inf at the first dual step. The
+    # projection would clamp an inequality multiplier to 0, so the dual step
+    # is tested before it: both kinds stop non-finite at t = 1, and the
+    # stopping record holds the -inf.
+    problem = _ray(ineq)
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5,
+                        dual_optimizer=NuPIConfig(nu=0.0, kp=0.0, ki=1e10), primal_optimizer=gd(0.1))
+    traj = run(problem, [-1e300], [0.0], config)
+    assert (traj.terminated_reason, traj.final.t) == (TerminationReason.NON_FINITE, 1)
+    assert np.concatenate([traj.final.lam, traj.final.mu]).tolist() == [-np.inf]
+    reference = loop_reference.run(problem, [-1e300], [0.0], config)
+    assert (reference.terminated_reason, reference.final.t) == (traj.terminated_reason, 1)
+    for name in ("x", "lam", "mu"):
+        assert _same(getattr(reference.final, name), getattr(traj.final, name)), name
+
+    # as one column of a grid, next to a row that runs to max_steps
+    ki = np.array([[1e10], [1e-3]])
+    columns = loop._run_columns(problem, [-1e300], [0.0], dataclasses.replace(
+        config, dual_optimizer=NuPIConfig(nu=0.0, kp=0.0, ki=ki)), 2)
+    assert [(c.terminated_reason, c.final.t) for c in columns] == [
+        (TerminationReason.NON_FINITE, 1), (TerminationReason.MAX_STEPS, 5)]
+    for k, column in enumerate(columns):
+        _cell_matches_run(column, problem, [-1e300], [0.0], dataclasses.replace(
+            config, dual_optimizer=NuPIConfig(nu=0.0, kp=0.0, ki=float(ki[k, 0]))))
 
 
 # The Lagrangian column is filled when it is read, in one pass over the rows
