@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -213,11 +214,24 @@ def _build_problem(config, seed: int) -> ProblemBundle:
     return bundle
 
 
+@contextmanager
+def _writing(path):
+    """The writing counterpart of `core.read_text`: an OSError raised in the
+    block, while creating `path` or writing to it or under it, is a
+    configuration error that names the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+
+
 def _resolve_output_dir(config, cli_value) -> Path:
     target = cli_value or config["run"]["output_dir"] or os.environ.get("NUMAX_OUTPUT_DIR") \
         or "numax_output"
     path = Path(target)
-    path.mkdir(parents=True, exist_ok=True)
+    with _writing(path):
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -301,11 +315,12 @@ def cmd_run(args) -> int:
             "dist_to_lambda_star", trajectory, lambda_star)
     summary["metric_value"] = _compute_metric(metric, trajectory, lambda_star)
 
-    write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
-    (out_dir / "summary.json").write_text(json.dumps(
-        {key: _json_value(value) for key, value in summary.items()},
-        indent=2, sort_keys=True, allow_nan=False) + "\n")
-    _echo_config(config, out_dir / "resolved_config.txt")
+    with _writing(out_dir):
+        write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
+        (out_dir / "summary.json").write_text(json.dumps(
+            {key: _json_value(value) for key, value in summary.items()},
+            indent=2, sort_keys=True, allow_nan=False) + "\n")
+        _echo_config(config, out_dir / "resolved_config.txt")
     print(f"run complete: {out_dir / 'summary.json'}")
     for key in sorted(summary):
         print(f"  {key} = {summary[key]}")
@@ -338,11 +353,13 @@ def cmd_grid(args) -> int:
     # recursion, a column each. A crash is recorded in every row.
     cells = [(kp, ki, nu) for kp in kp_values for ki in ki_values for nu in nu_values]
     gains = np.array(cells).T[:, :, None]  # kp, ki and nu, each of shape (cells, 1)
+    swept = NuPIConfig(kp=gains[0], ki=gains[1], nu=gains[2])
+    for warning in dual_config_warnings(swept):
+        print(f"warning: {warning}", file=sys.stderr)
     try:
         results = _run_columns(
             bundle.problem, bundle.x0, np.zeros(bundle.problem.num_constraints),
-            replace(loop_config, dual_optimizer=NuPIConfig(kp=gains[0], ki=gains[1], nu=gains[2])),
-            len(cells))
+            replace(loop_config, dual_optimizer=swept), len(cells))
         rows = [(*cell, _compute_metric(metric, result, lambda_star),
                  result.terminated_reason is TerminationReason.NON_FINITE, "")
                 for cell, result in zip(cells, results)]
@@ -350,16 +367,17 @@ def cmd_grid(args) -> int:
         rows = [(*cell, math.nan, True, f"{type(exc).__name__}: {exc}") for cell in cells]
 
     grid_path = out_dir / "grid.csv"
-    with open(grid_path, "w") as fh:
-        fh.write(f"# grid over kp x ki x nu, metric = {metric}; "
-                 "diverged_flag = 1 when the metric exceeds 1e3 or the run failed\n")
-        fh.write(",".join(_GRID_COLUMNS) + "\n")
-        for kp, ki, nu, value, failed, note in rows:
-            diverged = int(failed or not math.isfinite(value) or value > 1e3)
-            fh.write(f"{kp:.17g},{ki:.17g},{nu:.17g},{value:.17g},{diverged}\n")
-            if note:
-                print(f"cell kp={kp} ki={ki} nu={nu} failed: {note}", file=sys.stderr)
-    _echo_config(config, out_dir / "resolved_config.txt")
+    with _writing(out_dir):
+        with open(grid_path, "w") as fh:
+            fh.write(f"# grid over kp x ki x nu, metric = {metric}; "
+                     "diverged_flag = 1 when the metric exceeds 1e3 or the run failed\n")
+            fh.write(",".join(_GRID_COLUMNS) + "\n")
+            for kp, ki, nu, value, failed, note in rows:
+                diverged = int(failed or not math.isfinite(value) or value > 1e3)
+                fh.write(f"{kp:.17g},{ki:.17g},{nu:.17g},{value:.17g},{diverged}\n")
+                if note:
+                    print(f"cell kp={kp} ki={ki} nu={nu} failed: {note}", file=sys.stderr)
+        _echo_config(config, out_dir / "resolved_config.txt")
     print(f"grid complete: {grid_path} ({len(rows)} cells)")
     return 0
 
@@ -373,10 +391,18 @@ def read_grid_csv(path):
     return [(kp, ki, nu, value, int(flag)) for _, (kp, ki, nu, value, flag, *_) in rows]
 
 
+# The most kp samples sweep-regime accepts: each is one Python-level
+# eigenvalue solve and one CSV row, and np.linspace allocates them all at once.
+_MAX_SWEEP_SAMPLES = 10**6
+
+
 @np.errstate(over="ignore", invalid="ignore")  # non-finite eigenvalues are numerical failures
 def cmd_sweep_regime(args) -> int:
     if args.samples < 2:
         raise ConfigurationError("sweep-regime requires samples >= 2")
+    if args.samples > _MAX_SWEEP_SAMPLES:
+        raise ConfigurationError(
+            f"sweep-regime takes at most {_MAX_SWEEP_SAMPLES} samples, got {args.samples}")
     gains = critical_kp(args.h, args.a, args.ki)
     kp_values = sorted(set(np.linspace(args.kp_min, args.kp_max, args.samples).tolist()
                            + [gains.kp_plus, gains.kp_minus]))
@@ -388,14 +414,15 @@ def cmd_sweep_regime(args) -> int:
                     f"{lam2.real:.17g},{lam2.imag:.17g},{regime.kind.value}\n")
     out_path = Path(args.out) if args.out else _resolve_output_dir(
         _DEFAULTS, None) / "regime_sweep.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as fh:
-        fh.write(f"# regime sweep: h={args.h:.17g} a={args.a:.17g} ki={args.ki:.17g}\n")
-        fh.write(f"# critical_kp: {gains.kp_plus:.17g} (discriminant root +), "
-                 f"{gains.kp_minus:.17g} (discriminant root -); "
-                 f"convergent: {gains.convergent}\n")
-        fh.write(",".join(_REGIME_SWEEP_COLUMNS) + "\n")
-        fh.writelines(rows)
+    with _writing(out_path):
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        with open(out_path, "w") as fh:
+            fh.write(f"# regime sweep: h={args.h:.17g} a={args.a:.17g} ki={args.ki:.17g}\n")
+            fh.write(f"# critical_kp: {gains.kp_plus:.17g} (discriminant root +), "
+                     f"{gains.kp_minus:.17g} (discriminant root -); "
+                     f"convergent: {gains.convergent}\n")
+            fh.write(",".join(_REGIME_SWEEP_COLUMNS) + "\n")
+            fh.writelines(rows)
     print(f"sweep complete: {out_path} ({len(kp_values)} rows)")
     return 0
 
@@ -432,7 +459,8 @@ def cmd_oracle_svm(args) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with _writing(args.out):
+            Path(args.out).write_text(text)
         print(f"oracle written: {args.out}")
     else:
         print(text, end="")

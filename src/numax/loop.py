@@ -50,11 +50,10 @@ step then multiplies arrays of one shape, with the same bits as the scalar
 or (K, 1) gains. When rows stop, the gains are re-sliced with the rest.
 
 The dual state is advanced in place and the projected (and restarted) theta
-written back into it. Records fill columns (`Records`, the one record
-builder) that grow by doubling, which `Trajectory.steps` reads as
-`StepRecord` views and the CSV writer in blocks. The Lagrangian column is
-not written per step: reading it fills the new rows in one
-`lagrangian_value` pass.
+written back into it. Records fill columns of t, f, x, c and theta
+(`Records`, the one record builder) that grow by doubling, which
+`Trajectory.steps` reads as `StepRecord` views and the CSV writer in
+blocks; each computes the Lagrangian of the rows it reads.
 """
 
 from __future__ import annotations
@@ -162,17 +161,17 @@ class Records(Sequence):
     As `run`'s keeper it is about one point: `keep` appends a record, and
     `finish` notes in `reason` why the run stopped.
 
-    The Lagrangian column is not written by `append`: reading it fills the
-    rows appended since the last read in one `lagrangian_value` pass, bit
-    for bit what that rule gives row by row."""
+    The Lagrangian is not stored: it is computed from f, c and theta when it
+    is read, for one row or a range of rows in one `lagrangian_value` pass,
+    bit for bit what that rule gives row by row."""
 
-    _COLUMNS = ("t", "f", "_lagrangian", "x", "c", "theta")
+    _COLUMNS = ("t", "f", "x", "c", "theta")
 
     def __init__(self, rows: int, dim_primal: int, num_ineq: int, num_eq: int):
         rows = min(rows, _RECORDS_INITIAL_ROWS)
-        self.num_ineq, self.size, self.filled, self.reason = num_ineq, 0, 0, None
+        self.num_ineq, self.size, self.reason = num_ineq, 0, None
         self.t = np.empty(rows, dtype=np.int64)
-        self.f, self._lagrangian = np.empty(rows), np.empty(rows)
+        self.f = np.empty(rows)
         self.x = np.empty((rows, dim_primal))
         self.c = np.empty((rows, num_ineq + num_eq))  # [g, h]
         self.theta = np.empty((rows, num_ineq + num_eq))  # [lam, mu]
@@ -188,18 +187,18 @@ class Records(Sequence):
         self.t[i], self.f[i], self.x[i], self.c[i], self.theta[i] = t, f, x, c, theta
         self.size = i + 1
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def _lagrange(self, rows):
+        """The Lagrangian of `rows`, a row index or a slice. A row that
+        overflows holds inf or nan, without numpy's warnings."""
+        m, c, theta = self.num_ineq, self.c[rows], self.theta[rows]
+        return lagrangian_value(self.f[rows], c[..., :m], c[..., m:], theta[..., :m],
+                                theta[..., m:])
+
     @property
     def lagrangian(self) -> np.ndarray:
-        """The Lagrangian column, filled up to the last appended row. A row
-        that overflows holds inf or nan, without numpy's warnings."""
-        start, stop, m = self.filled, self.size, self.num_ineq
-        if start < stop:
-            c, theta = self.c[start:stop], self.theta[start:stop]
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._lagrangian[start:stop] = lagrangian_value(
-                    self.f[start:stop], c[:, :m], c[:, m:], theta[:, :m], theta[:, m:])
-            self.filled = stop
-        return self._lagrangian
+        """The Lagrangian of every row."""
+        return self._lagrange(slice(0, self.size))
 
     def keep(self, rows, t, x, f, c, theta) -> None:
         self.append(t, x, f, c, theta)
@@ -217,7 +216,7 @@ class Records(Sequence):
         i, m = range(self.size)[i], self.num_ineq
         return StepRecord(t=int(self.t[i]), x=self.x[i], f=float(self.f[i]), g=self.c[i, :m],
                           h=self.c[i, m:], lam=self.theta[i, :m], mu=self.theta[i, m:],
-                          lagrangian=float(self.lagrangian[i]))
+                          lagrangian=float(self._lagrange(i)))
 
 
 @dataclass
@@ -520,7 +519,7 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
             rows = slice(start, min(start + _CSV_BLOCK_ROWS, len(cols)))
             c = np.abs(cols.c[rows])
             block = np.column_stack([cols.t[rows], cols.f[rows], c[:, :m].max(axis=1, initial=0.0),
-                                     c[:, m:].max(axis=1, initial=0.0), cols.lagrangian[rows],
+                                     c[:, m:].max(axis=1, initial=0.0), cols._lagrange(rows),
                                      cols.theta[rows], cols.x[rows]])
             fh.write("".join([row % tuple(values) for values in block.tolist()]))
 

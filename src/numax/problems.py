@@ -16,10 +16,10 @@ products are `np.vecdot`, `np.matvec` and `np.vecmat`, whose rows match the
 one-point product bit for bit, and no callable uses an integer power, which
 numpy rounds differently for a scalar and for an array.
 
-Each built-in problem also supplies the fused pair `eval_values` and
-`eval_primal_gradient` that the descent-ascent loop calls at every step:
-the same float operations in the same order as the five callables, with
-shared subexpressions computed once.
+Each built-in problem writes its math once, and its five callables and the
+fused pair `eval_values` and `eval_primal_gradient`, which the descent-ascent
+loop calls at every step, are views of it. So the pair gives bit for bit what
+the five give, with shared subexpressions computed once.
 """
 
 from __future__ import annotations
@@ -122,29 +122,22 @@ def build_svm_problem(data: SvmDataset) -> ConstrainedProblem:
     # column i = -y_i [x_i, 1].
     jac = -np.vstack([X.T * y, y])
 
-    def objective(xvec):
+    def values(xvec):
         w = xvec[..., :d]
-        return 0.5 * np.vecdot(w, w)
+        return 0.5 * np.vecdot(w, w), 1.0 - y * (np.matvec(X, w) + xvec[..., d:])
 
     def objective_grad(xvec):
         grad = np.zeros(xvec.shape)
         grad[..., :d] = xvec[..., :d]
         return grad
 
-    def ineq(xvec):
-        return 1.0 - y * (np.matvec(X, xvec[..., :d]) + xvec[..., d:])
-
-    def values(xvec):
-        w = xvec[..., :d]
-        return 0.5 * np.vecdot(w, w), 1.0 - y * (np.matvec(X, w) + xvec[..., d:])
-
     return ConstrainedProblem(
         dim_primal=d + 1,
         num_ineq=data.num_points,
         num_eq=0,
-        eval_objective=objective,
+        eval_objective=lambda xvec: values(xvec)[0],
         eval_objective_grad=objective_grad,
-        eval_ineq=ineq,
+        eval_ineq=lambda xvec: values(xvec)[1],
         eval_eq=_no_constraints,
         eval_constraint_jacobian=lambda _xvec: jac,
         eval_values=values,
@@ -287,66 +280,46 @@ def build_2d_benchmark() -> ConstrainedProblem:
 
         f(x) = (x1 + exp(-x2))^2 + (x1^2 + 2 x2 + 1)^2
         h(x) = x1 + x1^3 + x2 + x2^2 - 2   (equality, violation form)
+
+    Its math is written once: `values` gives (f, h) and `derivatives` grad f
+    and the Jacobian column, and the five callables and the fused pair are
+    views of these two.
     """
 
-    def objective(x):
+    def terms(x):
+        """x1, x2, x1 * x1, exp(-x2) and f's residuals r1 and r2."""
         x0, x1 = _coordinates(x)
-        r1 = x0 + np.exp(-x1)
-        r2 = x0 * x0 + 2.0 * x1 + 1.0
-        return r1 * r1 + r2 * r2
+        square, decay = x0 * x0, np.exp(-x1)
+        return x0, x1, square, decay, x0 + decay, square + 2.0 * x1 + 1.0
 
-    def objective_grad(x):
-        x0, x1 = _coordinates(x)
-        r1 = x0 + np.exp(-x1)
-        r2 = x0 * x0 + 2.0 * x1 + 1.0
-        grad = np.empty(x.shape)
-        grad.T[0] = 2.0 * r1 + 4.0 * x0 * r2
-        grad.T[1] = -2.0 * r1 * np.exp(-x1) + 4.0 * r2
-        return grad
-
-    def eq(x):
-        x0, x1 = _coordinates(x)
-        return (x0 + x0 * x0 * x0 + x1 + x1 * x1 - 2.0)[..., None]
-
-    def jacobian(x):
-        x0, x1 = _coordinates(x)
-        jac = np.empty(x.shape + (1,))
-        jac.T[0, 0] = 1.0 + 3.0 * x0 * x0
-        jac.T[0, 1] = 1.0 + 2.0 * x1
-        return jac
-
-    # The fused pair: the operations above, with x0 * x0, r1, r2 and exp(-x1)
-    # computed once.
     def values(x):
-        x0, x1 = _coordinates(x)
-        square = x0 * x0
-        r1 = x0 + np.exp(-x1)
-        r2 = square + 2.0 * x1 + 1.0
+        x0, x1, square, _, r1, r2 = terms(x)
         return r1 * r1 + r2 * r2, (x0 + square * x0 + x1 + x1 * x1 - 2.0)[..., None]
 
+    def derivatives(x):
+        """(grad f, the Jacobian column), each as its two coordinates."""
+        x0, x1, _, decay, r1, r2 = terms(x)
+        # 3.0 * x0 * x0, not 3.0 * square: the two round differently.
+        return ((2.0 * r1 + 4.0 * x0 * r2, -2.0 * r1 * decay + 4.0 * r2),
+                (1.0 + 3.0 * x0 * x0, 1.0 + 2.0 * x1))
+
     def primal_gradient(x, theta):
-        x0, x1 = _coordinates(x)
+        (df0, df1), (dh0, dh1) = derivatives(x)
         mu = theta.T[0]
-        decay = np.exp(-x1)
-        r1 = x0 + decay
-        r2 = x0 * x0 + 2.0 * x1 + 1.0
-        grad = np.empty(x.shape)
         # np.matvec sums its one product onto 0.0, so a -0.0 product reaches
         # grad f as +0.0. Adding the product directly is the same: neither
-        # entry of grad f can be -0.0, as exp(-x1) >= +0.0 and r2 ends in + 1.0.
-        grad.T[0] = 2.0 * r1 + 4.0 * x0 * r2 + (1.0 + 3.0 * x0 * x0) * mu
-        grad.T[1] = -2.0 * r1 * decay + 4.0 * r2 + (1.0 + 2.0 * x1) * mu
-        return grad
+        # entry of grad f can be -0.0, as exp(-x2) >= +0.0 and r2 ends in + 1.0.
+        return _from_coordinates(x, df0 + dh0 * mu, df1 + dh1 * mu)
 
     return ConstrainedProblem(
         dim_primal=2,
         num_ineq=0,
         num_eq=1,
-        eval_objective=objective,
-        eval_objective_grad=objective_grad,
+        eval_objective=lambda x: values(x)[0],
+        eval_objective_grad=lambda x: _from_coordinates(x, *derivatives(x)[0]),
         eval_ineq=_no_constraints,
-        eval_eq=eq,
-        eval_constraint_jacobian=jacobian,
+        eval_eq=lambda x: values(x)[1],
+        eval_constraint_jacobian=lambda x: _from_coordinates(x, *derivatives(x)[1])[..., None],
         eval_values=values,
         eval_primal_gradient=primal_gradient,
     )
@@ -445,3 +418,10 @@ def _coordinates(x):
     columns of a stack of points."""
     xt = x.T
     return xt[0], xt[1]
+
+
+def _from_coordinates(x, first, second):
+    """The inverse of `_coordinates`: a new array shaped like x."""
+    out = np.empty(x.shape)
+    out.T[0], out.T[1] = first, second
+    return out

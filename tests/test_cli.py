@@ -311,6 +311,16 @@ class TestGrid:
         assert main(["grid", "--config", str(config),
                      "--output-dir", str(tmp_path / "out")]) == 2
 
+    def test_swept_gains_out_of_range_warn_once(self, tmp_path, capsys):
+        config = tmp_path / "grid.ini"
+        write_svm_config(config)
+        assert main(["grid", "--config", str(config), "--output-dir", str(tmp_path / "out"),
+                     "--grid.ki", "0,0.01"]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: ")]
+        assert warnings == ["warning: ki (2 of 4 rows) is not positive; "
+                            "the integral term will not ascend"]
+
     def test_grid_requires_nupi(self, tmp_path):
         config = tmp_path / "grid.ini"
         write_svm_config(config)
@@ -433,6 +443,7 @@ _BAD_SETTINGS = {
     "ini_duplicate_key": _file_args(b"[problem]\nkind = svm\nkind = qp\n", "--config"),
     "ini_binary": _file_args(_BINARY, "--config"),
     "ini_bad_interpolation": _file_args(b"[problem]\npath = 100%.csv\n", "--config"),
+    "output_dir_is_a_file": _file_args(b"", "--output-dir"),  # the last --output-dir wins
 }
 _BAD_GRID_SETTINGS = {
     "jobs_zero": ["--jobs", "0"],
@@ -498,6 +509,11 @@ _BAD_TOOL_ARGS = {
     "oracle-svm-nan_train_fraction": ["oracle-svm", "--train-fraction", "nan"],
     "oracle-svm-non_integer_seed": ["oracle-svm", "--seed", "x"],
     "oracle-svm-binary_data": ["oracle-svm", "--data", "{binary}"],
+    "oracle-svm-out_is_a_directory": ["oracle-svm", "--out", "."],
+    "sweep-regime-out_is_a_directory": ["sweep-regime", "--h", "1", "--a", "-1", "--ki", "1",
+                                        "--out", "."],
+    "sweep-regime-too_many_samples": ["sweep-regime", "--h", "1", "--a", "-1", "--ki", "1",
+                                      "--samples", str(cli._MAX_SWEEP_SAMPLES + 1)],
     "unknown_subcommand": ["bogus"],
 }
 

@@ -721,8 +721,8 @@ def test_overflowing_multiplier_stops_non_finite(ineq):
             config, dual_optimizer=NuPIConfig(nu=0.0, kp=0.0, ki=float(ki[k, 0]))))
 
 
-# The Lagrangian column is filled when it is read, in one pass over the rows
-# appended since the last read. Each row must be, bit for bit, what
+# The Lagrangian column is computed when it is read, in one pass over the
+# rows read. Each row must be, bit for bit, what
 # `lagrangian_value` gives for that record alone, and what f + lam . g + mu . h
 # gives with each dot product taken as a 1-D `@` and summed one at a time.
 
@@ -758,7 +758,6 @@ def test_lagrangian_column_fills_as_records_grow(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             column = records.lagrangian
-        assert records.filled == len(records)
         _assert_lagrangian_rows(records, column)
     assert len(records) == 62 and len(records.t) == 64
     assert not np.all(np.isfinite(records.lagrangian[:len(records)]))
