@@ -98,8 +98,10 @@ class ConstrainedProblem:
     for bit. A fused callable may share subexpressions, but only through the
     same float operations in the same order as the five callables.
 
-    All callables must be re-entrant; instances are immutable after
-    construction and safe to share across threads. The built-in problems'
+    All callables must be re-entrant and deterministic: the same input bits
+    give the same output bits, as `check_fused` and the loop's fixed-point
+    rule (`numax.loop`) assume. Instances are immutable after construction
+    and safe to share across threads. The built-in problems'
     callables also take a stack of points x of shape (K, dim_primal) and
     return one result per row, each bit for bit the one-point result; the
     checked accessors and the evaluation path below accept such stacks too.

@@ -54,13 +54,32 @@ written back into it. Records fill columns of t, f, x, c and theta
 (`Records`, the one record builder) that grow by doubling, which
 `Trajectory.steps` reads as `StepRecord` views and the CSV writer in
 blocks; each computes the Lagrangian of the rows it reads.
+
+A run whose dynamics settle ends, in float64, on an exact fixed point of
+the step map: every later iteration gives the same bits. Every
+`_FIXED_POINT_EVERY` steps the loop stores the bytes of everything it
+carries from one iteration to the next (x, every field of the dual
+state and of the primal optimizer, the tolerance streak and the last dual
+increment) and compares them at the next step. Bytes, not `==`: -0.0 and
+0.0 differ, and so do NaN payloads. The problem's callables are
+deterministic (`ConstrainedProblem`), so equal bytes mean the step map
+took the state to itself, and every later step does too. The keeper then
+gets the remaining recorded steps in one call, and the run goes to its
+terminal record. nuPI's first step (xi still None) and Adam's step counts
+are in the compared state, so they never match; a row drop changes the
+arrays' shapes, so the grid skips only when every remaining row repeats.
+With `stop_tolerance` the streak moves only at recorded steps, so two equal
+states may still hide a streak that completes later: the skip is taken only
+where the repeated state fails the tolerance test (there the dual increment
+is 0, so where max |c| > stop_tolerance). The records, the stop reason and
+the counters are those of stepping on.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import partial
 
@@ -149,7 +168,8 @@ class StepRecord:
     lagrangian: float
 
 
-# Records start with at most this many rows and double when full. A run that
+# Records start with at most this many rows and double when full (or grow to
+# fit a range of repeated records at once). A run that
 # stops early then holds columns sized by what it recorded, not by its step
 # budget; budgets up to this size (50k steps plus two records) never grow.
 _RECORDS_INITIAL_ROWS = 1 << 16
@@ -176,16 +196,23 @@ class Records(Sequence):
         self.c = np.empty((rows, num_ineq + num_eq))  # [g, h]
         self.theta = np.empty((rows, num_ineq + num_eq))  # [lam, mu]
 
-    def append(self, t: int, x: np.ndarray, f: float, c: np.ndarray, theta: np.ndarray) -> None:
+    def append(self, t, x: np.ndarray, f: float, c: np.ndarray, theta: np.ndarray) -> None:
+        """Append the record at step t, or, for a range of steps t, the same
+        record at each of them (filled by broadcast)."""
         i = self.size
-        if i == len(self.t):
+        if type(t) is range:
+            rows = slice(i, i + len(t))
+            end, t = rows.stop, np.arange(t.start, t.stop, t.step)
+        else:
+            rows, end = i, i + 1
+        if end > len(self.t):
             for name in self._COLUMNS:
                 old = getattr(self, name)
-                grown = np.empty((2 * len(old),) + old.shape[1:], dtype=old.dtype)
-                grown[:i] = old
+                grown = np.empty((max(2 * len(old), end),) + old.shape[1:], dtype=old.dtype)
+                grown[:i] = old[:i]
                 setattr(self, name, grown)
-        self.t[i], self.f[i], self.x[i], self.c[i], self.theta[i] = t, f, x, c, theta
-        self.size = i + 1
+        self.t[rows], self.f[rows], self.x[rows], self.c[rows], self.theta[rows] = t, f, x, c, theta
+        self.size = end
 
     @np.errstate(over="ignore", invalid="ignore")
     def _lagrange(self, rows):
@@ -221,9 +248,14 @@ class Records(Sequence):
 
 @dataclass
 class Trajectory:
+    """A run's records and why it stopped. `counters` holds the evaluation
+    counts, keyed objective / ineq / eq / objective_grad / jacobian. They
+    follow the iteration order, one evaluation per iteration plus the
+    terminal one, also where steps past an exact fixed point were filled
+    rather than computed."""
+
     steps: Records
     terminated_reason: TerminationReason
-    # evaluation counts, keyed objective / ineq / eq / objective_grad / jacobian
     counters: dict = field(default_factory=dict)
 
     @property
@@ -243,11 +275,21 @@ class Trajectory:
         return np.array(blocks[name] if name in blocks else getattr(cols, name)[:n])
 
 
+@dataclass(init=False, eq=False)
 class _PrimalOptimizer:
     """Gradient descent, heavy-ball momentum (v <- beta v + grad,
     x <- x - eta v), or Adam (the dual side's `adam_moments`) on the primal
     variables. The step size eta and the momentum beta are held as arrays of
-    x's shape, as the loop holds the dual gains (`gain_arrays`)."""
+    x's shape, as the loop holds the dual gains (`gain_arrays`). A dataclass,
+    like the dual states, so that the loop reads its state through `fields`."""
+
+    kind: PrimalKind
+    step_size: np.ndarray
+    momentum: np.ndarray
+    velocity: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    t: int
 
     def __init__(self, config: PrimalOptimizerConfig, dim: int | tuple):
         self.kind = config.kind
@@ -286,13 +328,20 @@ def _checked_start(problem: ConstrainedProblem, x0, theta0, lead: tuple = ()) ->
             np.array(np.broadcast_to(theta, lead + theta.shape[-1:])))
 
 
+def _fields(obj) -> list:
+    """(name, value) of each field of a dual state or the primal optimizer.
+    Read through `fields`, not `vars`: `vars` gives the instance a real
+    __dict__, which makes every later attribute access slower."""
+    return [(f.name, getattr(obj, f.name)) for f in fields(obj)]
+
+
 def _keep_rows(rows, state, dual, primal, keeper, *arrays) -> tuple:
     """Keep `rows` of every per-row array: the dual state's, the primal
     optimizer's and the keeper's (in place), and the dual config's gains
     (whose products it recomputes) and `arrays` (returned anew, in that
     order)."""
     for obj in (state, primal):
-        for name, value in list(vars(obj).items()):
+        for name, value in _fields(obj):
             if isinstance(value, np.ndarray):
                 setattr(obj, name, value[rows])
     keeper.drop(rows)
@@ -317,6 +366,30 @@ def _finite_test(like: np.ndarray):
     return _all_finite
 
 
+# Every this many steps the loop stores what it carries from one iteration to
+# the next, to test at the following step whether the run sits on an exact
+# fixed point.
+_FIXED_POINT_EVERY = 256
+
+
+def _carried(x, state, primal, streak, last_dual_increment) -> list:
+    """What the loop carries from one iteration to the next: arrays (and
+    numpy scalars) by their bytes, so -0.0 and 0.0 or two NaN payloads
+    differ, anything else (None, a step count, an enum) as it is. The dual
+    config's gains are left out: they change only when rows are dropped,
+    which changes x's shape."""
+    values = [x, streak, last_dual_increment]
+    values += [value for _, value in _fields(state) + _fields(primal)]
+    return [v.tobytes() if isinstance(v, (np.ndarray, np.generic)) else v for v in values]
+
+
+def _within(tolerance: float, error: np.ndarray, last_dual_increment) -> np.ndarray:
+    """Per row, whether a recorded step counts toward the tolerance streak:
+    max |c| and the last dual increment are both at most `tolerance`."""
+    viol = np.maximum.reduce(np.abs(error), axis=-1, initial=0.0)
+    return (viol <= tolerance) & (last_dual_increment <= tolerance)
+
+
 # Overflow in a diverging run is flagged as NON_FINITE, without numpy's warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarray,
@@ -330,10 +403,13 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
     the projection), or where its tolerance streak completes (non-finite wins);
     the rest get the terminal record at `config.max_steps`. The keeper gets
     `keep(rows, t, x, f, c, theta)` at each step where `run` records, `rows`
-    masking the rows that record (True: all), then `finish(rows, ..., reason)`
+    masking the rows that record (True: all), or once with a range of steps t
+    that all record the same state, from where every row sits at an exact
+    fixed point; then `finish(rows, ..., reason)`
     with the rows that stop, once per reason. When only some rows stop, they
-    are dropped and `keeper.drop(rows)` gets the rows that go on. Returns how
-    often the rows that stopped last were evaluated."""
+    are dropped and `keeper.drop(rows)` gets the rows that go on. Returns the
+    evaluations the iteration order makes for the rows that stopped last: one
+    per iteration, filled ones too, plus the terminal one."""
     # Picked once from the shapes; a stack reduces over all its rows.
     one = x.ndim == 1
     any_true = bool if one else partial(np.logical_or.reduce, axis=None)
@@ -353,13 +429,25 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
 
     for t in range(config.max_steps):
         f, error = values(x)
+        if t % _FIXED_POINT_EVERY < 2:  # store the carried state at 0, compare at 1
+            now = _carried(x, state, primal, streak, last_dual_increment)
+            if t % _FIXED_POINT_EVERY == 0:
+                carried = now
+            elif now == carried and (tolerance is None or not any_true(
+                    _within(tolerance, error, last_dual_increment))):
+                # Iteration t - 1 mapped the state to itself, so every later
+                # one does too, and no tolerance streak can complete: the
+                # steps left to record (the first is t rounded up to
+                # record_every) record this state, and the run ends at max_steps.
+                keep(True, range(t + -t % config.record_every, config.max_steps,
+                                 config.record_every), x, f, error, state.theta)
+                break
         theta_t = state.theta
         recorded = t % config.record_every == 0
         # One bool per check; per-row masks only at a step where a row stops.
         stop = not (finite_f(f) and finite_theta(error))
         if recorded and tolerance is not None:
-            viol = np.maximum.reduce(np.abs(error), axis=-1, initial=0.0)
-            streak = (streak + 1) * ((viol <= tolerance) & (last_dual_increment <= tolerance))
+            streak = (streak + 1) * _within(tolerance, error, last_dual_increment)
             stop = stop or any_true(streak >= _STOP_PATIENCE)
         if stop:
             bad = ~(np.isfinite(f) & np.logical_and.reduce(np.isfinite(error), axis=-1))
@@ -495,7 +583,8 @@ def _run_columns(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
 # CSV serialization. Header: t,f,linf_g,linf_h,lagrangian,lambda_0..,mu_0..,x_0..
 # Floats are written with 17 significant digits, which round-trips float64
 # exactly; rows end in "\r\n", the csv module's line terminator. Row blocks
-# bound the writer's memory.
+# bound the writer's memory. A row whose floats have the bits of the row
+# before it (in this block or the last) reuses that row's text after t.
 _CSV_BLOCK_ROWS = 512
 _CSV_LEADING_COLUMNS = ("t", "f", "linf_g", "linf_h", "lagrangian")
 
@@ -509,7 +598,8 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
               + [f"lambda_{i}" for i in range(m)]
               + [f"mu_{i}" for i in range(n)]
               + [f"x_{i}" for i in range(d)])
-    row = "%d" + ",%.17g" * (len(header) - 1) + "\r\n"
+    tail = ",%.17g" * (len(header) - 1) + "\r\n"
+    texts, last = [None], None  # texts[-1] and last: the previous row's tail and bits
     with open(path, "w", newline="") as fh:
         fh.write(f"# trajectory: {m} inequality multipliers, {n} equality multipliers, "
                  f"{d} primal coordinates; linf_* are infinity norms of g and h\n")
@@ -518,10 +608,21 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         for start in range(0, len(cols), _CSV_BLOCK_ROWS):
             rows = slice(start, min(start + _CSV_BLOCK_ROWS, len(cols)))
             c = np.abs(cols.c[rows])
-            block = np.column_stack([cols.t[rows], cols.f[rows], c[:, :m].max(axis=1, initial=0.0),
+            block = np.column_stack([cols.f[rows], c[:, :m].max(axis=1, initial=0.0),
                                      c[:, m:].max(axis=1, initial=0.0), cols._lagrange(rows),
                                      cols.theta[rows], cols.x[rows]])
-            fh.write("".join([row % tuple(values) for values in block.tolist()]))
+            bits = block.view(np.uint64)
+            changed = np.empty(len(block), dtype=bool)
+            changed[0] = last is None or bool((bits[0] != last).any())
+            changed[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+            texts = texts[-1:] + [tail % tuple(values) for values in block[changed].tolist()]
+            # Each row is its t, then the tail of the last changed row at or
+            # before it; the tails are shared, not copied per row.
+            pieces = [None] * (2 * len(block))
+            pieces[::2] = map(str, cols.t[rows].tolist())
+            pieces[1::2] = map(texts.__getitem__, np.cumsum(changed).tolist())
+            fh.write("".join(pieces))
+            last = bits[-1].copy()
 
 
 @dataclass

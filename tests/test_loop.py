@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from numax import (
     AdamConfig,
@@ -20,6 +20,7 @@ from numax import (
     Scheme,
     TerminationReason,
     UMConfig,
+    benchmark2d_constrained_optimum,
     build_2d_benchmark,
     build_qp_problem,
     build_svm_problem,
@@ -351,6 +352,47 @@ class TestTrajectoryCsv:
         assert "mu_0" in lines[2] and "x_0" in lines[2]
 
 
+def test_csv_writer_matches_plain_formatting(tmp_path, monkeypatch):
+    # The writer reuses a row's text for a row whose floats have the same
+    # bits. Against plain per-row formatting: repeats inside and across
+    # two-row blocks, rows that differ only in the sign of a zero, NaN with
+    # two payloads, and +-inf.
+    monkeypatch.setattr(loop, "_CSV_BLOCK_ROWS", 2)
+    other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    records = loop.Records(4, 2, 1, 1)  # grows as rows are appended
+    rows = [  # (x, f, c, theta), each appended as given, one step each
+        ([0.0, 1.5], 1.0, [0.5, -0.25], [1.0, 2.0]),
+        ([0.0, 1.5], 1.0, [0.5, -0.25], [1.0, 2.0]),    # repeat in a block
+        ([0.0, 1.5], 1.0, [0.5, -0.25], [1.0, 2.0]),    # repeat across blocks
+        ([-0.0, 1.5], 1.0, [0.5, -0.25], [1.0, 2.0]),   # the sign of a zero
+        ([0.0, 1.5], 1.0, [0.5, -0.25], [1.0, 2.0]),
+        ([0.0, 1.5], 1.0, [0.5, -0.0], [1.0, 2.0]),
+        ([0.0, 1.5], -0.0, [0.5, -0.0], [1.0, 2.0]),
+        ([np.nan, 1.5], 1.0, [0.5, -0.25], [1.0, 2.0]),
+        ([other_nan, 1.5], 1.0, [0.5, -0.25], [1.0, 2.0]),
+        ([other_nan, 1.5], 1.0, [0.5, -0.25], [1.0, 2.0]),
+        ([-np.inf, 1.5], np.inf, [0.5, -0.25], [1.0, 2.0]),
+        ([-np.inf, 1.5], np.inf, [0.5, -0.25], [1.0, 2.0]),
+    ]
+    for t, (x, f, c, theta) in enumerate(rows):
+        records.append(t, np.array(x), f, np.array(c), np.array(theta))
+    records.append(range(12, 20, 3), np.array([0.0, 1.5]), 1.0, np.array([0.5, -0.25]),
+                   np.array([1.0, 2.0]))
+    traj = loop.Trajectory(steps=records, terminated_reason=TerminationReason.MAX_STEPS)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(traj, path)
+
+    row = "%d" + ",%.17g" * 8 + "\r\n"
+    with np.errstate(invalid="ignore"):
+        plain = "".join(row % (rec.t, rec.f, np.max(np.abs(rec.g)), np.max(np.abs(rec.h)),
+                               rec.lagrangian, *rec.lam, *rec.mu, *rec.x)
+                        for rec in traj.steps)
+    text = path.read_bytes().decode()
+    assert text.split("\n", 3)[3] == plain
+    assert [rec.t for rec in traj.steps] == list(range(12)) + [12, 15, 18]
+    assert ",-0,1.5\r\n" in plain and "nan" in plain and "-inf" in plain
+
+
 # The frozen record-per-step driver in tests/reference is the oracle for the
 # columnar driver: same records bit for bit, same stop, same counts, same
 # CSV bytes.
@@ -450,6 +492,185 @@ def _assert_matches_reference(problem, x0, config, base):
     return traj
 
 
+# A run whose whole carried state repeats bit for bit sits on an exact fixed
+# point, and the loop fills the records left at once. Each case reaches such a
+# point within about 2k steps and must still be the reference driver's run bit
+# for bit; counting evaluations shows whether the skip fired.
+
+def _counting(problem):
+    """`problem` with its evaluations through `values` counted, one entry
+    in the returned list per call (the start check makes one)."""
+    calls = []
+
+    def eval_values(x):
+        calls.append(None)
+        return problem.values(x)
+
+    return dataclasses.replace(problem, eval_values=eval_values), calls
+
+
+def _fixed_step(traj) -> int:
+    """The first recorded step from which x and theta keep the final
+    record's bits."""
+    rows = np.concatenate([traj.column(name) for name in ("x", "lam", "mu")], axis=1)
+    bits = rows.view(np.uint64)
+    changing = np.flatnonzero((bits != bits[-1]).any(axis=1))
+    return int(traj.column("t")[changing[-1] + 1]) if len(changing) else 0
+
+
+def _near_optimum():
+    return benchmark2d_constrained_optimum() + 0.01
+
+
+# name: (problem, x0, dual, primal kind, other LoopConfig fields, whether the skip fires)
+_FIXED_POINT_CASES = {
+    "every-step": (build_2d_benchmark, _near_optimum, NuPIConfig(nu=0.0, kp=3.0, ki=0.1),
+                   PrimalKind.GRADIENT_DESCENT, {}, True),
+    "strided": (build_2d_benchmark, _near_optimum, NuPIConfig(nu=0.0, kp=3.0, ki=0.1),
+                PrimalKind.GRADIENT_DESCENT, {"record_every": 7}, True),
+    "simultaneous": (build_2d_benchmark, _near_optimum, NuPIConfig(nu=0.0, kp=1.0, ki=0.1),
+                     PrimalKind.GRADIENT_DESCENT, {"scheme": Scheme.SIMULTANEOUS}, True),
+    "restarts": (two_sided_plane, lambda: [0.0, 0.0], NuPIConfig(nu=0.0, kp=1.0, ki=0.5),
+                 PrimalKind.GRADIENT_DESCENT, {"dual_restarts": True}, True),
+    "ga": (two_sided_plane, lambda: [0.0, 0.0], GAConfig(step_size=0.5),
+           PrimalKind.GRADIENT_DESCENT, {}, True),
+    "um": (two_sided_plane, lambda: [0.0, 0.0], UMConfig(alpha=0.05, beta=0.3, gamma=1.0),
+           PrimalKind.GRADIENT_DESCENT, {}, True),
+    # Adam's step count moves every step, on either side: no state repeats.
+    "dual-adam": (two_sided_plane, lambda: [0.0, 0.0], AdamConfig(step_size=0.05),
+                  PrimalKind.GRADIENT_DESCENT, {"record_every": 7}, False),
+    "primal-adam": (build_2d_benchmark, _near_optimum, NuPIConfig(nu=0.0, kp=1.0, ki=0.1),
+                    PrimalKind.ADAM, {}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIXED_POINT_CASES))
+def test_fixed_point_matches_reference(tmp_path, case):
+    make, x0, dual, primal_kind, fields, skips = _FIXED_POINT_CASES[case]
+    problem, calls = _counting(make())
+    step = 0.01 if make is build_2d_benchmark else 0.05
+    config = LoopConfig(**{"scheme": Scheme.ALTERNATING, "max_steps": 3000,
+                           "dual_optimizer": dual,
+                           "primal_optimizer": PrimalOptimizerConfig(kind=primal_kind,
+                                                                     step_size=step),
+                           **fields})
+    traj = _assert_matches_reference(problem, x0(), config, tmp_path)
+    assert traj.terminated_reason is TerminationReason.MAX_STEPS
+    if skips:
+        assert _fixed_step(traj) < 2000 and len(calls) < config.max_steps
+    else:
+        assert len(calls) == config.max_steps + 2
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["at-max-violation", "below-max-violation"])
+def test_fixed_point_under_tolerance_matches_reference(tmp_path, below):
+    # two_sided_plane's fixed point strictly satisfies both inequalities, so
+    # max |c| there is the slack, about 4.5. Every 100th step is recorded, so
+    # a streak takes 1000 steps, and the state repeats between recorded steps
+    # long before a streak at that tolerance completes: a skip there would end
+    # the run at max-steps. Just below that max |c| no streak starts.
+    base = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=3000,
+                      dual_optimizer=NuPIConfig(nu=0.0, kp=1.0, ki=0.5),
+                      primal_optimizer=gd(0.05), record_every=100)
+    final = run(two_sided_plane(), [0.0, 0.0], np.zeros(3), base).final
+    tolerance = float(np.max(np.abs(np.concatenate([final.g, final.h]))))
+    if below:
+        tolerance = float(np.nextafter(tolerance, 0.0))
+    problem, calls = _counting(two_sided_plane())
+    traj = _assert_matches_reference(problem, [0.0, 0.0],
+                                     dataclasses.replace(base, stop_tolerance=tolerance), tmp_path)
+    if below:
+        assert traj.terminated_reason is TerminationReason.MAX_STEPS
+        assert len(calls) < base.max_steps
+    else:
+        assert traj.terminated_reason is TerminationReason.TOLERANCE
+        assert traj.final.t > _fixed_step(traj) + 2 * loop._FIXED_POINT_EVERY
+
+
+def test_acceptance_7_runs_skip_at_their_fixed_point():
+    # The three 50k-step runs of acceptance criterion 7 each reach an exact
+    # fixed point; every step from there on is filled, not computed. A
+    # detector that never fires evaluates 50002 times.
+    every = loop._FIXED_POINT_EVERY
+    for kp in (1.0, 3.0, 5.0):
+        problem, calls = _counting(build_2d_benchmark())
+        config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=50000,
+                            dual_optimizer=NuPIConfig(nu=0.0, kp=kp, ki=0.01),
+                            primal_optimizer=gd(0.002))
+        traj = run(problem, [-0.5, -2.0], np.zeros(1), config)
+        assert traj.counters["objective"] == 50001 and len(traj.steps) == 50001
+        assert len(calls) <= _fixed_step(traj) + 2 * every + 2, kp
+
+
+def _zero_sign_relay():
+    """No constraints; x = (a, b, s) from (0, -0, -0) with GD step 1. a
+    counts the steps up to E = `_FIXED_POINT_EVERY` and stays there. At
+    step E the gradient turns s to +0, and at step E + 1 the gradient, now
+    -0 through s, turns b to +0: the states at E and E + 1 differ only in
+    the sign of a zero, and the run is at its fixed point from E + 2."""
+    every = loop._FIXED_POINT_EVERY
+
+    def grad(x):
+        a, _, s = x
+        return np.array([-1.0, 0.0, 0.0]) if a < every else np.array([0.0, -s, -0.0])
+
+    return ConstrainedProblem(
+        dim_primal=3, num_ineq=0, num_eq=0,
+        eval_objective=lambda x: float(x[0]),
+        eval_objective_grad=grad,
+        eval_ineq=lambda x: np.zeros(0),
+        eval_eq=lambda x: np.zeros(0),
+        eval_constraint_jacobian=lambda x: np.zeros((3, 0)),
+    )
+
+
+def test_state_that_differs_in_the_sign_of_a_zero_is_no_fixed_point(tmp_path):
+    every = loop._FIXED_POINT_EVERY
+    problem, calls = _counting(_zero_sign_relay())
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=3 * every,
+                        dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(1.0))
+    traj = _assert_matches_reference(problem, [0.0, -0.0, -0.0], config, tmp_path)
+    assert str(traj.steps[every + 1].x[1]) == "-0.0" and str(traj.final.x[1]) == "0.0"
+    assert len(calls) < config.max_steps
+
+
+def test_first_step_that_only_sets_xi_is_no_fixed_point(tmp_path):
+    # From two_sided_plane's unconstrained minimizer (2, 0) with kp = -ki,
+    # the first nuPI step gives theta_1 = ki e_0 + kp xi_0 = 0 and the primal
+    # gradient is 0, so x and theta repeat; only xi is set. The next step
+    # moves mu.
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=600,
+                        dual_optimizer=NuPIConfig(nu=0.0, kp=-0.5, ki=0.5),
+                        primal_optimizer=gd(0.05))
+    traj = _assert_matches_reference(two_sided_plane(), [2.0, 0.0], config, tmp_path)
+    first, second, third = traj.steps[:3]
+    assert _same(first.x, second.x) and _same(first.mu, second.mu)
+    assert not _same(second.mu, third.mu)
+
+
+def test_velocity_that_x_absorbs_is_no_fixed_point(tmp_path):
+    # f = x from x0 = 1.5 * 2^60, whose neighbours lie 256 away, under heavy-ball
+    # momentum 0.99: the velocity climbs toward 100, and the steps eta v stay
+    # under half that spacing, so x repeats while v grows, until after step
+    # E + 1. Then x moves.
+    problem = ConstrainedProblem(
+        dim_primal=1, num_ineq=0, num_eq=0,
+        eval_objective=lambda x: float(x[0]),
+        eval_objective_grad=lambda x: np.ones(1),
+        eval_ineq=lambda x: np.zeros(0),
+        eval_eq=lambda x: np.zeros(0),
+        eval_constraint_jacobian=lambda x: np.zeros((1, 0)),
+    )
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=600,
+                        dual_optimizer=GAConfig(step_size=0.1),
+                        primal_optimizer=PrimalOptimizerConfig(
+                            kind=PrimalKind.GRADIENT_DESCENT_MOMENTUM, step_size=1.3617,
+                            momentum=0.99))
+    traj = _assert_matches_reference(problem, [1.5 * 2.0**60], config, tmp_path)
+    x = traj.column("x")[:, 0]
+    assert loop._FIXED_POINT_EVERY + 1 < np.flatnonzero(x != x[0])[0] < config.max_steps
+
+
 @pytest.mark.parametrize("primal_step,x0", [(0.05, [0.0, 0.0]), (0.9, [0.0, 0.0]),
                                             (50.0, [0.0, 0.0]), (0.05, [1e200, 0.0])],
                          ids=["converging", "oscillating", "diverging", "non-finite-start"])
@@ -495,6 +716,15 @@ _CELL = st.fixed_dictionaries({
 })
 
 
+# nuPI cells on benchmark2d from (0, 0) with GD at 0.02: each reaches an
+# exact fixed point, between steps 365 and 1263; the last diverges.
+_FREEZING_CELLS = [
+    {"kp": kp, "ki": ki, "nu": nu, "blow_up": blow_up, "x0_scale": 0.0}
+    for kp, ki, nu, blow_up in ((3.0, 0.1, 0.0, 1.0), (1.0, 0.1, 0.5, 1.0),
+                                (0.5, 0.2, 0.0, 1.0), (1.0, 0.3, -0.3, 1.0),
+                                (2.0, 0.05, 0.3, 1.0), (1.0, 0.1, 0.0, 1e4))]
+
+
 @settings(max_examples=100, deadline=None)
 @given(problem_name=st.sampled_from(sorted(_GRID_PROBLEMS)), scheme=st.sampled_from(list(Scheme)),
        primal_kind=st.sampled_from(list(PrimalKind)),
@@ -504,6 +734,12 @@ _CELL = st.fixed_dictionaries({
        stop_tolerance=st.sampled_from([None, 1e-6, 1e-3, 0.1, 10.0]),
        seed=st.integers(0, 2**32 - 1),
        cells=st.lists(_CELL, min_size=1, max_size=6))
+# benchmark2d rows that reach exact fixed points at different steps, and one
+# that diverges and is dropped: the grid skips only once every row repeats.
+@example(problem_name="benchmark2d", scheme=Scheme.ALTERNATING,
+         primal_kind=PrimalKind.GRADIENT_DESCENT, primal_step=0.02, restarts=False,
+         record_every=7, max_steps=2000, stop_tolerance=None, seed=0,
+         cells=_FREEZING_CELLS)
 def test_columns_match_run(problem_name, scheme, primal_kind, primal_step, restarts,
                            record_every, max_steps, stop_tolerance, seed, cells):
     rng = np.random.default_rng(seed)
@@ -678,6 +914,29 @@ def test_every_rule_columns_match_run(rule):
                                            for name in dual.GAINS})
         _cell_matches_run(column, problem, x0, theta0,
                           dataclasses.replace(config, dual_optimizer=row))
+
+
+def test_columns_skip_once_every_row_repeats():
+    # The grid of _FREEZING_CELLS: the diverging row is dropped, the others
+    # freeze one by one, and the stack is evaluated until shortly after the
+    # last of them freezes, not to max_steps.
+    problem, calls = _counting(build_2d_benchmark())
+    gains = {key: np.array([[cell[key] * (cell["blow_up"] if key != "nu" else 1.0)]
+                            for cell in _FREEZING_CELLS]) for key in ("kp", "ki", "nu")}
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5000,
+                        dual_optimizer=NuPIConfig(**gains), primal_optimizer=gd(0.02))
+    columns = loop._run_columns(problem, [0.0, 0.0], [0.0], config, len(_FREEZING_CELLS))
+    assert [c.terminated_reason for c in columns] == (
+        [TerminationReason.MAX_STEPS] * 5 + [TerminationReason.NON_FINITE])
+    frozen = []
+    for k, column in enumerate(columns):
+        cell = dataclasses.replace(config, dual_optimizer=NuPIConfig(
+            **{key: float(value[k, 0]) for key, value in gains.items()}))
+        _cell_matches_run(column, build_2d_benchmark(), [0.0, 0.0], [0.0], cell)
+        frozen.append(_fixed_step(run(build_2d_benchmark(), [0.0, 0.0], [0.0], cell)))
+    frozen = frozen[:5]  # the diverging row's records end non-finite
+    assert len(set(frozen)) == 5
+    assert len(calls) <= max(frozen) + 2 * loop._FIXED_POINT_EVERY + 2
 
 
 def _ray(ineq: bool):
