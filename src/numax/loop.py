@@ -53,7 +53,8 @@ The dual state is advanced in place and the projected (and restarted) theta
 written back into it. Records fill columns of t, f, x, c and theta
 (`Records`, the one record builder) that grow by doubling, which
 `Trajectory.steps` reads as `StepRecord` views and the CSV writer in
-blocks; each computes the Lagrangian of the rows it reads.
+blocks; each computes the Lagrangian of the rows it reads. Within a block,
+the writer formats once a column whose bits hold over the rows that changed.
 
 A run whose dynamics settle ends, in float64, on an exact fixed point of
 the step map: every later iteration gives the same bits. Every
@@ -585,6 +586,9 @@ def _run_columns(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
 # exactly; rows end in "\r\n", the csv module's line terminator. Row blocks
 # bound the writer's memory. A row whose floats have the bits of the row
 # before it (in this block or the last) reuses that row's text after t.
+# Within a block, a column whose bits hold over the changed rows (an
+# inactive multiplier projected to 0, say) is formatted once, and its text
+# goes into the block's row format as a literal; float text has no "%".
 _CSV_BLOCK_ROWS = 512
 _CSV_LEADING_COLUMNS = ("t", "f", "linf_g", "linf_h", "lagrangian")
 
@@ -598,7 +602,6 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
               + [f"lambda_{i}" for i in range(m)]
               + [f"mu_{i}" for i in range(n)]
               + [f"x_{i}" for i in range(d)])
-    tail = ",%.17g" * (len(header) - 1) + "\r\n"
     texts, last = [None], None  # texts[-1] and last: the previous row's tail and bits
     with open(path, "w", newline="") as fh:
         fh.write(f"# trajectory: {m} inequality multipliers, {n} equality multipliers, "
@@ -615,7 +618,13 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
             changed = np.empty(len(block), dtype=bool)
             changed[0] = last is None or bool((bits[0] != last).any())
             changed[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-            texts = texts[-1:] + [tail % tuple(values) for values in block[changed].tolist()]
+            texts = texts[-1:]
+            if changed.any():
+                sub, sub_bits = block[changed], bits[changed]
+                const = (sub_bits == sub_bits[0]).all(axis=0)
+                tail = "".join(",%.17g" % value if held else ",%.17g"
+                               for value, held in zip(sub[0].tolist(), const.tolist())) + "\r\n"
+                texts += [tail % tuple(values) for values in sub[:, ~const].tolist()]
             # Each row is its t, then the tail of the last changed row at or
             # before it; the tails are shared, not copied per row.
             pieces = [None] * (2 * len(block))

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from numax import (
     AdamConfig,
@@ -393,6 +393,75 @@ def test_csv_writer_matches_plain_formatting(tmp_path, monkeypatch):
     assert ",-0,1.5\r\n" in plain and "nan" in plain and "-inf" in plain
 
 
+# Piecewise-constant columns for the writer, which formats a column once in a
+# block where its bits hold over the changed rows. A stored row is
+# x, f, c, theta flattened; each later row sets the columns named in its
+# change and keeps the rest, and a tail of (step, count, change) fills count
+# steps past the last row, as `Records.append(range(...), ...)` does.
+_OTHER_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+_CSV_VALUES = (st.sampled_from([0.0, -0.0, np.nan, _OTHER_NAN, np.inf, -np.inf, 5e-324])
+               | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _piecewise_rows(draw):
+    d, m, n = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    width = d + 1 + 2 * (m + n)
+    change = st.dictionaries(st.integers(0, width - 1), _CSV_VALUES, max_size=2)
+    first = draw(st.lists(_CSV_VALUES, min_size=width, max_size=width))
+    tail = st.tuples(st.integers(1, 4), st.integers(1, 8), change)
+    return (d, m, n), first, draw(st.lists(change, max_size=24)), draw(st.none() | tail)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 512])
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_piecewise_rows())
+# x_0 holds 1.0 over the first three rows and varies after them.
+@example(case=((1, 1, 0), [1.0, 2.0, 0.5, 0.0],
+               [{1: 3.0}, {1: 4.0}, {0: 1.25}, {0: 1.5}, {0: 1.75}], None))
+# x_0 holds -0.0 over the first three rows, then 0.0; lam_0 is -0.0 throughout.
+@example(case=((1, 1, 0), [-0.0, 1.0, 0.5, -0.0],
+               [{1: 2.0}, {1: 3.0}, {0: 0.0, 1: 4.0}, {1: 5.0}, {1: 6.0}], None))
+# Blocks in which only one column changes, or one row only.
+@example(case=((2, 0, 1), [1.0, 1.0, 1.0, 1.0, 1.0],
+               [{0: 2.0}, {0: 3.0}, {}, {2: 7.0}, {}, {0: 5e-324}, {0: -5e-324}], None))
+# A range-filled tail, the same record and then one with a new mu_0.
+@example(case=((1, 0, 1), [0.5, 0.25, 0.0, np.nan],
+               [{3: _OTHER_NAN}, {0: -np.inf}], (3, 4, {})))
+@example(case=((1, 0, 1), [0.5, 0.25, 0.0, 1.0], [{0: 0.75}], (1, 5, {3: -0.0})))
+def test_csv_writer_matches_plain_formatting_on_piecewise_columns(tmp_path, monkeypatch,
+                                                                  block_rows, case):
+    monkeypatch.setattr(loop, "_CSV_BLOCK_ROWS", block_rows)
+    (d, m, n), first, changes, tail = case
+    records = loop.Records(2, d, m, n)
+
+    def append(t, row):
+        k = m + n
+        records.append(t, np.array(row[:d]), row[d], np.array(row[d + 1:d + 1 + k]),
+                       np.array(row[d + 1 + k:]))
+
+    row = list(first)
+    for t, change in enumerate([{}] + changes):
+        row = [change.get(i, value) for i, value in enumerate(row)]
+        append(t, row)
+    if tail is not None:
+        step, count, change = tail
+        start = len(records)
+        append(range(start, start + step * count, step),
+               [change.get(i, value) for i, value in enumerate(row)])
+    traj = loop.Trajectory(steps=records, terminated_reason=TerminationReason.MAX_STEPS)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(traj, path)
+
+    fmt = "%d" + ",%.17g" * (4 + m + n + d) + "\r\n"
+    with np.errstate(invalid="ignore"):
+        plain = "".join(fmt % (rec.t, rec.f, np.max(np.abs(rec.g), initial=0.0),
+                               np.max(np.abs(rec.h), initial=0.0), rec.lagrangian,
+                               *rec.lam, *rec.mu, *rec.x)
+                        for rec in traj.steps)
+    assert path.read_bytes().decode().split("\n", 3)[3] == plain
+
+
 # The frozen record-per-step driver in tests/reference is the oracle for the
 # columnar driver: same records bit for bit, same stop, same counts, same
 # CSV bytes.
@@ -490,6 +559,24 @@ def _assert_matches_reference(problem, x0, config, base):
     loop_reference.write_trajectory_csv(ref, base / "reference.csv")
     assert (base / "columns.csv").read_bytes() == (base / "reference.csv").read_bytes()
     return traj
+
+
+def test_svm_inactive_multipliers_match_reference(tmp_path, monkeypatch):
+    # Complementary slackness keeps most of the 70 Iris multipliers projected
+    # to exactly 0, so most columns hold their bits over whole 64-row blocks,
+    # where the writer formats them once.
+    monkeypatch.setattr(loop, "_CSV_BLOCK_ROWS", 64)
+    train, _ = train_validation_split(load_dataset_csv(iris_csv_path()), seed=4)
+    problem = build_svm_problem(train)
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=400,
+                        dual_optimizer=NuPIConfig(nu=0.0, kp=1.0, ki=0.1),
+                        primal_optimizer=PrimalOptimizerConfig(
+                            kind=PrimalKind.GRADIENT_DESCENT_MOMENTUM, step_size=1e-3,
+                            momentum=0.9))
+    traj = _assert_matches_reference(problem, np.zeros(problem.dim_primal), config, tmp_path)
+    lam = traj.column("lam")
+    for start in range(64, len(lam), 64):
+        assert (lam[start:start + 64] == 0.0).all(axis=0).sum() > lam.shape[1] // 2, start
 
 
 # A run whose whole carried state repeats bit for bit sits on an exact fixed
