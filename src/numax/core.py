@@ -95,8 +95,10 @@ class ConstrainedProblem:
     grad f(x) + Jc(x) @ theta. `values` and `primal_gradient`, the loop's
     one evaluation path, use them when given and otherwise compose the five
     callables; `check_fused` checks at a start point that both ways agree bit
-    for bit. A fused callable may share subexpressions, but only through the
-    same float operations in the same order as the five callables.
+    for bit. `from_values` builds a problem whose five callables are views
+    of its fused `values` and of `derivatives`, so the two ways agree by
+    construction; a pair written by hand may share subexpressions, but only
+    through the same float operations in the same order as the five.
 
     All callables must be re-entrant and deterministic: the same input bits
     give the same output bits, as `check_fused` and the loop's fixed-point
@@ -125,6 +127,34 @@ class ConstrainedProblem:
             raise ConfigurationError("dim_primal must be positive")
         if self.num_ineq < 0 or self.num_eq < 0:
             raise ConfigurationError("constraint counts must be non-negative")
+
+    @classmethod
+    def from_values(cls, dim_primal: int, num_ineq: int, num_eq: int,
+                    values: Callable[[np.ndarray], tuple],
+                    derivatives: Callable[[np.ndarray], tuple],
+                    primal_gradient: Callable | None = None) -> ConstrainedProblem:
+        """The problem of `values(x) -> (f(x), c(x))` and `derivatives(x) ->
+        (grad f(x), Jc(x))`. `values` is `eval_values`, and `primal_gradient`,
+        when given, is `eval_primal_gradient`; otherwise that is grad f + Jc
+        theta from one `derivatives` call. The five callables are views of
+        the two: g and h slice c once `as_vector` has checked it."""
+        num_constraints = num_ineq + num_eq
+
+        def c(x):
+            return as_vector(values(x)[1], num_constraints, "c(x)", x.shape[:-1])
+
+        def composed_gradient(x, theta):
+            grad, jac = derivatives(x)
+            return grad + np.matvec(jac, theta) if num_constraints else grad
+
+        return cls(dim_primal, num_ineq, num_eq,
+                   eval_objective=lambda x: values(x)[0],
+                   eval_objective_grad=lambda x: derivatives(x)[0],
+                   eval_ineq=lambda x: c(x)[..., :num_ineq],
+                   eval_eq=lambda x: c(x)[..., num_ineq:],
+                   eval_constraint_jacobian=lambda x: derivatives(x)[1],
+                   eval_values=values,
+                   eval_primal_gradient=primal_gradient or composed_gradient)
 
     @property
     def num_constraints(self) -> int:
@@ -212,10 +242,9 @@ def evaluate_lagrangian(problem: ConstrainedProblem, x, theta) -> float:
     """L(x, theta) = f(x) + lam . g(x) + mu . h(x), with theta = [lam, mu]."""
     x = as_vector(x, problem.dim_primal, "x")
     theta = as_vector(theta, problem.num_constraints, "theta")
-    c = problem.constraints(x)
+    f, c = problem.values(x)
     m = problem.num_ineq
-    return float(lagrangian_value(float(problem.eval_objective(x)), c[:m], c[m:],
-                                  theta[:m], theta[m:]))
+    return float(lagrangian_value(f, c[:m], c[m:], theta[:m], theta[m:]))
 
 
 def lagrangian_primal_gradient(problem: ConstrainedProblem, x, theta) -> np.ndarray:

@@ -149,6 +149,9 @@ class LoopConfig:
             raise ConfigurationError("max_steps must be >= 1")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
+        if self.stop_tolerance is not None and not 0.0 <= self.stop_tolerance < math.inf:
+            raise ConfigurationError(
+                f"stop_tolerance must be finite and >= 0, got {self.stop_tolerance!r}")
 
 
 class TerminationReason(Enum):

@@ -16,10 +16,10 @@ products are `np.vecdot`, `np.matvec` and `np.vecmat`, whose rows match the
 one-point product bit for bit, and no callable uses an integer power, which
 numpy rounds differently for a scalar and for an array.
 
-Each built-in problem writes its math once, and its five callables and the
-fused pair `eval_values` and `eval_primal_gradient`, which the descent-ascent
-loop calls at every step, are views of it. So the pair gives bit for bit what
-the five give, with shared subexpressions computed once.
+Each built-in problem writes its math once, as `values(x) -> (f, c)` and
+`derivatives(x) -> (grad f, Jc)`, and `ConstrainedProblem.from_values` makes
+its five callables and the fused pair that the loop calls at every step
+views of these two, so the pair gives bit for bit what the five give.
 """
 
 from __future__ import annotations
@@ -126,23 +126,12 @@ def build_svm_problem(data: SvmDataset) -> ConstrainedProblem:
         w = xvec[..., :d]
         return 0.5 * np.vecdot(w, w), 1.0 - y * (np.matvec(X, w) + xvec[..., d:])
 
-    def objective_grad(xvec):
+    def derivatives(xvec):
         grad = np.zeros(xvec.shape)
         grad[..., :d] = xvec[..., :d]
-        return grad
+        return grad, jac
 
-    return ConstrainedProblem(
-        dim_primal=d + 1,
-        num_ineq=data.num_points,
-        num_eq=0,
-        eval_objective=lambda xvec: values(xvec)[0],
-        eval_objective_grad=objective_grad,
-        eval_ineq=lambda xvec: values(xvec)[1],
-        eval_eq=_no_constraints,
-        eval_constraint_jacobian=lambda _xvec: jac,
-        eval_values=values,
-        eval_primal_gradient=lambda xvec, theta: objective_grad(xvec) + np.matvec(jac, theta),
-    )
+    return ConstrainedProblem.from_values(d + 1, data.num_points, 0, values, derivatives)
 
 
 def svm_train_accuracy(data: SvmDataset, w: np.ndarray, b: float) -> float:
@@ -281,9 +270,9 @@ def build_2d_benchmark() -> ConstrainedProblem:
         f(x) = (x1 + exp(-x2))^2 + (x1^2 + 2 x2 + 1)^2
         h(x) = x1 + x1^3 + x2 + x2^2 - 2   (equality, violation form)
 
-    Its math is written once: `values` gives (f, h) and `derivatives` grad f
-    and the Jacobian column, and the five callables and the fused pair are
-    views of these two.
+    Its math is written once: `values` gives (f, h) and `partials` the
+    coordinates of grad f and of the Jacobian column, which `derivatives`
+    and `primal_gradient` (without building Jc) turn into arrays.
     """
 
     def terms(x):
@@ -296,33 +285,26 @@ def build_2d_benchmark() -> ConstrainedProblem:
         x0, x1, square, _, r1, r2 = terms(x)
         return r1 * r1 + r2 * r2, (x0 + square * x0 + x1 + x1 * x1 - 2.0)[..., None]
 
-    def derivatives(x):
+    def partials(x):
         """(grad f, the Jacobian column), each as its two coordinates."""
         x0, x1, _, decay, r1, r2 = terms(x)
         # 3.0 * x0 * x0, not 3.0 * square: the two round differently.
         return ((2.0 * r1 + 4.0 * x0 * r2, -2.0 * r1 * decay + 4.0 * r2),
                 (1.0 + 3.0 * x0 * x0, 1.0 + 2.0 * x1))
 
+    def derivatives(x):
+        grad, column = partials(x)
+        return _from_coordinates(x, *grad), _from_coordinates(x, *column)[..., None]
+
     def primal_gradient(x, theta):
-        (df0, df1), (dh0, dh1) = derivatives(x)
+        (df0, df1), (dh0, dh1) = partials(x)
         mu = theta.T[0]
         # np.matvec sums its one product onto 0.0, so a -0.0 product reaches
         # grad f as +0.0. Adding the product directly is the same: neither
         # entry of grad f can be -0.0, as exp(-x2) >= +0.0 and r2 ends in + 1.0.
         return _from_coordinates(x, df0 + dh0 * mu, df1 + dh1 * mu)
 
-    return ConstrainedProblem(
-        dim_primal=2,
-        num_ineq=0,
-        num_eq=1,
-        eval_objective=lambda x: values(x)[0],
-        eval_objective_grad=lambda x: _from_coordinates(x, *derivatives(x)[0]),
-        eval_ineq=_no_constraints,
-        eval_eq=lambda x: values(x)[1],
-        eval_constraint_jacobian=lambda x: _from_coordinates(x, *derivatives(x)[1])[..., None],
-        eval_values=values,
-        eval_primal_gradient=primal_gradient,
-    )
+    return ConstrainedProblem.from_values(2, 0, 1, values, derivatives, primal_gradient)
 
 
 def benchmark2d_constrained_optimum() -> np.ndarray:
@@ -385,32 +367,12 @@ def build_qp_problem(sys: QPSystem) -> ConstrainedProblem:
     H, A, b, c_lin = sys.H, sys.A, sys.b, sys.c_lin
     jac = A.T.copy()
 
-    def objective(x):
-        return 0.5 * np.vecdot(np.vecmat(x, H), x) + np.vecdot(c_lin, x)
+    def values(x):
+        return (0.5 * np.vecdot(np.vecmat(x, H), x) + np.vecdot(c_lin, x),
+                np.matvec(A, x) - b)
 
-    def objective_grad(x):
-        return np.matvec(H, x) + c_lin
-
-    def eq(x):
-        return np.matvec(A, x) - b
-
-    return ConstrainedProblem(
-        dim_primal=sys.dim_primal,
-        num_ineq=0,
-        num_eq=sys.num_constraints,
-        eval_objective=objective,
-        eval_objective_grad=objective_grad,
-        eval_ineq=_no_constraints,
-        eval_eq=eq,
-        eval_constraint_jacobian=lambda _x: jac,
-        eval_values=lambda x: (objective(x), eq(x)),
-        eval_primal_gradient=lambda x, theta: objective_grad(x) + np.matvec(jac, theta),
-    )
-
-
-def _no_constraints(x):
-    """An empty constraint block: shape (0,) for one point, (K, 0) for a stack."""
-    return x[..., :0]
+    return ConstrainedProblem.from_values(sys.dim_primal, 0, sys.num_constraints, values,
+                                          lambda x: (np.matvec(H, x) + c_lin, jac))
 
 
 def _coordinates(x):

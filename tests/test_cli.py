@@ -417,6 +417,7 @@ _BAD_SETTINGS = {
     "unknown_scheme": ["--loop.scheme", "bogus"],
     "negative_primal_step": ["--loop.primal_step_size", "-1"],
     "non_numeric_tolerance": ["--loop.stop_tolerance", "abc"],
+    "negative_tolerance": ["--loop.stop_tolerance", "-1"],
     "non_numeric_x0": ["--problem.x0", "a,b"],
     "ragged_qp_file": _qp_args({"H": [[1.0, 0.0], [0.0]], "A": [[1.0, 0.0]], "b": [1.0]}),
     "qp_nan_b": _qp_args({"H": [[1.0]], "A": [[1.0]], "b": [float("nan")]}),
@@ -444,6 +445,14 @@ _BAD_SETTINGS = {
     "ini_binary": _file_args(_BINARY, "--config"),
     "ini_bad_interpolation": _file_args(b"[problem]\npath = 100%.csv\n", "--config"),
     "output_dir_is_a_file": _file_args(b"", "--output-dir"),  # the last --output-dir wins
+    "ini_unknown_section": _file_args(b"[bogus]\nkind = svm\n", "--config"),
+    "qp_not_json": _file_args(b"{H: [[1]]", *_QP),
+    "qp_H_not_square": _qp_args({"H": [[1.0, 0.0]], "A": [[1.0, 0.0]], "b": [1.0]}),
+    "qp_A_wrong_width": _qp_args({"H": [[1.0, 0.0], [0.0, 1.0]], "A": [[1.0]], "b": [1.0]}),
+    "qp_without_path": ["--problem.kind", "qp"],
+    "x0_wrong_length": ["--problem.x0", "0,0"],
+    "override_without_dashes": ["loop.max_steps", "5"],
+    "override_without_value": ["--loop.max_steps"],
 }
 _BAD_GRID_SETTINGS = {
     "jobs_zero": ["--jobs", "0"],
@@ -515,6 +524,8 @@ _BAD_TOOL_ARGS = {
     "sweep-regime-too_many_samples": ["sweep-regime", "--h", "1", "--a", "-1", "--ki", "1",
                                       "--samples", str(cli._MAX_SWEEP_SAMPLES + 1)],
     "unknown_subcommand": ["bogus"],
+    "sweep-regime-extra_arguments": ["sweep-regime", "--h", "1", "--a", "-1", "--ki", "1",
+                                     "--loop.max_steps", "5"],
 }
 
 
@@ -604,6 +615,29 @@ def test_overflowing_sweep_exits_3_with_one_line(tmp_path, case):
     assert proc.stderr.startswith("numerical failure: ")
     assert proc.stderr.count("\n") == 1
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--h", "1e200", "--a", "1", "--ki", "1"], "non-finite eigenvalues "),
+    (["--h", "1", "--a", "1e-200", "--ki", "1"], "critical gains overflow"),
+], ids=["non_finite_eigenvalues", "critical_gains_overflow"])
+def test_numerical_failure_exits_3_through_main(tmp_path, capsys, args, message):
+    out = tmp_path / "s.csv"
+    assert main(["sweep-regime", *args, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"numerical failure: {message}")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gain_warning_is_printed_and_the_run_completes(tmp_path, capsys):
+    assert main(["run", "--dual.ki", "-0.1", "--loop.max_steps", "5",
+                 "--output-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: ki = -0.1 is not positive")
+    assert captured.err.count("\n") == 1
+    assert (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize("warnings_flags", [("-W", "error"), ()], ids=["W-error", "default"])

@@ -8,10 +8,17 @@ import pytest
 from numax import (
     ConfigurationError,
     ConstrainedProblem,
+    LoopConfig,
+    NuPIConfig,
+    PrimalKind,
+    PrimalOptimizerConfig,
+    Scheme,
     evaluate_lagrangian,
     lagrangian_primal_gradient,
     project_theta,
+    run,
     validate_gradients,
+    write_trajectory_csv,
 )
 from numax.core import central_difference_gradient, lagrangian_value
 
@@ -132,6 +139,53 @@ class TestConstraints:
         )
         with pytest.raises(ConfigurationError, match=rf"{name}\(x\) must have shape \(0,\)"):
             problem.constraints(np.zeros(1))
+
+
+def _on_line(equality):
+    """min |x|^2 / 2 s.t. h(x) = x0 - 1 = 0 through `from_values`, with h
+    as `equality(x)` returns it."""
+    return ConstrainedProblem.from_values(
+        2, 0, 1, lambda x: (0.5 * float(x @ x), equality(x)),
+        lambda x: (x.copy(), np.array([[1.0], [0.0]])))
+
+
+_ON_LINE_RUN = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=200,
+                          dual_optimizer=NuPIConfig(nu=0.0, kp=1.0, ki=0.1),
+                          primal_optimizer=PrimalOptimizerConfig(
+                              kind=PrimalKind.GRADIENT_DESCENT, step_size=0.1))
+
+
+class TestFromValues:
+    @pytest.mark.parametrize("scalar", [lambda x: x[0] - 1.0, lambda x: float(x[0] - 1.0)],
+                             ids=["numpy_scalar", "python_float"])
+    def test_scalar_constraint_runs_like_a_vector(self, tmp_path, scalar):
+        problems = (_on_line(scalar), _on_line(lambda x: np.array([x[0] - 1.0])))
+        x = np.array([3.0, -2.0])
+        for problem in problems:
+            assert problem.eval_eq(x).tolist() == [2.0]
+            assert problem.eval_ineq(x).shape == (0,)
+            assert evaluate_lagrangian(problem, x, [0.5]) == 7.5
+        for name, problem in zip(("scalar", "vector"), problems):
+            write_trajectory_csv(run(problem, x, np.zeros(1), _ON_LINE_RUN), tmp_path / name)
+        assert (tmp_path / "scalar").read_bytes() == (tmp_path / "vector").read_bytes()
+
+    def test_wrong_length_constraints_rejected(self):
+        problem = _on_line(lambda x: np.array([x[0] - 1.0, 0.0]))
+        x, message = np.zeros(2), r"c\(x\) must have shape \(1,\), got \(2,\)"
+        for evaluate in (problem.constraints, problem.eval_eq, problem.values,
+                         lambda x: run(problem, x, np.zeros(1), _ON_LINE_RUN)):
+            with pytest.raises(ConfigurationError, match=message):
+                evaluate(x)
+
+    def test_unconstrained_gradient_is_the_objective_gradient(self):
+        # grad f + Jc theta would turn a -0.0 entry into +0.0, which the
+        # composed path keeps, so the start check would refuse the problem
+        problem = ConstrainedProblem.from_values(
+            2, 0, 0, lambda x: (0.5 * float(x @ x), np.zeros(0)),
+            lambda x: (x.copy(), np.zeros((2, 0))))
+        x = np.array([-0.0, 1.0])
+        assert problem.primal_gradient(x, np.zeros(0)).tobytes() == x.tobytes()
+        problem.check_fused(x, np.zeros(0))
 
 
 class TestPrimalGradient:

@@ -264,6 +264,14 @@ class TestLoopMechanics:
             with pytest.raises(ConfigurationError, match="finite and positive"):
                 gd(step)
 
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, np.nan, np.inf])
+    def test_stop_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5,
+                            dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
+        with pytest.raises(ConfigurationError, match="stop_tolerance must be finite and >= 0"):
+            dataclasses.replace(config, stop_tolerance=tolerance)
+        assert dataclasses.replace(config, stop_tolerance=0.0).stop_tolerance == 0.0
+
     def test_wrong_jacobian_shape_rejected(self):
         problem = dataclasses.replace(one_sided_line(),
                                       eval_constraint_jacobian=lambda x: np.array([-1.0]))
