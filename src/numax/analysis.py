@@ -152,7 +152,7 @@ def eigen_1d(h: float, a: float, kp: float, ki: float) -> tuple:
 @dataclass(frozen=True)
 class CriticalGains:
     """The two kp values with coincident eigenvalues (zero discriminant);
-    `convergent` is the one with h + kp a^2 > 0, or None if neither."""
+    `convergent` is kp_plus when h + kp_plus a^2 > 0, else None."""
 
     kp_plus: float
     kp_minus: float
@@ -162,7 +162,9 @@ class CriticalGains:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # raised as a NumericalError
 def critical_kp(h: float, a: float, ki: float) -> CriticalGains:
     """kp* = (-h +- 2|a| sqrt(ki)) / a^2. The eigenvalue at kp* is
-    -(h + kp* a^2)/2, so only the larger root can give a convergent system."""
+    -(h + kp* a^2)/2, so only the larger root can give a convergent system:
+    every rounded operation here is monotone, so h + kp_minus a^2 never
+    exceeds h + kp_plus a^2 in floating point either."""
     if a == 0.0:
         raise ConfigurationError("critical_kp requires a != 0")
     if ki < 0.0:
@@ -173,11 +175,7 @@ def critical_kp(h: float, a: float, ki: float) -> CriticalGains:
     kp_minus = (-h - spread) / a2
     if not (np.isfinite(kp_plus) and np.isfinite(kp_minus)):
         raise NumericalError(f"critical gains overflow: kp = {kp_plus}, {kp_minus}")
-    convergent = None
-    if h + kp_plus * a2 > 0.0:
-        convergent = kp_plus
-    elif h + kp_minus * a2 > 0.0:
-        convergent = kp_minus
+    convergent = kp_plus if h + kp_plus * a2 > 0.0 else None
     return CriticalGains(kp_plus=kp_plus, kp_minus=kp_minus, convergent=convergent)
 
 

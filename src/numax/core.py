@@ -1,11 +1,11 @@
 """Constrained-problem abstraction, Lagrangian evaluation, and dual projection.
 
-A problem is stored as a bundle of callables for the objective f, inequality
-constraints g (satisfied when <= 0), equality constraints h (target 0), their
-gradients, and the constraint Jacobian. Constraint values are always stacked
-inequality-block first: c(x) = [g(x), h(x)], and the Jacobian columns follow
-the same order, and so do the multipliers, theta = [lam, mu]. Every other
-module indexes by this contract.
+A problem is the objective f, inequality constraints g (satisfied when <= 0)
+and equality constraints h (target 0), read through `values(x) -> (f, c)`,
+with their gradients and the constraint Jacobian. Constraint values are
+always stacked inequality-block first: c(x) = [g(x), h(x)], and the Jacobian
+columns follow the same order, and so do the multipliers, theta = [lam, mu].
+Every other module indexes by this contract.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class ConstrainedProblem:
 
     Two optional callables fuse what the loop needs at each step:
     eval_values(x) -> (f(x), c(x)) and eval_primal_gradient(x, theta) ->
-    grad f(x) + Jc(x) @ theta. `values` and `primal_gradient`, the loop's
+    grad f(x) + Jc(x) @ theta. `values` and `primal_gradient`, the library's
     one evaluation path, use them when given and otherwise compose the five
     callables; `check_fused` checks at a start point that both ways agree bit
     for bit. `from_values` builds a problem whose five callables are views
@@ -106,9 +106,8 @@ class ConstrainedProblem:
     and safe to share across threads. The built-in problems'
     callables also take a stack of points x of shape (K, dim_primal) and
     return one result per row, each bit for bit the one-point result; the
-    checked accessors and the evaluation path below accept such stacks too.
-    The callables and the evaluation path take ndarrays; the accessors also
-    take lists.
+    evaluation path below accepts such stacks too. The callables and the
+    evaluation path take ndarrays; `constraint_jacobian` also takes lists.
     """
 
     dim_primal: int
@@ -160,19 +159,6 @@ class ConstrainedProblem:
     def num_constraints(self) -> int:
         return self.num_ineq + self.num_eq
 
-    def constraints(self, x: np.ndarray) -> np.ndarray:
-        """Stacked violations c(x) = [g(x), h(x)]. Both blocks are checked;
-        when one is empty, the other is returned without a copy."""
-        x = np.asarray(x)
-        lead = x.shape[:-1]
-        g = as_vector(self.eval_ineq(x), self.num_ineq, "g(x)", lead)
-        h = as_vector(self.eval_eq(x), self.num_eq, "h(x)", lead)
-        if not self.num_eq:
-            return g
-        if not self.num_ineq:
-            return h
-        return np.concatenate([g, h], axis=-1)
-
     def constraint_jacobian(self, x: np.ndarray) -> np.ndarray:
         """Jc(x), checked to have shape (dim_primal, num_constraints). For a
         stack of points it is one such matrix per point, or one matrix that
@@ -186,14 +172,21 @@ class ConstrainedProblem:
         return jac
 
     def values(self, x: np.ndarray) -> tuple:
-        """(f(x), c(x)): f a float for one point and a vector for a stack, c
-        checked like `constraints`. From `eval_values` when given, else from
-        eval_objective and `constraints`."""
+        """(f(x), c(x)) with c = [g, h] checked to have num_constraints
+        entries: f a float for one point and a vector for a stack. From
+        `eval_values` when given, else from eval_objective and the blocks g
+        and h, each checked; when one block is empty, c is the other, not a
+        copy."""
+        lead = x.shape[:-1]
         if self.eval_values is None:
-            f, c = self.eval_objective(x), self.constraints(x)
+            f = self.eval_objective(x)
+            g = as_vector(self.eval_ineq(x), self.num_ineq, "g(x)", lead)
+            h = as_vector(self.eval_eq(x), self.num_eq, "h(x)", lead)
+            c = (g if not self.num_eq else h if not self.num_ineq
+                 else np.concatenate([g, h], axis=-1))
         else:
             f, c = self.eval_values(x)
-            c = as_vector(c, self.num_constraints, "c(x)", x.shape[:-1])
+            c = as_vector(c, self.num_constraints, "c(x)", lead)
         return (float(f) if x.ndim == 1 else as_vector(f, len(x), "f(x)")), c
 
     def primal_gradient(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -286,10 +279,6 @@ FD_REL_STEP = 1e-6
 _GRADIENT_CHECK_TOLERANCE = 1e-5
 
 
-def central_difference_gradient(func: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    return central_difference_jacobian(lambda z: float(func(z)), x, 1)[:, 0]
-
-
 def central_difference_jacobian(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                                 num_outputs: int) -> np.ndarray:
     """Finite-difference (transpose) Jacobian, shape (len(x), num_outputs)."""
@@ -334,8 +323,6 @@ class GradientCheckReport:
 
 
 def _rel_error(analytic: np.ndarray, reference: np.ndarray) -> float:
-    if analytic.size == 0:
-        return 0.0
     denom = np.maximum(1.0, np.abs(reference))
     return float(np.max(np.abs(analytic - reference) / denom))
 
@@ -353,39 +340,39 @@ def seeded_rng(seed: int) -> np.random.Generator:
 @np.errstate(over="ignore", invalid="ignore")
 def validate_gradients(problem: ConstrainedProblem, num_points: int,
                        seed: int) -> GradientCheckReport:
-    """Check analytic gradients/Jacobians against central differences at
-    random points. Passes iff the max relative error is at most the report's
-    `tolerance`, 1e-5, and all sampled evaluations, analytic and
-    finite-difference, are finite."""
+    """Check analytic gradients/Jacobians against central differences of
+    `values` at random points, one pass over (f, c) per point. Passes iff
+    the max relative error is at most the report's `tolerance`, 1e-5, and
+    all sampled evaluations, analytic and finite-difference, are finite."""
     if num_points < 1:
         raise ConfigurationError(f"num_points must be >= 1, got {num_points}")
     rng = seeded_rng(seed)
     report = GradientCheckReport(num_points=num_points, tolerance=_GRADIENT_CHECK_TOLERANCE)
+    m = problem.num_constraints
     for k in range(num_points):
         x = rng.standard_normal(problem.dim_primal)
-        f = float(problem.eval_objective(x))
-        if not np.isfinite(f):
+        if not np.isfinite(problem.values(x)[0]):
             report.failures.append(f"non-finite objective value at point {k}, x={x!r}")
             continue
         analytic_grad = as_vector(problem.eval_objective_grad(x), problem.dim_primal, "grad f(x)")
         if not np.all(np.isfinite(analytic_grad)):
             report.failures.append(f"non-finite analytic gradient at point {k}, x={x!r}")
             continue
-        fd_grad = central_difference_gradient(problem.eval_objective, x)
-        if not np.all(np.isfinite(fd_grad)):
+        # column 0 differentiates f, the others c
+        fd = central_difference_jacobian(lambda z: np.append(*problem.values(z)), x, 1 + m)
+        if not np.all(np.isfinite(fd[:, 0])):
             report.failures.append(f"non-finite finite-difference gradient at point {k}, x={x!r}")
             continue
         report.max_rel_error_objective = max(report.max_rel_error_objective,
-                                             _rel_error(analytic_grad, fd_grad))
-        if problem.num_constraints:
+                                             _rel_error(analytic_grad, fd[:, 0]))
+        if m:
             analytic_jac = problem.constraint_jacobian(x)
             if not np.all(np.isfinite(analytic_jac)):
                 report.failures.append(f"non-finite constraint Jacobian at point {k}, x={x!r}")
                 continue
-            fd_jac = central_difference_jacobian(problem.constraints, x, problem.num_constraints)
-            if not np.all(np.isfinite(fd_jac)):
+            if not np.all(np.isfinite(fd[:, 1:])):
                 report.failures.append(f"non-finite constraint value near point {k}, x={x!r}")
                 continue
             report.max_rel_error_jacobian = max(report.max_rel_error_jacobian,
-                                                _rel_error(analytic_jac, fd_jac))
+                                                _rel_error(analytic_jac, fd[:, 1:]))
     return report

@@ -145,10 +145,14 @@ class LoopConfig:
     def __post_init__(self):
         if not isinstance(self.scheme, Scheme):
             raise ConfigurationError(f"scheme must be a Scheme, got {self.scheme!r}")
-        if self.max_steps < 1:
-            raise ConfigurationError("max_steps must be >= 1")
-        if self.record_every < 1:
-            raise ConfigurationError("record_every must be >= 1")
+        # A numpy integer is stored as an int; a bool is not a step count.
+        for name in ("max_steps", "record_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+            object.__setattr__(self, name, int(value))
         if self.stop_tolerance is not None and not 0.0 <= self.stop_tolerance < math.inf:
             raise ConfigurationError(
                 f"stop_tolerance must be finite and >= 0, got {self.stop_tolerance!r}")

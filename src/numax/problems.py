@@ -334,7 +334,7 @@ def benchmark2d_constrained_optimum() -> np.ndarray:
     for sign in (1.0, -1.0):
         grid = np.linspace(-3.0, x1_max, 20001)
         pts = branch_points(grid, sign)
-        vals = problem.eval_objective(pts)
+        vals = problem.values(pts)[0]
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val = float(vals[i])
@@ -349,13 +349,13 @@ def benchmark2d_constrained_optimum() -> np.ndarray:
         hi = min(center + 2.0 * width, x1_max)
         grid = np.linspace(lo, hi, 2001)
         pts = branch_points(grid, best_sign)
-        vals = problem.eval_objective(pts)
+        vals = problem.values(pts)[0]
         i = int(np.argmin(vals))
         center = pts[i, 0]
         best = pts[i]
         width = (hi - lo) / 2000.0
 
-    residual = abs(problem.eval_eq(best)[0])
+    residual = abs(problem.values(best)[1][0])
     if not residual < 1e-9:
         raise NumericalError(f"2D benchmark optimum misses h(x) = 0 by {residual:.3g}")
     return best

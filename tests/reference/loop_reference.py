@@ -2,7 +2,8 @@
 before the driver kept its records in columns and its dual state in place.
 
 `_run`, `_record`, `Trajectory`, `write_trajectory_csv` and `overshoot` are
-the plain record-per-step versions, kept verbatim. The dual update goes
+the plain record-per-step versions, kept verbatim but for reading f and c
+through `values` composed from the five callables. The dual update goes
 through the public pure `checked_dual_step` and every theta rewrite rebuilds
 the state, so no state here is updated in place. The dual restarts are this
 module's own copy of the rule on the split multipliers (lam, mu), so the
@@ -65,7 +66,8 @@ _COUNTED = {"eval_objective": "objective", "eval_ineq": "ineq", "eval_eq": "eq",
 
 
 def _counted(problem: ConstrainedProblem) -> tuple:
-    """A copy of the problem whose five callables count their calls, and the counts."""
+    """A copy of the problem whose five callables count their calls, without
+    its fused pair, so that `values` composes them; and the counts."""
     counts = dict.fromkeys(_COUNTED.values(), 0)
 
     def counting(fn, key):
@@ -74,7 +76,7 @@ def _counted(problem: ConstrainedProblem) -> tuple:
             return fn(x)
         return call
 
-    return replace(problem, **{
+    return replace(problem, eval_values=None, eval_primal_gradient=None, **{
         name: counting(getattr(problem, name), key) for name, key in _COUNTED.items()}), counts
 
 
@@ -108,8 +110,7 @@ def _run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
     stopped_at = None
 
     for t in range(config.max_steps):
-        f = float(problem.eval_objective(x))
-        error = problem.constraints(x)
+        f, error = problem.values(x)
         g, h = error[:m], error[m:]
         theta_t = state.theta
         if not (np.isfinite(f) and np.all(np.isfinite(error))):
@@ -161,8 +162,7 @@ def _run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
         # Terminal record of the final state (one extra evaluation).
         t_final = stopped_at if stopped_at is not None else config.max_steps
         if not records or records[-1].t < t_final:
-            f = float(problem.eval_objective(x))
-            c = problem.constraints(x)
+            f, c = problem.values(x)
             records.append(_record(t_final, x, f, c[:m], c[m:], state.theta, m))
 
     return Trajectory(steps=records, terminated_reason=reason, counters=counts)

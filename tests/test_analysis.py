@@ -154,6 +154,16 @@ class TestSystemMatrix:
         sys = QPSystem(H=[[1.0]], A=[[1.0]], b=[0.0], c_lin=[0.0], kp=0.0, ki=1.0)
         np.testing.assert_array_equal(qp_system_matrix(sys), [[1.0, 1.0], [-1.0, 0.0]])
 
+    @pytest.mark.parametrize("b, c_lin, message", [
+        ([0.0, 1.0], [0.0, 0.0], r"^b must have length 1, got 2$"),
+        ([], [0.0, 0.0], r"^b must have length 1, got 0$"),
+        ([0.0], [0.0], r"^c_lin must have length 2, got 1$"),
+        ([0.0], [0.0, 0.0, 0.0], r"^c_lin must have length 2, got 3$"),
+    ])
+    def test_vector_lengths_checked(self, b, c_lin, message):
+        with pytest.raises(ConfigurationError, match=message):
+            QPSystem(H=np.eye(2), A=[[1.0, 0.0]], b=b, c_lin=c_lin, kp=0.0, ki=1.0)
+
     def test_symmetry_enforced(self):
         with pytest.raises(ConfigurationError, match="symmetric"):
             QPSystem(H=[[1.0, 0.1], [0.0, 1.0]], A=[[1.0, 0.0]], b=[0.0],
@@ -221,6 +231,26 @@ class TestCriticalKp:
         with pytest.raises(ConfigurationError):
             critical_kp(1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("h, a, ki", [(1.0, -1.0, -1e-300), (0.0, 2.0, -4.0),
+                                          (-3.0, 0.5, -np.inf)])
+    def test_negative_ki_rejected(self, h, a, ki):
+        with pytest.raises(ConfigurationError, match="^critical_kp requires ki >= 0$"):
+            critical_kp(h, a, ki)
+
+    @pytest.mark.parametrize("ki", [0.0, 5e-324, 1e-300, 1e-17, 0.3])
+    def test_only_the_larger_root_converges(self, ki):
+        # h + kp_minus a^2 rounds to at most h + kp_plus a^2, so kp_minus is
+        # never the convergent gain, even where ki makes the roots coincide.
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            h = float(rng.uniform(-3, 3) * 10.0 ** rng.integers(-8, 8))
+            a = float(rng.uniform(0.1, 3) * rng.choice([-1, 1]))
+            gains = critical_kp(h, a, ki)
+            a2 = a * a
+            assert h + gains.kp_minus * a2 <= h + gains.kp_plus * a2
+            expected = gains.kp_plus if h + gains.kp_plus * a2 > 0.0 else None
+            assert gains.convergent == expected
+
 
 class TestClassifyRegime:
     def test_examples(self):
@@ -231,6 +261,12 @@ class TestClassifyRegime:
         assert classify_regime([1.0, 2.0]).kind is RegimeKind.DIVERGENT_MONOTONE
         assert classify_regime([0.5 + 1j, 0.5 - 1j]).kind is RegimeKind.DIVERGENT_OSCILLATORY
         assert classify_regime([1.0, -2.0]).kind is RegimeKind.DIVERGENT_MONOTONE
+
+    @pytest.mark.parametrize("eigenvalues", [[], (), np.zeros(0), np.zeros(0, dtype=complex)],
+                             ids=["list", "tuple", "float_array", "complex_array"])
+    def test_no_eigenvalue_rejected(self, eigenvalues):
+        with pytest.raises(ConfigurationError, match="at least one eigenvalue"):
+            classify_regime(eigenvalues)
 
     def test_boundaries_by_bisection(self):
         # Fig. 9 parameters: regime transitions at kp = -3, -1, +1
@@ -268,6 +304,17 @@ class TestClassifyRegime:
 
 
 class TestSimulateFlow:
+    @pytest.mark.parametrize("x0, mu0, message", [
+        ([2.0], [1.0], r"^x0 must have length 2$"),
+        ([2.0, 0.0, 1.0], [1.0], r"^x0 must have length 2$"),
+        ([2.0, 0.0], [], r"^mu0 must have length 1$"),
+        ([2.0, 0.0], [1.0, 0.5], r"^mu0 must have length 1$"),
+    ])
+    def test_start_lengths_checked(self, x0, mu0, message):
+        sys = QPSystem(H=np.eye(2), A=[[1.0, 0.0]], b=[0.0], c_lin=[0.0, 0.0], kp=0.0, ki=1.0)
+        with pytest.raises(ConfigurationError, match=message):
+            simulate_flow(sys, x0, mu0, t_end=1.0)
+
     def test_critical_damping_monotone_after_transient(self):
         gains = critical_kp(1.0, -1.0, 1.0)
         sys = QPSystem(H=[[1.0]], A=[[-1.0]], b=[0.5], c_lin=[0.2],

@@ -449,7 +449,7 @@ _BAD_SETTINGS = {
     "qp_not_json": _file_args(b"{H: [[1]]", *_QP),
     "qp_H_not_square": _qp_args({"H": [[1.0, 0.0]], "A": [[1.0, 0.0]], "b": [1.0]}),
     "qp_A_wrong_width": _qp_args({"H": [[1.0, 0.0], [0.0, 1.0]], "A": [[1.0]], "b": [1.0]}),
-    "qp_without_path": ["--problem.kind", "qp"],
+    "qp_without_path": ["--run.metric", "max_violation", "--problem.kind", "qp"],
     "x0_wrong_length": ["--problem.x0", "0,0"],
     "override_without_dashes": ["loop.max_steps", "5"],
     "override_without_value": ["--loop.max_steps"],
@@ -677,6 +677,25 @@ class TestSweepRegime:
                      "--samples", "1", "--out", str(tmp_path / "s.csv")]) == 2
 
 
+_PASS_SVM = """gradient check: PASS (10 points, tol 1e-05)
+  max rel error, objective gradient: 1.704e-10
+  max rel error, constraint Jacobian: 1.122e-09
+"""
+_PASS_BENCHMARK2D = """gradient check: PASS (10 points, tol 1e-05)
+  max rel error, objective gradient: 2.396e-10
+  max rel error, constraint Jacobian: 1.098e-09
+"""
+_PASS_QP = """gradient check: PASS (10 points, tol 1e-05)
+  max rel error, objective gradient: 1.926e-10
+  max rel error, constraint Jacobian: 1.398e-10
+"""
+_FAIL_OVERFLOWING_QP = """gradient check: FAIL (10 points, tol 1e-05)
+  max rel error, objective gradient: 1.265e+00
+  max rel error, constraint Jacobian: 8.241e-11
+  failure: non-finite objective value at point 6, x=array([-2.32503077, -0.21879166])
+"""
+
+
 class TestValidateGradients:
     def test_benchmark_passes(self):
         assert main(["validate-gradients", "--problem", "benchmark2d",
@@ -684,6 +703,24 @@ class TestValidateGradients:
 
     def test_svm_passes(self):
         assert main(["validate-gradients", "--problem", "svm", "--points", "3"]) == 0
+
+    @pytest.mark.parametrize("argv,payload,code,stdout", [
+        (["--problem", "svm"], None, 0, _PASS_SVM),
+        (["--problem", "benchmark2d"], None, 0, _PASS_BENCHMARK2D),
+        (["--problem", "qp"], {"H": [[2.0, 0.5], [0.5, 1.0]], "A": [[1.0, 1.0]],
+                               "b": [1.0], "c": [0.0, -1.0]}, 0, _PASS_QP),
+        (["--problem", "qp"], {"H": [[1e308, 0.0], [0.0, 1.0]], "A": [[0.0, 1.0]],
+                               "b": [0.0]}, 3, _FAIL_OVERFLOWING_QP),
+    ], ids=["svm", "benchmark2d", "qp", "overflowing_qp"])
+    def test_report_is_pinned(self, tmp_path, capsys, argv, payload, code, stdout):
+        # Pinned stdout: a change in how f and c are sampled or differenced
+        # moves the printed relative errors.
+        if payload is not None:
+            (tmp_path / "qp.json").write_text(json.dumps(payload))
+            argv = [*argv, "--data", str(tmp_path / "qp.json")]
+        assert main(["validate-gradients", *argv]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (stdout, "")
 
 
 class TestOracleSvm:

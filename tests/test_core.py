@@ -1,5 +1,6 @@
 """Tests for the problem abstraction, Lagrangian evaluation, and projection."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -20,30 +21,20 @@ from numax import (
     validate_gradients,
     write_trajectory_csv,
 )
-from numax.core import central_difference_gradient, lagrangian_value
+from numax.core import central_difference_jacobian, lagrangian_value
 
 
 def unconstrained_square():
-    return ConstrainedProblem(
-        dim_primal=1, num_ineq=0, num_eq=0,
-        eval_objective=lambda x: float(x[0] ** 2),
-        eval_objective_grad=lambda x: 2.0 * x,
-        eval_ineq=lambda x: np.zeros(0),
-        eval_eq=lambda x: np.zeros(0),
-        eval_constraint_jacobian=lambda x: np.zeros((1, 0)),
-    )
+    return ConstrainedProblem.from_values(
+        1, 0, 0, lambda x: (float(x[0] ** 2), np.zeros(0)),
+        lambda x: (2.0 * x, np.zeros((1, 0))))
 
 
 def single_ineq_line():
     # f = 0, g(x) = x - 1
-    return ConstrainedProblem(
-        dim_primal=1, num_ineq=1, num_eq=0,
-        eval_objective=lambda x: 0.0,
-        eval_objective_grad=lambda x: np.zeros(1),
-        eval_ineq=lambda x: np.array([x[0] - 1.0]),
-        eval_eq=lambda x: np.zeros(0),
-        eval_constraint_jacobian=lambda x: np.array([[1.0]]),
-    )
+    return ConstrainedProblem.from_values(
+        1, 1, 0, lambda x: (0.0, np.array([x[0] - 1.0])),
+        lambda x: (np.zeros(1), np.array([[1.0]])))
 
 
 def quadratic_with_linear_constraints(seed=0, dim=4, m=2, n=2):
@@ -56,14 +47,11 @@ def quadratic_with_linear_constraints(seed=0, dim=4, m=2, n=2):
     E = rng.standard_normal((n, dim))
     eb = rng.standard_normal(n)
     jac = np.hstack([G.T, E.T])
-    return ConstrainedProblem(
-        dim_primal=dim, num_ineq=m, num_eq=n,
-        eval_objective=lambda x: 0.5 * float(x @ Q @ x) + float(q @ x),
-        eval_objective_grad=lambda x: Q @ x + q,
-        eval_ineq=lambda x: G @ x - gb,
-        eval_eq=lambda x: E @ x - eb,
-        eval_constraint_jacobian=lambda x: jac,
-    )
+    return ConstrainedProblem.from_values(
+        dim, m, n,
+        lambda x: (0.5 * float(x @ Q @ x) + float(q @ x),
+                   np.concatenate([G @ x - gb, E @ x - eb])),
+        lambda x: (Q @ x + q, jac))
 
 
 class TestEvaluateLagrangian:
@@ -116,11 +104,13 @@ class TestEvaluateLagrangian:
 
 class TestConstraints:
     def test_stacks_inequalities_before_equalities(self):
-        problem = quadratic_with_linear_constraints()
+        # the composed path of `values` stacks the blocks g and h
+        problem = dataclasses.replace(quadratic_with_linear_constraints(),
+                                      eval_values=None, eval_primal_gradient=None)
         x = np.arange(4.0)
         stacked = np.concatenate([problem.eval_ineq(x), problem.eval_eq(x)])
-        np.testing.assert_array_equal(problem.constraints(x), stacked)
-        assert single_ineq_line().constraints(np.array([3.0])).tolist() == [2.0]
+        np.testing.assert_array_equal(problem.values(x)[1], stacked)
+        assert single_ineq_line().values(np.array([3.0]))[1].tolist() == [2.0]
 
     @pytest.mark.parametrize("num_ineq, num_eq, ineq, eq, name", [
         (0, 1, np.zeros(1), np.ones(1), "g"),
@@ -138,7 +128,18 @@ class TestConstraints:
             eval_constraint_jacobian=lambda x: np.zeros((1, 1)),
         )
         with pytest.raises(ConfigurationError, match=rf"{name}\(x\) must have shape \(0,\)"):
-            problem.constraints(np.zeros(1))
+            problem.values(np.zeros(1))
+
+
+@pytest.mark.parametrize("dims, message", [
+    ((0, 0, 1), "dim_primal must be positive"),
+    ((-2, 1, 0), "dim_primal must be positive"),
+    ((1, -1, 0), "constraint counts must be non-negative"),
+    ((1, 0, -1), "constraint counts must be non-negative"),
+])
+def test_dimensions_checked(dims, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        ConstrainedProblem.from_values(*dims, lambda x: (0.0, x), lambda x: (x, x))
 
 
 def _on_line(equality):
@@ -172,7 +173,7 @@ class TestFromValues:
     def test_wrong_length_constraints_rejected(self):
         problem = _on_line(lambda x: np.array([x[0] - 1.0, 0.0]))
         x, message = np.zeros(2), r"c\(x\) must have shape \(1,\), got \(2,\)"
-        for evaluate in (problem.constraints, problem.eval_eq, problem.values,
+        for evaluate in (problem.eval_eq, problem.values,
                          lambda x: run(problem, x, np.zeros(1), _ON_LINE_RUN)):
             with pytest.raises(ConfigurationError, match=message):
                 evaluate(x)
@@ -196,14 +197,9 @@ class TestPrimalGradient:
 
     def test_single_equality_gives_scaled_constraint_gradient(self):
         a = np.array([2.0, -1.0, 0.5])
-        problem = ConstrainedProblem(
-            dim_primal=3, num_ineq=0, num_eq=1,
-            eval_objective=lambda x: 0.0,
-            eval_objective_grad=lambda x: np.zeros(3),
-            eval_ineq=lambda x: np.zeros(0),
-            eval_eq=lambda x: np.array([a @ x - 1.0]),
-            eval_constraint_jacobian=lambda x: a.reshape(3, 1),
-        )
+        problem = ConstrainedProblem.from_values(
+            3, 0, 1, lambda x: (0.0, np.array([a @ x - 1.0])),
+            lambda x: (np.zeros(3), a.reshape(3, 1)))
         grad = lagrangian_primal_gradient(problem, np.zeros(3), [2.5])
         np.testing.assert_allclose(grad, 2.5 * a)
 
@@ -214,8 +210,8 @@ class TestPrimalGradient:
         for _ in range(5):
             x = rng.standard_normal(4)
             analytic = lagrangian_primal_gradient(problem, x, theta)
-            fd = central_difference_gradient(
-                lambda xx: evaluate_lagrangian(problem, xx, theta), x)
+            fd = central_difference_jacobian(
+                lambda xx: evaluate_lagrangian(problem, xx, theta), x, 1)[:, 0]
             np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-7)
 
 
@@ -285,27 +281,35 @@ class TestValidateGradients:
         report = validate_gradients(build_2d_benchmark(), num_points=10, seed=0)
         assert report.passed, report.summary()
 
+    @pytest.mark.parametrize("kind", ["svm", "benchmark2d"])
+    def test_one_pass_over_values_per_point(self, kind):
+        # f and c are differenced together: 1 + 2 dim_primal calls a point
+        from numax import build_2d_benchmark, build_svm_problem, iris_csv_path, load_dataset_csv
+        built = (build_svm_problem(load_dataset_csv(iris_csv_path())) if kind == "svm"
+                 else build_2d_benchmark())
+        calls = []
+
+        def values(x):
+            calls.append(None)
+            return built.eval_values(x)
+
+        problem = ConstrainedProblem.from_values(
+            built.dim_primal, built.num_ineq, built.num_eq, values,
+            lambda x: (built.eval_objective_grad(x), built.eval_constraint_jacobian(x)))
+        assert validate_gradients(problem, num_points=4, seed=0).passed
+        assert len(calls) == 4 * (1 + 2 * built.dim_primal)
+
     def test_wrong_gradient_fails(self):
-        problem = ConstrainedProblem(
-            dim_primal=2, num_ineq=0, num_eq=0,
-            eval_objective=lambda x: float(x @ x),
-            eval_objective_grad=lambda x: 2.0 * x + 1.0,  # deliberately off by +1
-            eval_ineq=lambda x: np.zeros(0),
-            eval_eq=lambda x: np.zeros(0),
-            eval_constraint_jacobian=lambda x: np.zeros((2, 0)),
-        )
+        problem = ConstrainedProblem.from_values(
+            2, 0, 0, lambda x: (float(x @ x), np.zeros(0)),
+            lambda x: (2.0 * x + 1.0, np.zeros((2, 0))))  # deliberately off by +1
         report = validate_gradients(problem, num_points=5, seed=1)
         assert not report.passed
 
     def test_non_finite_sample_recorded(self):
-        problem = ConstrainedProblem(
-            dim_primal=1, num_ineq=0, num_eq=0,
-            eval_objective=lambda x: float("nan"),
-            eval_objective_grad=lambda x: np.zeros(1),
-            eval_ineq=lambda x: np.zeros(0),
-            eval_eq=lambda x: np.zeros(0),
-            eval_constraint_jacobian=lambda x: np.zeros((1, 0)),
-        )
+        problem = ConstrainedProblem.from_values(
+            1, 0, 0, lambda x: (float("nan"), np.zeros(0)),
+            lambda x: (np.zeros(1), np.zeros((1, 0))))
         report = validate_gradients(problem, num_points=3, seed=0)
         assert not report.passed
         assert any("non-finite" in msg for msg in report.failures)
@@ -314,17 +318,37 @@ class TestValidateGradients:
     def test_non_finite_analytic_derivative_fails(self, bad_grad, bad_jac):
         # f = x^2 / 2 and g = x - 1 are finite everywhere, so only the analytic
         # gradient or Jacobian can be NaN; max(0.0, nan) once hid them as 0.0
-        problem = ConstrainedProblem(
-            dim_primal=1, num_ineq=1, num_eq=0,
-            eval_objective=lambda x: float(0.5 * x[0] * x[0]),
-            eval_objective_grad=lambda x: np.array([np.nan]) if bad_grad else x.copy(),
-            eval_ineq=lambda x: x - 1.0,
-            eval_eq=lambda x: np.zeros(0),
-            eval_constraint_jacobian=lambda x: np.array([[np.nan if bad_jac else 1.0]]),
-        )
+        problem = ConstrainedProblem.from_values(
+            1, 1, 0, lambda x: (float(0.5 * x[0] * x[0]), x - 1.0),
+            lambda x: (np.array([np.nan]) if bad_grad else x.copy(),
+                       np.array([[np.nan if bad_jac else 1.0]])))
         report = validate_gradients(problem, num_points=3, seed=0)
         assert not report.passed
         assert "FAIL" in report.summary()
         what = "analytic gradient" if bad_grad else "constraint Jacobian"
         assert len(report.failures) == 3
         assert all(f"non-finite {what}" in msg for msg in report.failures)
+
+    @pytest.mark.parametrize("where, message", [
+        ("f", "non-finite finite-difference gradient at point {k}, x={x!r}"),
+        ("c", "non-finite constraint value near point {k}, x={x!r}"),
+    ], ids=["objective", "constraint"])
+    def test_non_finite_finite_difference_fails(self, where, message):
+        # f = |x|^2 / 2 and h = x0 - 1, with f or h NaN everywhere but at the
+        # sampled points: the analytic values pass and only the differences,
+        # taken a step away, are non-finite.
+        rng = np.random.default_rng(4)
+        samples = [rng.standard_normal(2) for _ in range(3)]
+        sampled = {x.tobytes() for x in samples}
+
+        def values(x):
+            off = 0.0 if x.tobytes() in sampled else np.nan
+            return (0.5 * float(x @ x) + (off if where == "f" else 0.0),
+                    np.array([x[0] - 1.0 + (off if where == "c" else 0.0)]))
+
+        problem = ConstrainedProblem.from_values(
+            2, 0, 1, values, lambda x: (x.copy(), np.array([[1.0], [0.0]])))
+        report = validate_gradients(problem, num_points=3, seed=4)
+        assert report.failures == [message.format(k=k, x=x) for k, x in enumerate(samples)]
+        assert not report.passed and report.max_rel_error_jacobian == 0.0
+        assert (report.max_rel_error_objective == 0.0) == (where == "f")

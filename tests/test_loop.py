@@ -1,6 +1,7 @@
 """Tests for the alternating/simultaneous descent-ascent drivers."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -48,31 +49,31 @@ def gd(step):
 
 
 def unconstrained_norm_square(dim=3):
-    return ConstrainedProblem(
-        dim_primal=dim, num_ineq=0, num_eq=0,
-        eval_objective=lambda x: float(x @ x),
-        eval_objective_grad=lambda x: 2.0 * x,
-        eval_ineq=lambda x: np.zeros(0),
-        eval_eq=lambda x: np.zeros(0),
-        eval_constraint_jacobian=lambda x: np.zeros((dim, 0)),
-    )
+    return ConstrainedProblem.from_values(
+        dim, 0, 0, lambda x: (float(x @ x), np.zeros(0)),
+        lambda x: (2.0 * x, np.zeros((dim, 0))))
 
 
 def one_sided_line():
     # min x subject to x >= 1, i.e. g(x) = 1 - x; KKT point (x, lam) = (1, 1)
-    return ConstrainedProblem(
-        dim_primal=1, num_ineq=1, num_eq=0,
-        eval_objective=lambda x: float(x[0]),
-        eval_objective_grad=lambda x: np.ones(1),
-        eval_ineq=lambda x: np.array([1.0 - x[0]]),
-        eval_eq=lambda x: np.zeros(0),
-        eval_constraint_jacobian=lambda x: np.array([[-1.0]]),
-    )
+    return ConstrainedProblem.from_values(
+        1, 1, 0, lambda x: (float(x[0]), np.array([1.0 - x[0]])),
+        lambda x: (np.ones(1), np.array([[-1.0]])))
 
 
 def two_sided_plane():
     # min (x0 - 2)^2 + x1^2 s.t. 1 - x0 <= 0, x1 - 5 <= 0, x0 + x1 = 3; the
     # unconstrained minimizer strictly satisfies both inequalities
+    return ConstrainedProblem.from_values(
+        2, 2, 1,
+        lambda x: (float((x[0] - 2.0) ** 2 + x[1] ** 2),
+                   np.array([1.0 - x[0], x[1] - 5.0, x[0] + x[1] - 3.0])),
+        lambda x: (np.array([2.0 * (x[0] - 2.0), 2.0 * x[1]]),
+                   np.array([[-1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])))
+
+
+def five_callable_plane():
+    # two_sided_plane as five callables and no fused pair: the loop composes them
     return ConstrainedProblem(
         dim_primal=2, num_ineq=2, num_eq=1,
         eval_objective=lambda x: float((x[0] - 2.0) ** 2 + x[1] ** 2),
@@ -85,14 +86,9 @@ def two_sided_plane():
 
 def bilinear_game():
     # min_x max_theta theta * x: f = 0, h(x) = x
-    return ConstrainedProblem(
-        dim_primal=1, num_ineq=0, num_eq=1,
-        eval_objective=lambda x: 0.0,
-        eval_objective_grad=lambda x: np.zeros(1),
-        eval_ineq=lambda x: np.zeros(0),
-        eval_eq=lambda x: np.array([x[0]]),
-        eval_constraint_jacobian=lambda x: np.array([[1.0]]),
-    )
+    return ConstrainedProblem.from_values(
+        1, 0, 1, lambda x: (0.0, np.array([x[0]])),
+        lambda x: (np.zeros(1), np.array([[1.0]])))
 
 
 class TestUnconstrained:
@@ -272,8 +268,38 @@ class TestLoopMechanics:
             dataclasses.replace(config, stop_tolerance=tolerance)
         assert dataclasses.replace(config, stop_tolerance=0.0).stop_tolerance == 0.0
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("max_steps", 0, "max_steps must be >= 1"),
+        ("record_every", 0, "record_every must be >= 1"),
+        ("record_every", np.int64(-3), "record_every must be >= 1"),
+        ("max_steps", 2.5, "max_steps must be an integer, got 2.5"),
+        ("record_every", 1.5, "record_every must be an integer, got 1.5"),
+        ("max_steps", "3", "max_steps must be an integer, got '3'"),
+        ("record_every", None, "record_every must be an integer, got None"),
+        ("max_steps", True, "max_steps must be an integer, got True"),
+        ("record_every", np.float64(2.0), "record_every must be an integer, got np.float64(2.0)"),
+        ("max_steps", np.bool_(True), "max_steps must be an integer, got np.True_"),
+    ])
+    def test_step_counts_are_integers_from_one(self, name, value, message):
+        config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5,
+                            dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(config, **{name: value})
+
+    def test_numpy_integer_step_counts_run_as_ints(self, tmp_path):
+        config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=40, record_every=3,
+                            dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
+        numpy_config = dataclasses.replace(config, max_steps=np.int64(40),
+                                           record_every=np.int32(3))
+        assert numpy_config == config and type(numpy_config.max_steps) is int
+        for name, cfg in (("int", config), ("numpy", numpy_config)):
+            write_trajectory_csv(run(one_sided_line(), [5.0], np.zeros(1), cfg), tmp_path / name)
+        assert (tmp_path / "int").read_bytes() == (tmp_path / "numpy").read_bytes()
+
     def test_wrong_jacobian_shape_rejected(self):
-        problem = dataclasses.replace(one_sided_line(),
+        # the composed path, which checks the Jacobian at every step
+        problem = dataclasses.replace(one_sided_line(), eval_values=None,
+                                      eval_primal_gradient=None,
                                       eval_constraint_jacobian=lambda x: np.array([-1.0]))
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5,
                             dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
@@ -569,6 +595,24 @@ def _assert_matches_reference(problem, x0, config, base):
     return traj
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_five_callables_run_like_their_from_values_twin(tmp_path, scheme):
+    # The composed evaluation path and the fused one give the same records,
+    # bit for bit, through restarts, the projection and a strided record.
+    config = LoopConfig(scheme=scheme, max_steps=600, record_every=3, dual_restarts=True,
+                        dual_optimizer=NuPIConfig(nu=0.2, kp=1.0, ki=0.5),
+                        primal_optimizer=gd(0.05))
+    five, twin = (run(problem, [4.0, -3.0], np.zeros(3), config)
+                  for problem in (five_callable_plane(), two_sided_plane()))
+    assert five_callable_plane().eval_values is None
+    assert (five.terminated_reason, five.counters) == (twin.terminated_reason, twin.counters)
+    for name in ("t", "f", "lagrangian", "x", "g", "h", "lam", "mu"):
+        assert five.column(name).tobytes() == twin.column(name).tobytes(), name
+    write_trajectory_csv(five, tmp_path / "five.csv")
+    write_trajectory_csv(twin, tmp_path / "twin.csv")
+    assert (tmp_path / "five.csv").read_bytes() == (tmp_path / "twin.csv").read_bytes()
+
+
 def test_svm_inactive_multipliers_match_reference(tmp_path, monkeypatch):
     # Complementary slackness keeps most of the 70 Iris multipliers projected
     # to exactly 0, so most columns hold their bits over whole 64-row blocks,
@@ -709,14 +753,8 @@ def _zero_sign_relay():
         a, _, s = x
         return np.array([-1.0, 0.0, 0.0]) if a < every else np.array([0.0, -s, -0.0])
 
-    return ConstrainedProblem(
-        dim_primal=3, num_ineq=0, num_eq=0,
-        eval_objective=lambda x: float(x[0]),
-        eval_objective_grad=grad,
-        eval_ineq=lambda x: np.zeros(0),
-        eval_eq=lambda x: np.zeros(0),
-        eval_constraint_jacobian=lambda x: np.zeros((3, 0)),
-    )
+    return ConstrainedProblem.from_values(
+        3, 0, 0, lambda x: (float(x[0]), np.zeros(0)), lambda x: (grad(x), np.zeros((3, 0))))
 
 
 def test_state_that_differs_in_the_sign_of_a_zero_is_no_fixed_point(tmp_path):
@@ -748,14 +786,8 @@ def test_velocity_that_x_absorbs_is_no_fixed_point(tmp_path):
     # momentum 0.99: the velocity climbs toward 100, and the steps eta v stay
     # under half that spacing, so x repeats while v grows, until after step
     # E + 1. Then x moves.
-    problem = ConstrainedProblem(
-        dim_primal=1, num_ineq=0, num_eq=0,
-        eval_objective=lambda x: float(x[0]),
-        eval_objective_grad=lambda x: np.ones(1),
-        eval_ineq=lambda x: np.zeros(0),
-        eval_eq=lambda x: np.zeros(0),
-        eval_constraint_jacobian=lambda x: np.zeros((1, 0)),
-    )
+    problem = ConstrainedProblem.from_values(
+        1, 0, 0, lambda x: (float(x[0]), np.zeros(0)), lambda x: (np.ones(1), np.zeros((1, 0))))
     config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=600,
                         dual_optimizer=GAConfig(step_size=0.1),
                         primal_optimizer=PrimalOptimizerConfig(
@@ -919,14 +951,9 @@ def test_svm_columns_diverging_between_records_match_run():
 def _split_plane():
     # f = a^2 / 2 on the first coordinate and h = b on the second; every
     # callable takes one point or a stack
-    return ConstrainedProblem(
-        dim_primal=2, num_ineq=0, num_eq=1,
-        eval_objective=lambda x: 0.5 * x[..., 0] * x[..., 0],
-        eval_objective_grad=lambda x: x * np.array([1.0, 0.0]),
-        eval_ineq=lambda x: x[..., :0],
-        eval_eq=lambda x: x[..., 1:],
-        eval_constraint_jacobian=lambda x: np.array([[0.0], [1.0]]),
-    )
+    return ConstrainedProblem.from_values(
+        2, 0, 1, lambda x: (0.5 * x[..., 0] * x[..., 0], x[..., 1:]),
+        lambda x: (x * np.array([1.0, 0.0]), np.array([[0.0], [1.0]])))
 
 
 def test_columns_stopping_together_match_run():
@@ -968,14 +995,11 @@ def _cell_matches_run(column, problem, x0, theta0, config):
 def _ramp():
     # f = |x|^2 / 2 with g = 1 - x0 <= 0 and h = x1 - 0.5 = 0; every callable
     # takes one point or a stack
-    return ConstrainedProblem(
-        dim_primal=2, num_ineq=1, num_eq=1,
-        eval_objective=lambda x: 0.5 * (x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]),
-        eval_objective_grad=lambda x: 1.0 * x,
-        eval_ineq=lambda x: 1.0 - x[..., :1],
-        eval_eq=lambda x: x[..., 1:] - 0.5,
-        eval_constraint_jacobian=lambda x: np.array([[-1.0, 0.0], [0.0, 1.0]]),
-    )
+    return ConstrainedProblem.from_values(
+        2, 1, 1,
+        lambda x: (0.5 * (x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]),
+                   np.concatenate([1.0 - x[..., :1], x[..., 1:] - 0.5], axis=-1)),
+        lambda x: (1.0 * x, np.array([[-1.0, 0.0], [0.0, 1.0]])))
 
 
 # One factor per row on every rule's gains: the small ones run to max_steps
@@ -1036,15 +1060,9 @@ def test_columns_skip_once_every_row_repeats():
 
 def _ray(ineq: bool):
     # f = 0 with the one constraint x - 1, an inequality or an equality
-    one, empty = (lambda x: x - 1.0), (lambda x: x[..., :0])
-    return ConstrainedProblem(
-        dim_primal=1, num_ineq=int(ineq), num_eq=int(not ineq),
-        eval_objective=lambda x: 0.0 * x[..., 0],
-        eval_objective_grad=lambda x: 0.0 * x,
-        eval_ineq=one if ineq else empty,
-        eval_eq=empty if ineq else one,
-        eval_constraint_jacobian=lambda x: np.ones((1, 1)),
-    )
+    return ConstrainedProblem.from_values(
+        1, int(ineq), int(not ineq), lambda x: (0.0 * x[..., 0], x - 1.0),
+        lambda x: (0.0 * x, np.ones((1, 1))))
 
 
 @pytest.mark.parametrize("ineq", [True, False], ids=["inequality", "equality"])

@@ -339,12 +339,12 @@ class TestStackedEvaluation:
 
 @pytest.mark.parametrize("x", [[0.1, 0.2], [[0.1, 0.2], [-1.5, 3.0]]], ids=["point", "stack"])
 def test_accessors_take_lists(x):
-    # The raw callables need ndarrays; the checked accessors convert a list.
+    # The raw callables need ndarrays; the checked Jacobian converts a list.
     problem = build_2d_benchmark()
-    for accessor in (problem.constraints, problem.constraint_jacobian):
-        from_list, from_array = accessor(x), accessor(np.array(x))
-        assert from_list.shape == from_array.shape
-        assert from_list.tobytes() == from_array.tobytes()
+    from_list = problem.constraint_jacobian(x)
+    from_array = problem.constraint_jacobian(np.array(x))
+    assert from_list.shape == from_array.shape
+    assert from_list.tobytes() == from_array.tobytes()
 
 
 class TestLoadDatasetCsv:
