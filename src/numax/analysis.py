@@ -420,11 +420,10 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
 
 
 def kkt_solve_qp(sys: QPSystem) -> tuple:
-    """Solve the stationarity system [[H, A'], [A, 0]] [x; mu] = [-c; b].
-
-    Residuals are checked to 1e-9; a singular or badly conditioned system is
-    reported with a condition estimate.
-    """
+    """Solve the stationarity system K [x; mu] = [[H, A'], [A, 0]] [x; mu] =
+    [-c; b]. The residuals must be finite and at most 1e-9 of |K| |[x; mu]| +
+    |[c; b]| (max norms); otherwise, and for a singular system, the error
+    names a condition estimate."""
     n, c = sys.dim_primal, sys.num_constraints
     K = np.zeros((n + c, n + c))
     K[:n, :n] = sys.H
@@ -438,11 +437,14 @@ def kkt_solve_qp(sys: QPSystem) -> tuple:
             f"singular KKT matrix (condition estimate {np.linalg.cond(K):.3e})"
         ) from exc
     x_star, mu_star = sol[:n], sol[n:]
-    stat = np.max(np.abs(sys.H @ x_star + sys.c_lin + sys.A.T @ mu_star), initial=0.0)
-    feas = np.max(np.abs(sys.A @ x_star - sys.b), initial=0.0)
-    if stat > 1e-9 or feas > 1e-9:
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow and nan are refused below
+        stat = np.max(np.abs(sys.H @ x_star + sys.c_lin + sys.A.T @ mu_star), initial=0.0)
+        feas = np.max(np.abs(sys.A @ x_star - sys.b), initial=0.0)
+        scale = (np.max(np.abs(K).sum(axis=1)) * np.max(np.abs(sol), initial=0.0)
+                 + np.max(np.abs(rhs), initial=0.0))
+    if not (np.isfinite(scale) and max(stat, feas) <= 1e-9 * scale):
         raise NumericalError(
             f"KKT solve residuals too large (stationarity {stat:.3e}, feasibility "
-            f"{feas:.3e}); condition estimate {np.linalg.cond(K):.3e}"
+            f"{feas:.3e}, scale {scale:.3e}); condition estimate {np.linalg.cond(K):.3e}"
         )
     return x_star, mu_star

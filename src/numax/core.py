@@ -10,7 +10,7 @@ Every other module indexes by this contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -82,6 +82,14 @@ def as_vector(value, length: int, name: str, lead: tuple = ()) -> np.ndarray:
     return v
 
 
+def as_int(value, name: str) -> int:
+    """`value` as an int. A Python or numpy integer is accepted, a `bool` is
+    not: anything else is a configuration error that names `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ConstrainedProblem:
     """Differentiable problem: min f(x) s.t. g(x) <= 0 and h(x) = 0.
@@ -90,24 +98,27 @@ class ConstrainedProblem:
     constraints, shape (dim_primal, num_ineq + num_eq): column j is the
     gradient of the j-th entry of c(x) = [g(x), h(x)].
 
-    Two optional callables fuse what the loop needs at each step:
-    eval_values(x) -> (f(x), c(x)) and eval_primal_gradient(x, theta) ->
-    grad f(x) + Jc(x) @ theta. `values` and `primal_gradient`, the library's
-    one evaluation path, use them when given and otherwise compose the five
-    callables; `check_fused` checks at a start point that both ways agree bit
-    for bit. `from_values` builds a problem whose five callables are views
-    of its fused `values` and of `derivatives`, so the two ways agree by
-    construction; a pair written by hand may share subexpressions, but only
-    through the same float operations in the same order as the five.
+    Two callables fuse what the loop needs at each step: eval_values(x) ->
+    (f(x), c(x)) and eval_primal_gradient(x, theta) -> grad f(x) + Jc(x) @
+    theta. Through `values` and `primal_gradient` they are the library's one
+    evaluation path, and a problem without them is refused: `from_values`
+    builds both, and five callables that are views of them. The five are
+    read by `check_fused`, which checks at a start point that the pair gives
+    bit for bit what the five compose to, and for their derivatives by
+    `constraint_jacobian` and `validate_gradients`. A pair written by hand
+    may share subexpressions, but only through the same float operations in
+    the same order as the five.
 
     All callables must be re-entrant and deterministic: the same input bits
     give the same output bits, as `check_fused` and the loop's fixed-point
     rule (`numax.loop`) assume. Instances are immutable after construction
-    and safe to share across threads. The built-in problems'
-    callables also take a stack of points x of shape (K, dim_primal) and
-    return one result per row, each bit for bit the one-point result; the
-    evaluation path below accepts such stacks too. The callables and the
-    evaluation path take ndarrays; `constraint_jacobian` also takes lists.
+    and safe to share across threads. The dimensions are integers (a numpy
+    integer is stored as an `int`; a `bool` is refused). The built-in
+    problems' callables also take a stack of points x of shape (K,
+    dim_primal) and return one result per row, each bit for bit the
+    one-point result; the evaluation path below accepts such stacks too. The
+    callables and the evaluation path take ndarrays; `constraint_jacobian`
+    also takes lists.
     """
 
     dim_primal: int
@@ -118,14 +129,22 @@ class ConstrainedProblem:
     eval_ineq: Callable[[np.ndarray], np.ndarray]
     eval_eq: Callable[[np.ndarray], np.ndarray]
     eval_constraint_jacobian: Callable[[np.ndarray], np.ndarray]
-    eval_values: Callable[[np.ndarray], tuple] | None = None
-    eval_primal_gradient: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    # required; None defaults only so that a problem without them is refused by name
+    eval_values: Callable[[np.ndarray], tuple] = None
+    eval_primal_gradient: Callable[[np.ndarray, np.ndarray], np.ndarray] = None
 
     def __post_init__(self):
+        for name in ("dim_primal", "num_ineq", "num_eq"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.dim_primal < 1:
             raise ConfigurationError("dim_primal must be positive")
         if self.num_ineq < 0 or self.num_eq < 0:
             raise ConfigurationError("constraint counts must be non-negative")
+        for name in [spec.name for spec in fields(self)][3:]:
+            if not callable(value := getattr(self, name)):
+                hint = ("; build the problem with ConstrainedProblem.from_values"
+                        if value is None else "")
+                raise ConfigurationError(f"{name} must be callable, got {value!r}{hint}")
 
     @classmethod
     def from_values(cls, dim_primal: int, num_ineq: int, num_eq: int,
@@ -172,50 +191,44 @@ class ConstrainedProblem:
         return jac
 
     def values(self, x: np.ndarray) -> tuple:
-        """(f(x), c(x)) with c = [g, h] checked to have num_constraints
-        entries: f a float for one point and a vector for a stack. From
-        `eval_values` when given, else from eval_objective and the blocks g
-        and h, each checked; when one block is empty, c is the other, not a
-        copy."""
-        lead = x.shape[:-1]
-        if self.eval_values is None:
-            f = self.eval_objective(x)
-            g = as_vector(self.eval_ineq(x), self.num_ineq, "g(x)", lead)
-            h = as_vector(self.eval_eq(x), self.num_eq, "h(x)", lead)
-            c = (g if not self.num_eq else h if not self.num_ineq
-                 else np.concatenate([g, h], axis=-1))
-        else:
-            f, c = self.eval_values(x)
-            c = as_vector(c, self.num_constraints, "c(x)", lead)
-        return (float(f) if x.ndim == 1 else as_vector(f, len(x), "f(x)")), c
+        """(f(x), c(x)) from `eval_values`, with c = [g, h] checked to have
+        num_constraints entries: f a float for one point and a vector for a
+        stack."""
+        f, c = self.eval_values(x)
+        c = as_vector(c, self.num_constraints, "c(x)", x.shape[:-1])
+        return _objective(f, x), c
 
     def primal_gradient(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """grad f(x) + Jc(x) @ theta for stacked theta = [lam, mu], or row by
-        row for a stack of points x (K, dim_primal) and theta (K,
-        num_constraints). From `eval_primal_gradient` when given, else from
-        eval_objective_grad and `constraint_jacobian`."""
-        lead = x.shape[:-1]
-        if self.eval_primal_gradient is not None:
-            return as_vector(self.eval_primal_gradient(x, theta), self.dim_primal,
-                             "grad_x L(x, theta)", lead)
-        grad = as_vector(self.eval_objective_grad(x), self.dim_primal, "grad f(x)", lead)
-        if self.num_constraints == 0:
-            return grad
-        return grad + np.matvec(self.constraint_jacobian(x), theta)
+        """grad f(x) + Jc(x) @ theta from `eval_primal_gradient`, for stacked
+        theta = [lam, mu], or row by row for a stack of points x (K,
+        dim_primal) and theta (K, num_constraints)."""
+        return as_vector(self.eval_primal_gradient(x, theta), self.dim_primal,
+                         "grad_x L(x, theta)", x.shape[:-1])
 
     def check_fused(self, x: np.ndarray, theta: np.ndarray) -> None:
         """Raise ConfigurationError unless `values` and `primal_gradient` at x
-        and theta equal, bit for bit, what the five callables give there. A
-        problem without fused callables passes without an evaluation."""
-        if self.eval_values is None and self.eval_primal_gradient is None:
-            return
-        five = replace(self, eval_values=None, eval_primal_gradient=None)
+        and theta equal, bit for bit, what the five callables compose to
+        there: f, c = [g, h] and grad f + Jc theta. The five are read first,
+        each checked, so a block, gradient or Jacobian of the wrong shape is
+        refused by name."""
+        lead = x.shape[:-1]
+        f = _objective(self.eval_objective(x), x)
+        g = as_vector(self.eval_ineq(x), self.num_ineq, "g(x)", lead)
+        h = as_vector(self.eval_eq(x), self.num_eq, "h(x)", lead)
+        c = np.concatenate([g, h], axis=-1)
+        grad = as_vector(self.eval_objective_grad(x), self.dim_primal, "grad f(x)", lead)
+        if self.num_constraints:
+            grad = grad + np.matvec(self.constraint_jacobian(x), theta)
         fused = (*self.values(x), self.primal_gradient(x, theta))
-        composed = (*five.values(x), five.primal_gradient(x, theta))
-        for name, a, b in zip(("f(x)", "c(x)", "grad_x L(x, theta)"), fused, composed):
+        for name, a, b in zip(("f(x)", "c(x)", "grad_x L(x, theta)"), fused, (f, c, grad)):
             if np.asarray(a).tobytes() != np.asarray(b).tobytes():
                 raise ConfigurationError(
                     f"the problem's fused {name} differs from its five callables' at the start")
+
+
+def _objective(f, x: np.ndarray):
+    """f(x) as a float for one point x, or as a checked vector for a stack."""
+    return float(f) if x.ndim == 1 else as_vector(f, len(x), "f(x)")
 
 
 def lagrangian_value(f, g: np.ndarray, h: np.ndarray, lam: np.ndarray, mu: np.ndarray):

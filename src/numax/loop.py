@@ -21,64 +21,42 @@ at steps where the projection binds or a restart fires. Dual restarts
 likewise reset inequality multipliers without touching xi.
 
 One loop, `_descent_ascent`, owns the iteration order, the primal step and
-every stop rule, for one point or for K rows of stacked arrays in lockstep;
-a keeper says what is kept. `run` steps one point, and its keeper is the
-`Records` it returns, which appends every record and notes the stop
-reason. `_run_columns`, which `numax grid` calls, steps K cells of one
-problem with per-row gains; its keeper folds each row's overshoot and
-appends the final record of each row that stops to one `Records`, with its
-stop reason, so a cell ends bit for bit as `run` of that cell does; a row
-that stops is dropped from the arrays.
+every stop rule, for one point (`run`) or for K cells of one problem in
+lockstep (`_run_columns`, which `numax grid` calls); a keeper says what is
+kept, so a cell ends bit for bit as `run` of that cell does.
 
 Every rule the loop applies has one copy elsewhere. `core` holds the
 problem's evaluation path, `ConstrainedProblem.values` (f and c) and
-`primal_gradient` (grad f + Jc theta), which use the problem's fused
-callables when it has them and otherwise compose its five; the Lagrangian
-(`lagrangian_value`); and the projection (`_project_theta`, the unchecked
-form of `project_theta`). `dual_optimizers` holds the multiplier updates,
-the dual restarts and the Adam moment update (`adam_moments`), which the
-primal Adam also uses. Projection and restarts both act on the stacked
-theta. Before the first step the loop checks, through
-`ConstrainedProblem.check_fused`, that the fused callables give at the
-start point bit for bit what the five give.
-
-Once per run, the loop also turns every gain into an array of its
-operand's shape: the dual config's through
-`dual_optimizers.gain_arrays` (theta's shape, which also gives the config's
-products of gains) and the primal step size and momentum (x's shape). A
-step then multiplies arrays of one shape, with the same bits as the scalar
-or (K, 1) gains. When rows stop, the gains are re-sliced with the rest.
-
-The dual state is advanced in place and the projected (and restarted) theta
-written back into it. Records fill columns of t, f, x, c and theta
-(`Records`, the one record builder) that grow by doubling, which
-`Trajectory.steps` reads as `StepRecord` views and the CSV writer in
-blocks; each computes the Lagrangian of the rows it reads. Within a block,
-the writer formats once a column whose bits hold over the rows that changed.
+`primal_gradient` (grad f + Jc theta), through the problem's fused pair,
+which `check_fused` compares with its five callables at the start point;
+the Lagrangian (`lagrangian_value`); and the projection (`_project_theta`).
+`dual_optimizers` holds the multiplier updates, the dual restarts and the
+Adam moment update (`adam_moments`), which the primal Adam also uses. Once
+per run every gain becomes an array of its operand's shape (`gain_arrays`,
+`_PrimalOptimizer`), with the same bits as the scalar or (K, 1) gains. The
+dual state is advanced in place, and records fill the columns of `Records`.
 
 A run whose dynamics settle ends, in float64, on an exact fixed point of
 the step map: every later iteration gives the same bits. Every
 `_FIXED_POINT_EVERY` steps the loop stores the bytes of everything it
-carries from one iteration to the next (x, every field of the dual
-state and of the primal optimizer, the tolerance streak and the last dual
-increment) and compares them at the next step. Bytes, not `==`: -0.0 and
-0.0 differ, and so do NaN payloads. The problem's callables are
-deterministic (`ConstrainedProblem`), so equal bytes mean the step map
-took the state to itself, and every later step does too. The keeper then
-gets the remaining recorded steps in one call, and the run goes to its
-terminal record. nuPI's first step (xi still None) and Adam's step counts
-are in the compared state, so they never match; a row drop changes the
-arrays' shapes, so the grid skips only when every remaining row repeats.
-With `stop_tolerance` the streak moves only at recorded steps, so two equal
-states may still hide a streak that completes later: the skip is taken only
-where the repeated state fails the tolerance test (there the dual increment
-is 0, so where max |c| > stop_tolerance). The records, the stop reason and
-the counters are those of stepping on.
+carries from one iteration to the next (`_carried`) and compares them at
+the next step. The problem's callables are deterministic
+(`ConstrainedProblem`), so equal bytes mean the step map took the state to
+itself, and every later step does too: the keeper gets the remaining
+recorded steps in one call, and the run goes to its terminal record. nuPI's
+first step (xi still None) and Adam's step counts are in the compared
+state, so they never match; a row drop changes the arrays' shapes, so the
+grid skips only when every remaining row repeats. With `stop_tolerance` the
+streak moves only at recorded steps, so the skip is taken only where the
+repeated state fails the tolerance test (there the dual increment is 0, so
+where max |c| > stop_tolerance). The records, the stop reason and the
+counters are those of stepping on.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -90,6 +68,7 @@ from .core import (
     ConfigurationError,
     ConstrainedProblem,
     _project_theta,
+    as_int,
     as_vector,
     lagrangian_value,
     read_csv,
@@ -123,8 +102,16 @@ class PrimalOptimizerConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
-        if not (np.isfinite(self.step_size) and self.step_size > 0):
+        if not isinstance(self.kind, PrimalKind):
+            raise ConfigurationError(f"primal kind must be a PrimalKind, got {self.kind!r}")
+        for name in ("step_size", "momentum"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"primal {name} must be a number, got {value!r}")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise ConfigurationError("primal step_size must be finite and positive")
+        if not math.isfinite(self.momentum):
+            raise ConfigurationError(f"primal momentum must be finite, got {self.momentum!r}")
 
 
 # Consecutive recorded steps whose violation and dual increment must sit at or
@@ -145,14 +132,11 @@ class LoopConfig:
     def __post_init__(self):
         if not isinstance(self.scheme, Scheme):
             raise ConfigurationError(f"scheme must be a Scheme, got {self.scheme!r}")
-        # A numpy integer is stored as an int; a bool is not a step count.
         for name in ("max_steps", "record_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            value = as_int(getattr(self, name), name)
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
         if self.stop_tolerance is not None and not 0.0 <= self.stop_tolerance < math.inf:
             raise ConfigurationError(
                 f"stop_tolerance must be finite and >= 0, got {self.stop_tolerance!r}")
@@ -256,11 +240,11 @@ class Records(Sequence):
 
 @dataclass
 class Trajectory:
-    """A run's records and why it stopped. `counters` holds the evaluation
-    counts, keyed objective / ineq / eq / objective_grad / jacobian. They
-    follow the iteration order, one evaluation per iteration plus the
-    terminal one, also where steps past an exact fixed point were filled
-    rather than computed."""
+    """A run's records and why it stopped. `counters` holds the calls of
+    the problem's two evaluations as the iteration order makes them: keyed
+    `values`, one per iteration plus the terminal one, and `primal_gradient`,
+    one per primal step; steps past an exact fixed point count as if
+    computed. The start check is not counted."""
 
     steps: Records
     terminated_reason: TerminationReason
@@ -518,10 +502,8 @@ def run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig) -> Trajecto
     records = Records(config.max_steps // config.record_every + 2, problem.dim_primal,
                       problem.num_ineq, problem.num_eq)
     evaluations = _descent_ascent(problem, x, theta0, config, records)
-    primal_steps = records[-1].t  # the final record's step is the primal steps taken
-    counters = {"objective": evaluations, "ineq": evaluations, "eq": evaluations,
-                "objective_grad": primal_steps,
-                "jacobian": primal_steps if problem.num_constraints else 0}
+    # the final record's step is the primal steps taken
+    counters = {"values": evaluations, "primal_gradient": records[-1].t}
     return Trajectory(steps=records, terminated_reason=records.reason, counters=counters)
 
 

@@ -2,8 +2,9 @@
 before the driver kept its records in columns and its dual state in place.
 
 `_run`, `_record`, `Trajectory`, `write_trajectory_csv` and `overshoot` are
-the plain record-per-step versions, kept verbatim but for reading f and c
-through `values` composed from the five callables. The dual update goes
+the plain record-per-step versions, kept verbatim but for composing f, c and
+the primal gradient here, from the problem's five callables, not through the
+library's evaluation path. The dual update goes
 through the public pure `checked_dual_step` and every theta rewrite rebuilds
 the state, so no state here is updated in place. The dual restarts are this
 module's own copy of the rule on the split multipliers (lam, mu), so the
@@ -49,7 +50,7 @@ def replace_theta(state, theta: np.ndarray):
 class Trajectory:
     steps: list
     terminated_reason: TerminationReason
-    # evaluation counts, keyed objective / ineq / eq / objective_grad / jacobian
+    # calls of the five callables, keyed as in `_COUNTED`
     counters: dict = field(default_factory=dict)
 
     @property
@@ -60,14 +61,14 @@ class Trajectory:
         return np.array([getattr(rec, name) for rec in self.steps])
 
 
-# Problem callables counted per run, keyed as in Trajectory.counters.
+# Problem callables counted per run, keyed as in the five-callable view.
 _COUNTED = {"eval_objective": "objective", "eval_ineq": "ineq", "eval_eq": "eq",
             "eval_objective_grad": "objective_grad", "eval_constraint_jacobian": "jacobian"}
 
 
 def _counted(problem: ConstrainedProblem) -> tuple:
-    """A copy of the problem whose five callables count their calls, without
-    its fused pair, so that `values` composes them; and the counts."""
+    """The problem's five callables, keyed as in `_COUNTED`, each counting
+    its calls; and the counts."""
     counts = dict.fromkeys(_COUNTED.values(), 0)
 
     def counting(fn, key):
@@ -76,8 +77,15 @@ def _counted(problem: ConstrainedProblem) -> tuple:
             return fn(x)
         return call
 
-    return replace(problem, eval_values=None, eval_primal_gradient=None, **{
-        name: counting(getattr(problem, name), key) for name, key in _COUNTED.items()}), counts
+    return {key: counting(getattr(problem, name), key) for name, key in _COUNTED.items()}, counts
+
+
+def _values(problem: ConstrainedProblem, calls: dict, x: np.ndarray) -> tuple:
+    """(f(x), c(x)) with c = [g(x), h(x)], each block checked."""
+    f = float(calls["objective"](x))
+    g = as_vector(calls["ineq"](x), problem.num_ineq, "g(x)")
+    h = as_vector(calls["eq"](x), problem.num_eq, "h(x)")
+    return f, np.concatenate([g, h])
 
 
 def _record(t, x, f, g, h, theta, num_ineq) -> StepRecord:
@@ -98,7 +106,7 @@ def _run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
     if problem.num_ineq and np.any(theta0[:problem.num_ineq] < 0.0):
         raise ConfigurationError("initial inequality multipliers must be >= 0")
 
-    problem, counts = _counted(problem)
+    calls, counts = _counted(problem)
     m = problem.num_ineq
     state = make_dual_state(config.dual_optimizer, theta0)
     primal = _PrimalOptimizer(config.primal_optimizer, problem.dim_primal)
@@ -110,7 +118,7 @@ def _run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
     stopped_at = None
 
     for t in range(config.max_steps):
-        f, error = problem.values(x)
+        f, error = _values(problem, calls, x)
         g, h = error[:m], error[m:]
         theta_t = state.theta
         if not (np.isfinite(f) and np.all(np.isfinite(error))):
@@ -145,9 +153,9 @@ def _run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
             last_dual_increment = 0.0
 
         theta_for_primal = theta_t if simultaneous else state.theta
-        grad = as_vector(problem.eval_objective_grad(x), problem.dim_primal, "grad f(x)")
+        grad = as_vector(calls["objective_grad"](x), problem.dim_primal, "grad f(x)")
         if problem.num_constraints:
-            grad = grad + problem.constraint_jacobian(x) @ theta_for_primal
+            grad = grad + np.asarray(calls["jacobian"](x), dtype=np.float64) @ theta_for_primal
         x_next = primal.step(x, grad)
 
         if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(stepped))):
@@ -162,7 +170,7 @@ def _run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
         # Terminal record of the final state (one extra evaluation).
         t_final = stopped_at if stopped_at is not None else config.max_steps
         if not records or records[-1].t < t_final:
-            f, c = problem.values(x)
+            f, c = _values(problem, calls, x)
             records.append(_record(t_final, x, f, c[:m], c[m:], state.theta, m))
 
     return Trajectory(steps=records, terminated_reason=reason, counters=counts)

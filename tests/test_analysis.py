@@ -565,3 +565,27 @@ class TestKktSolve:
                        c_lin=[0.0, 0.0], kp=0.0, ki=1.0)
         with pytest.raises(NumericalError, match="condition"):
             kkt_solve_qp(sys)
+
+    def test_residuals_relative_to_scale(self):
+        # b of size 1e12: a feasibility residual of about 1e-4 is a relative
+        # error of about 1e-16, not a failed solve
+        sys = QPSystem(H=np.eye(2), A=[[1e-8, 1.0]], b=[1e12], c_lin=[0.1, 0.2],
+                       kp=0.0, ki=1.0)
+        x_star, mu_star = kkt_solve_qp(sys)
+        assert abs(sys.A @ x_star - sys.b)[0] <= 1e-15 * 1e12
+        np.testing.assert_allclose(mu_star, [-1e12], rtol=1e-12)
+
+    def test_overflowing_solution_refused_without_warning(self):
+        # mu* = -3e290 / 1e-150 overflows; `filterwarnings = error` turns
+        # any RuntimeWarning on the way into a failure
+        sys = QPSystem(H=[[3.0]], A=[[1e-150]], b=[1e140], c_lin=[0.0], kp=0.0, ki=1.0)
+        with pytest.raises(NumericalError, match=r"stationarity nan, feasibility inf, scale inf\)"):
+            kkt_solve_qp(sys)
+
+    def test_inaccurate_solve_refused(self, monkeypatch):
+        sys = QPSystem(H=np.eye(2), A=[[1.0, 0.0]], b=[1.0], c_lin=[0.0, 0.0],
+                       kp=0.0, ki=1.0)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda K, rhs: solve(K, rhs) + 1e-6)
+        with pytest.raises(NumericalError, match="residuals too large"):
+            kkt_solve_qp(sys)

@@ -1,6 +1,7 @@
 """Tests for the problem abstraction, Lagrangian evaluation, and projection."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -102,14 +103,30 @@ class TestEvaluateLagrangian:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def _seven_callables(num_ineq, num_eq, ineq, eq, c):
+    """f = 0 on one coordinate, with blocks g and h and a fused pair whose
+    c(x) and gradient are as given; the Jacobian is zero."""
+    return ConstrainedProblem(
+        dim_primal=1, num_ineq=num_ineq, num_eq=num_eq,
+        eval_objective=lambda x: 0.0,
+        eval_objective_grad=lambda x: np.zeros(1),
+        eval_ineq=lambda x: ineq,
+        eval_eq=lambda x: eq,
+        eval_constraint_jacobian=lambda x: np.zeros((1, num_ineq + num_eq)),
+        eval_values=lambda x: (0.0, c),
+        eval_primal_gradient=lambda x, theta: np.zeros(1),
+    )
+
+
 class TestConstraints:
     def test_stacks_inequalities_before_equalities(self):
-        # the composed path of `values` stacks the blocks g and h
-        problem = dataclasses.replace(quadratic_with_linear_constraints(),
-                                      eval_values=None, eval_primal_gradient=None)
-        x = np.arange(4.0)
-        stacked = np.concatenate([problem.eval_ineq(x), problem.eval_eq(x)])
-        np.testing.assert_array_equal(problem.values(x)[1], stacked)
+        # the start check composes c from the blocks g and h, in that order
+        g, h = np.array([1.0, 2.0]), np.array([3.0])
+        theta = np.zeros(3)
+        _seven_callables(2, 1, g, h, np.array([1.0, 2.0, 3.0])).check_fused(np.zeros(1), theta)
+        with pytest.raises(ConfigurationError, match=r"fused c\(x\) differs"):
+            _seven_callables(2, 1, g, h, np.array([3.0, 1.0, 2.0])).check_fused(
+                np.zeros(1), theta)
         assert single_ineq_line().values(np.array([3.0]))[1].tolist() == [2.0]
 
     @pytest.mark.parametrize("num_ineq, num_eq, ineq, eq, name", [
@@ -117,18 +134,11 @@ class TestConstraints:
         (1, 0, np.ones(1), np.zeros(2), "h"),
     ])
     def test_empty_block_still_checked(self, num_ineq, num_eq, ineq, eq, name):
-        # A single-block problem returns its one block as is, but the empty
-        # block's callable still runs and must still have shape (0,).
-        problem = ConstrainedProblem(
-            dim_primal=1, num_ineq=num_ineq, num_eq=num_eq,
-            eval_objective=lambda x: 0.0,
-            eval_objective_grad=lambda x: np.zeros(1),
-            eval_ineq=lambda x: ineq,
-            eval_eq=lambda x: eq,
-            eval_constraint_jacobian=lambda x: np.zeros((1, 1)),
-        )
+        # A single-block problem's c is its one block, but the start check
+        # still runs the empty block's callable, which must have shape (0,).
+        problem = _seven_callables(num_ineq, num_eq, ineq, eq, np.ones(1))
         with pytest.raises(ConfigurationError, match=rf"{name}\(x\) must have shape \(0,\)"):
-            problem.values(np.zeros(1))
+            problem.check_fused(np.zeros(1), np.zeros(1))
 
 
 @pytest.mark.parametrize("dims, message", [
@@ -140,6 +150,40 @@ class TestConstraints:
 def test_dimensions_checked(dims, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         ConstrainedProblem.from_values(*dims, lambda x: (0.0, x), lambda x: (x, x))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dim_primal", 2.5, "dim_primal must be an integer, got 2.5"),
+    ("num_ineq", "2", "num_ineq must be an integer, got '2'"),
+    ("num_eq", True, "num_eq must be an integer, got True"),
+    ("dim_primal", np.float64(2.0), "dim_primal must be an integer, got np.float64(2.0)"),
+    ("eval_values", 3.0, "eval_values must be callable, got 3.0"),
+    ("eval_objective", None, "eval_objective must be callable, got None; build the "
+                             "problem with ConstrainedProblem.from_values"),
+    ("eval_primal_gradient", None, "eval_primal_gradient must be callable, got None; build "
+                                   "the problem with ConstrainedProblem.from_values"),
+])
+def test_constructor_contract(field, value, message):
+    problem = single_ineq_line()
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(problem, **{field: value})
+    numpy_dims = dataclasses.replace(problem, dim_primal=np.int64(1), num_ineq=np.int32(1))
+    assert numpy_dims == problem and type(numpy_dims.dim_primal) is int
+
+
+def test_problem_without_fused_pair_refused():
+    # five callables alone no longer make a problem: `from_values` builds the pair
+    with pytest.raises(ConfigurationError,
+                       match=r"^eval_values must be callable, got None; build the problem "
+                             r"with ConstrainedProblem\.from_values$"):
+        ConstrainedProblem(
+            dim_primal=1, num_ineq=0, num_eq=0,
+            eval_objective=lambda x: 0.0,
+            eval_objective_grad=lambda x: np.zeros(1),
+            eval_ineq=lambda x: np.zeros(0),
+            eval_eq=lambda x: np.zeros(0),
+            eval_constraint_jacobian=lambda x: np.zeros((1, 0)),
+        )
 
 
 def _on_line(equality):
@@ -180,7 +224,7 @@ class TestFromValues:
 
     def test_unconstrained_gradient_is_the_objective_gradient(self):
         # grad f + Jc theta would turn a -0.0 entry into +0.0, which the
-        # composed path keeps, so the start check would refuse the problem
+        # start check's composition keeps, so it would refuse the problem
         problem = ConstrainedProblem.from_values(
             2, 0, 0, lambda x: (0.5 * float(x @ x), np.zeros(0)),
             lambda x: (x.copy(), np.zeros((2, 0))))

@@ -72,18 +72,6 @@ def two_sided_plane():
                    np.array([[-1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])))
 
 
-def five_callable_plane():
-    # two_sided_plane as five callables and no fused pair: the loop composes them
-    return ConstrainedProblem(
-        dim_primal=2, num_ineq=2, num_eq=1,
-        eval_objective=lambda x: float((x[0] - 2.0) ** 2 + x[1] ** 2),
-        eval_objective_grad=lambda x: np.array([2.0 * (x[0] - 2.0), 2.0 * x[1]]),
-        eval_ineq=lambda x: np.array([1.0 - x[0], x[1] - 5.0]),
-        eval_eq=lambda x: np.array([x[0] + x[1] - 3.0]),
-        eval_constraint_jacobian=lambda x: np.array([[-1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
-    )
-
-
 def bilinear_game():
     # min_x max_theta theta * x: f = 0, h(x) = x
     return ConstrainedProblem.from_values(
@@ -186,12 +174,9 @@ class TestLoopMechanics:
                             dual_optimizer=GAConfig(step_size=0.01),
                             primal_optimizer=gd(0.01), record_every=10)
         traj = run(problem, [0.0], np.zeros(1), config)
-        # one evaluation per iteration plus the terminal record
-        assert traj.counters["ineq"] == 137 + 1
-        assert traj.counters["eq"] == 137 + 1
-        assert traj.counters["objective"] == 137 + 1
-        assert traj.counters["jacobian"] == 137
-        assert traj.counters["objective_grad"] == 137
+        # one evaluation per iteration plus the terminal record, and one
+        # primal gradient per primal step
+        assert traj.counters == {"values": 137 + 1, "primal_gradient": 137}
 
     def test_dual_restarts_zero_satisfied_constraints(self):
         problem = one_sided_line()
@@ -260,6 +245,22 @@ class TestLoopMechanics:
             with pytest.raises(ConfigurationError, match="finite and positive"):
                 gd(step)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("kind", "gd", "primal kind must be a PrimalKind, got 'gd'"),
+        ("kind", None, "primal kind must be a PrimalKind, got None"),
+        ("step_size", "3", "primal step_size must be a number, got '3'"),
+        ("step_size", None, "primal step_size must be a number, got None"),
+        ("step_size", True, "primal step_size must be a number, got True"),
+        ("momentum", np.nan, "primal momentum must be finite, got nan"),
+        ("momentum", -np.inf, "primal momentum must be finite, got -inf"),
+        ("momentum", "0.9", "primal momentum must be a number, got '0.9'"),
+    ])
+    def test_primal_config_fields_checked(self, name, value, message):
+        # an unknown kind would otherwise fall through the step to Adam
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(gd(0.1), **{name: value})
+        assert dataclasses.replace(gd(0.1), step_size=np.float32(0.5), momentum=0).momentum == 0
+
     @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, np.nan, np.inf])
     def test_stop_tolerance_must_be_finite_and_non_negative(self, tolerance):
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5,
@@ -297,10 +298,11 @@ class TestLoopMechanics:
         assert (tmp_path / "int").read_bytes() == (tmp_path / "numpy").read_bytes()
 
     def test_wrong_jacobian_shape_rejected(self):
-        # the composed path, which checks the Jacobian at every step
-        problem = dataclasses.replace(one_sided_line(), eval_values=None,
-                                      eval_primal_gradient=None,
-                                      eval_constraint_jacobian=lambda x: np.array([-1.0]))
+        # one_sided_line with its Jacobian as a vector: the start check reads
+        # the Jacobian before the fused gradient would multiply by it
+        problem = ConstrainedProblem.from_values(
+            1, 1, 0, lambda x: (float(x[0]), np.array([1.0 - x[0]])),
+            lambda x: (np.ones(1), np.array([-1.0])))
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5,
                             dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
         with pytest.raises(ConfigurationError, match="Jacobian"):
@@ -580,7 +582,13 @@ def _assert_matches_reference(problem, x0, config, base):
     ref = loop_reference.run(problem, x0, theta0, config)
 
     assert traj.terminated_reason is ref.terminated_reason
-    assert traj.counters == ref.counters
+    # the reference calls the five callables; `values` stands for f, g and h,
+    # `primal_gradient` for grad f and, with constraints, the Jacobian
+    counts = ref.counters
+    assert counts["ineq"] == counts["eq"] == counts["objective"]
+    assert counts["jacobian"] == (counts["objective_grad"] if problem.num_constraints else 0)
+    assert traj.counters == {"values": counts["objective"],
+                             "primal_gradient": counts["objective_grad"]}
     assert len(traj.steps) == len(ref.steps)
     assert traj.final.t == ref.final.t
     for rec, ref_rec in zip(traj.steps, ref.steps):
@@ -593,24 +601,6 @@ def _assert_matches_reference(problem, x0, config, base):
     loop_reference.write_trajectory_csv(ref, base / "reference.csv")
     assert (base / "columns.csv").read_bytes() == (base / "reference.csv").read_bytes()
     return traj
-
-
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_five_callables_run_like_their_from_values_twin(tmp_path, scheme):
-    # The composed evaluation path and the fused one give the same records,
-    # bit for bit, through restarts, the projection and a strided record.
-    config = LoopConfig(scheme=scheme, max_steps=600, record_every=3, dual_restarts=True,
-                        dual_optimizer=NuPIConfig(nu=0.2, kp=1.0, ki=0.5),
-                        primal_optimizer=gd(0.05))
-    five, twin = (run(problem, [4.0, -3.0], np.zeros(3), config)
-                  for problem in (five_callable_plane(), two_sided_plane()))
-    assert five_callable_plane().eval_values is None
-    assert (five.terminated_reason, five.counters) == (twin.terminated_reason, twin.counters)
-    for name in ("t", "f", "lagrangian", "x", "g", "h", "lam", "mu"):
-        assert five.column(name).tobytes() == twin.column(name).tobytes(), name
-    write_trajectory_csv(five, tmp_path / "five.csv")
-    write_trajectory_csv(twin, tmp_path / "twin.csv")
-    assert (tmp_path / "five.csv").read_bytes() == (tmp_path / "twin.csv").read_bytes()
 
 
 def test_svm_inactive_multipliers_match_reference(tmp_path, monkeypatch):
@@ -737,7 +727,7 @@ def test_acceptance_7_runs_skip_at_their_fixed_point():
                             dual_optimizer=NuPIConfig(nu=0.0, kp=kp, ki=0.01),
                             primal_optimizer=gd(0.002))
         traj = run(problem, [-0.5, -2.0], np.zeros(1), config)
-        assert traj.counters["objective"] == 50001 and len(traj.steps) == 50001
+        assert traj.counters["values"] == 50001 and len(traj.steps) == 50001
         assert len(calls) <= _fixed_step(traj) + 2 * every + 2, kp
 
 
