@@ -350,21 +350,17 @@ def cmd_grid(args) -> int:
     nu_values = nu_values or [loop_config.dual_optimizer.nu]
 
     # Every cell is `numax run` with the cell's nuPI gains; all run as one
-    # recursion, a column each. A crash is recorded in every row.
+    # recursion, a column each, so an error ends the command as `run`'s does.
     cells = [(kp, ki, nu) for kp in kp_values for ki in ki_values for nu in nu_values]
     gains = np.array(cells).T[:, :, None]  # kp, ki and nu, each of shape (cells, 1)
     swept = NuPIConfig(kp=gains[0], ki=gains[1], nu=gains[2])
     for warning in dual_config_warnings(swept):
         print(f"warning: {warning}", file=sys.stderr)
-    try:
-        results = _run_columns(
-            bundle.problem, bundle.x0, np.zeros(bundle.problem.num_constraints),
-            replace(loop_config, dual_optimizer=swept), len(cells))
-        rows = [(*cell, _compute_metric(metric, result, lambda_star),
-                 result.terminated_reason is TerminationReason.NON_FINITE, "")
-                for cell, result in zip(cells, results)]
-    except Exception as exc:  # recorded in-row
-        rows = [(*cell, math.nan, True, f"{type(exc).__name__}: {exc}") for cell in cells]
+    results = _run_columns(bundle.problem, bundle.x0, np.zeros(bundle.problem.num_constraints),
+                           replace(loop_config, dual_optimizer=swept), len(cells))
+    rows = [(*cell, _compute_metric(metric, result, lambda_star),
+             result.terminated_reason is TerminationReason.NON_FINITE)
+            for cell, result in zip(cells, results)]
 
     grid_path = out_dir / "grid.csv"
     with _writing(out_dir):
@@ -372,11 +368,9 @@ def cmd_grid(args) -> int:
             fh.write(f"# grid over kp x ki x nu, metric = {metric}; "
                      "diverged_flag = 1 when the metric exceeds 1e3 or the run failed\n")
             fh.write(",".join(_GRID_COLUMNS) + "\n")
-            for kp, ki, nu, value, failed, note in rows:
+            for kp, ki, nu, value, failed in rows:
                 diverged = int(failed or not math.isfinite(value) or value > 1e3)
                 fh.write(f"{kp:.17g},{ki:.17g},{nu:.17g},{value:.17g},{diverged}\n")
-                if note:
-                    print(f"cell kp={kp} ki={ki} nu={nu} failed: {note}", file=sys.stderr)
         _echo_config(config, out_dir / "resolved_config.txt")
     print(f"grid complete: {grid_path} ({len(rows)} cells)")
     return 0

@@ -14,9 +14,10 @@ columns: theta of shape (K, n), an error of the same shape, and a config
 whose gains are arrays of shape (K, 1), one row per column. Column k then
 equals the run with the scalar gains of row k bit for bit.
 
-A config holds its gains (the fields named in its `GAINS`) and, as fields
-set in `__post_init__`, the products of gains its update uses, so a step
-computes no product of gains. Before the first step the loop passes
+A config holds its gains (the fields named in its `GAINS`), each checked
+when the config is built (`_check_gains`), and, as fields set in
+`__post_init__`, the products of gains its update uses, so a step computes
+no product of gains. Before the first step the loop passes
 `gain_arrays(config, theta.shape)`: the same config with every gain a
 float64 array of theta's shape, which costs a few theta-sized arrays per
 run and lets every operation of a step multiply arrays of one shape, with
@@ -39,6 +40,8 @@ kp = 0 gives plain gradient ascent with step ki. The start xi_0 is e_0
 from __future__ import annotations
 
 import copy
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import ClassVar
@@ -70,6 +73,22 @@ def _product():
     return field(init=False, repr=False, compare=False)
 
 
+def _check_gains(config) -> None:
+    """Refuse any gain of `config` that is neither a finite real number (not
+    a bool) nor a float array of finite entries, such as per-row (K, 1) gains
+    or `gain_arrays`' arrays; the error names the class and the field."""
+    for name in config.GAINS:
+        value = getattr(config, name)
+        if isinstance(value, np.ndarray):
+            ok = value.dtype.kind == "f" and bool(np.isfinite(value).all())
+        else:
+            ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
+        if not ok:
+            raise ConfigurationError(f"{type(config).__name__} {name} must be a finite number "
+                                     f"or a float array of them, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NuPIConfig:
     GAINS: ClassVar[tuple] = ("nu", "kp", "ki")
@@ -82,6 +101,7 @@ class NuPIConfig:
     kp_one_minus_nu: float = _product()  # kp * (1 - nu)
 
     def __post_init__(self):
+        _check_gains(self)
         object.__setattr__(self, "one_minus_nu", 1.0 - self.nu)
         object.__setattr__(self, "kp_one_minus_nu", self.kp * self.one_minus_nu)
 
@@ -145,6 +165,7 @@ class UMConfig:
     beta_gamma: float = _product()  # beta * gamma
 
     def __post_init__(self):
+        _check_gains(self)
         object.__setattr__(self, "beta_gamma", self.beta * self.gamma)
 
 
@@ -206,6 +227,9 @@ class GAConfig:
 
     step_size: float
 
+    def __post_init__(self):
+        _check_gains(self)
+
 
 @dataclass
 class GAState:
@@ -240,6 +264,9 @@ class AdamConfig:
     GAINS: ClassVar[tuple] = ("step_size",)
 
     step_size: float
+
+    def __post_init__(self):
+        _check_gains(self)
 
 
 @dataclass

@@ -11,7 +11,10 @@ One iteration of the alternating scheme, with the dual error e_t = c(x_t):
 
 The simultaneous scheme is identical except the primal step uses the
 pre-update multipliers theta_t. Records store the state (x_t, theta_t) at
-the start of iteration t plus a terminal record of the final state.
+the start of iteration t; the last iteration, t = max_steps, takes no step.
+Every stop is decided in one place, at the top of an iteration, from what
+the last step produced and from the evaluation of x_t, so the final record
+obeys the same non-finite rule as every other.
 
 Two behavioral notes. The controller state (the nuPI error average xi, a
 momentum buffer, Adam moments) is never modified by the projection or by
@@ -43,7 +46,8 @@ carries from one iteration to the next (`_carried`) and compares them at
 the next step. The problem's callables are deterministic
 (`ConstrainedProblem`), so equal bytes mean the step map took the state to
 itself, and every later step does too: the keeper gets the remaining
-recorded steps in one call, and the run goes to its terminal record. nuPI's
+recorded steps in one call, and the loop goes on at t = max_steps, whose
+record it makes from the f and c it already holds. nuPI's
 first step (xi still None) and Adam's step counts are in the compared
 state, so they never match; a row drop changes the arrays' shapes, so the
 grid skips only when every remaining row repeats. With `stop_tolerance` the
@@ -242,9 +246,10 @@ class Records(Sequence):
 class Trajectory:
     """A run's records and why it stopped. `counters` holds the calls of
     the problem's two evaluations as the iteration order makes them: keyed
-    `values`, one per iteration plus the terminal one, and `primal_gradient`,
-    one per primal step; steps past an exact fixed point count as if
-    computed. The start check is not counted."""
+    `values`, one per iteration up to the final record's, except after a
+    non-finite step, where x is not evaluated, and `primal_gradient`, one
+    per primal step; steps past an exact fixed point count as if computed.
+    The start check is not counted."""
 
     steps: Records
     terminated_reason: TerminationReason
@@ -390,18 +395,19 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
     one point (dim_primal,) or K rows (K, dim_primal) in lockstep, whose dual
     config may hold per-row gains of shape (K, 1).
 
-    A row stops where it is first non-finite, at an evaluation or after its
-    steps (x after the primal step, theta as the dual step gives it, before
-    the projection), or where its tolerance streak completes (non-finite wins);
-    the rest get the terminal record at `config.max_steps`. The keeper gets
+    Iteration t tests what the last step produced (x_t, and theta as the
+    dual step gave it, before the projection), evaluates x_t and decides in
+    one place which rows stop: a row non-finite in the step or at the
+    evaluation, one whose tolerance streak completes (non-finite wins), and
+    every row at t = `config.max_steps`, which takes no step. The keeper gets
     `keep(rows, t, x, f, c, theta)` at each step where `run` records, `rows`
     masking the rows that record (True: all), or once with a range of steps t
     that all record the same state, from where every row sits at an exact
-    fixed point; then `finish(rows, ..., reason)`
-    with the rows that stop, once per reason. When only some rows stop, they
-    are dropped and `keeper.drop(rows)` gets the rows that go on. Returns the
-    evaluations the iteration order makes for the rows that stopped last: one
-    per iteration, filled ones too, plus the terminal one."""
+    fixed point (the loop then goes to t = max_steps); then `finish(rows, ...,
+    reason)` with the rows that stop, once per reason. When only some rows
+    stop, they are dropped and `keeper.drop(rows)` gets the rows that go on.
+    Returns the evaluations `run` makes: one per iteration, filled ones too,
+    but none after a non-finite step."""
     # Picked once from the shapes; a stack reduces over all its rows.
     one = x.ndim == 1
     any_true = bool if one else partial(np.logical_or.reduce, axis=None)
@@ -418,45 +424,57 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
     streak = np.zeros(x.shape[:-1], dtype=np.int64)
     last_dual_increment = np.full(x.shape[:-1], np.inf)  # none before the first dual step
     keep, finish = keeper.keep, keeper.finish
+    stepped = theta  # the dual step's output; the projection would turn -inf or nan into 0
 
-    for t in range(config.max_steps):
-        f, error = values(x)
+    for t in range(config.max_steps + 1):
+        theta_t, last = state.theta, t == config.max_steps
+        stepped_finite = finite_x(x) and finite_theta(stepped)
+        if stepped_finite:
+            f, error = values(x)
+        else:
+            # A row that went non-finite records (t, x, nan, nan, theta), theta
+            # holding the dual step's output where that is not finite. One
+            # point is not evaluated: its nan c takes the shape of stepped.
+            went = ~(np.logical_and.reduce(np.isfinite(x), axis=-1)
+                     & np.logical_and.reduce(np.isfinite(stepped), axis=-1))
+            f, error = (np.nan, stepped) if one else values(x)
+            f, error = np.where(went, np.nan, f), np.where(went[..., None], np.nan, error)
+            theta_t = np.where(np.isfinite(stepped), theta_t, stepped)
         if t % _FIXED_POINT_EVERY < 2:  # store the carried state at 0, compare at 1
             now = _carried(x, state, primal, streak, last_dual_increment)
             if t % _FIXED_POINT_EVERY == 0:
                 carried = now
-            elif now == carried and (tolerance is None or not any_true(
+            elif now == carried and stepped_finite and (tolerance is None or not any_true(
                     _within(tolerance, error, last_dual_increment))):
                 # Iteration t - 1 mapped the state to itself, so every later
                 # one does too, and no tolerance streak can complete: the
                 # steps left to record (the first is t rounded up to
-                # record_every) record this state, and the run ends at max_steps.
+                # record_every) record this state, as does max_steps.
                 keep(True, range(t + -t % config.record_every, config.max_steps,
-                                 config.record_every), x, f, error, state.theta)
-                break
-        theta_t = state.theta
-        recorded = t % config.record_every == 0
+                                 config.record_every), x, f, error, theta_t)
+                t, last = config.max_steps, True
+        recorded = last or t % config.record_every == 0
         # One bool per check; per-row masks only at a step where a row stops.
-        stop = not (finite_f(f) and finite_theta(error))
-        if recorded and tolerance is not None:
+        stop = last or not (finite_f(f) and finite_theta(error))
+        if recorded and tolerance is not None and not last:
             streak = (streak + 1) * _within(tolerance, error, last_dual_increment)
             stop = stop or any_true(streak >= _STOP_PATIENCE)
         if stop:
             bad = ~(np.isfinite(f) & np.logical_and.reduce(np.isfinite(error), axis=-1))
-            done = bad | (streak >= _STOP_PATIENCE)
+            done = bad | (streak >= _STOP_PATIENCE) | last
             keep(recorded | bad, t, x, f, error, theta_t)
             finish(bad, t, x, f, error, theta_t, TerminationReason.NON_FINITE)
-            finish(done & ~bad, t, x, f, error, theta_t, TerminationReason.TOLERANCE)
+            # no streak advances at max_steps, so there only max_steps stops a finite row
+            finish(done & ~bad, t, x, f, error, theta_t,
+                   TerminationReason.MAX_STEPS if last else TerminationReason.TOLERANCE)
             if done.all():
-                return t + 1
+                break
             dual, x, error, streak, last_dual_increment = _keep_rows(
                 ~done, state, dual, primal, keeper, x, error, streak, last_dual_increment)
             theta_t = state.theta
         elif recorded:
             keep(True, t, x, f, error, theta_t)
 
-        # The dual step's output, tested below: the projection would turn a
-        # -inf or nan multiplier into 0.
         stepped = theta_t
         if num_constraints:
             stepped = dual_step(state, dual, error).theta
@@ -472,26 +490,7 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
         grad = primal_gradient(x, theta_t if simultaneous else state.theta)
         x = primal.step(x, grad)
 
-        if not (finite_x(x) and finite_theta(stepped)):
-            ok = (np.logical_and.reduce(np.isfinite(x), axis=-1)
-                  & np.logical_and.reduce(np.isfinite(stepped), axis=-1))
-            # a row that went non-finite records (t + 1, x, nan, nan, theta),
-            # theta holding the dual step's output where that is not finite
-            theta = np.where(np.isfinite(stepped), state.theta, stepped)
-            nan_f, nan_c = np.full(ok.shape, np.nan), np.full(theta.shape, np.nan)
-            keep(~ok, t + 1, x, nan_f, nan_c, theta)
-            finish(~ok, t + 1, x, nan_f, nan_c, theta, TerminationReason.NON_FINITE)
-            if not ok.any():
-                return t + 1
-            dual, x, streak, last_dual_increment = _keep_rows(
-                ok, state, dual, primal, keeper, x, streak, last_dual_increment)
-
-    # Terminal record of the final state (one extra evaluation).
-    f, error = values(x)
-    every = np.ones(x.shape[:-1], dtype=bool)
-    keep(every, config.max_steps, x, f, error, state.theta)
-    finish(every, config.max_steps, x, f, error, state.theta, TerminationReason.MAX_STEPS)
-    return config.max_steps + 1
+    return t + stepped_finite
 
 
 def run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig) -> Trajectory:

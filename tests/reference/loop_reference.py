@@ -4,7 +4,8 @@ before the driver kept its records in columns and its dual state in place.
 `_run`, `_record`, `Trajectory`, `write_trajectory_csv` and `overshoot` are
 the plain record-per-step versions, kept verbatim but for composing f, c and
 the primal gradient here, from the problem's five callables, not through the
-library's evaluation path. The dual update goes
+library's evaluation path, and for one later rule: a terminal record whose f
+or c is not finite ends the run non-finite. The dual update goes
 through the public pure `checked_dual_step` and every theta rewrite rebuilds
 the state, so no state here is updated in place. The dual restarts are this
 module's own copy of the rule on the split multipliers (lam, mu), so the
@@ -167,11 +168,14 @@ def _run(problem: ConstrainedProblem, x0, theta0, config: LoopConfig,
         x = x_next
 
     if reason is not TerminationReason.NON_FINITE:
-        # Terminal record of the final state (one extra evaluation).
+        # Terminal record of the final state (one extra evaluation), which
+        # ends the run non-finite like any other record.
         t_final = stopped_at if stopped_at is not None else config.max_steps
         if not records or records[-1].t < t_final:
             f, c = _values(problem, calls, x)
             records.append(_record(t_final, x, f, c[:m], c[m:], state.theta, m))
+            if not (np.isfinite(f) and np.all(np.isfinite(c))):
+                reason = TerminationReason.NON_FINITE
 
     return Trajectory(steps=records, terminated_reason=reason, counters=counts)
 

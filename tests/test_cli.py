@@ -165,6 +165,19 @@ metric = max_violation
                                            "callables' at the start\n")
         assert not (out / "trajectory.csv").exists()
 
+    def test_final_record_obeys_the_non_finite_rule(self, tmp_path, capsys):
+        # GD at 1e300 takes x to about 1e302 in the first step, where f
+        # overflows: that record is the final one at max_steps 1 and not at
+        # max_steps 2, and both runs end on it non-finite.
+        for max_steps in ("1", "2"):
+            assert main(["run", "--problem.kind", "benchmark2d", "--loop.primal_step_size",
+                         "1e300", "--loop.max_steps", max_steps,
+                         "--output-dir", str(tmp_path / max_steps)]) == 3
+            assert capsys.readouterr().err == "run terminated on non-finite values\n"
+        csv = (tmp_path / "1" / "trajectory.csv").read_bytes()
+        assert csv == (tmp_path / "2" / "trajectory.csv").read_bytes()
+        assert b"# terminated_reason: non-finite" in csv
+
     def test_env_fallback_output_dir(self, tmp_path, monkeypatch):
         config = tmp_path / "run.ini"
         write_benchmark_config(config, max_steps=10)
@@ -290,19 +303,36 @@ class TestGrid:
             if "max_violation" in settings:  # the final h is NaN
                 assert math.isnan(value) and math.isnan(float(summary["max_violation"]))
 
-    def test_raising_run_flags_every_row(self, tmp_path, capsys, monkeypatch):
-        def boom(*_args):
-            raise ValueError("boom")
+    def test_fused_pair_that_disagrees_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The grid's twin of `run`'s test: one line, exit 2, no grid.csv.
+        def one_ulp_off():
+            problem = build_2d_benchmark()
+            return dataclasses.replace(problem, eval_primal_gradient=lambda x, theta: np.nextafter(
+                problem.eval_primal_gradient(x, theta), np.inf))
 
-        monkeypatch.setattr(cli, "_run_columns", boom)
-        config = tmp_path / "grid.ini"
-        write_svm_config(config)
-        assert main(["grid", "--config", str(config), "--output-dir", str(tmp_path / "out")]) == 0
-        rows = read_grid_csv(tmp_path / "out" / "grid.csv")
-        assert len(rows) == 4 and all(math.isnan(r[3]) and r[4] == 1 for r in rows)
-        failed = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
-        assert failed == [f"cell kp={kp} ki={ki} nu=0.0 failed: ValueError: boom"
-                          for kp, ki, *_ in rows]
+        monkeypatch.setattr(cli, "build_2d_benchmark", one_ulp_off)
+        out = tmp_path / "out"
+        assert main(["grid", "--problem.kind", "benchmark2d", "--grid.kp", "0,3",
+                     "--grid.ki", "0.01", "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == ("configuration error: the problem's fused "
+                                           "grad_x L(x, theta) differs from its five "
+                                           "callables' at the start\n")
+        assert not (out / "grid.csv").exists()
+
+    def test_cell_whose_final_evaluation_overflows_is_flagged(self, tmp_path):
+        # ki = 1e300 sends x so far in the one step that f overflows at the
+        # final evaluation: that cell's run ends non-finite and exits 3, so the
+        # grid flags it although its overshoot reads 0.
+        settings = ["--problem.kind", "benchmark2d", "--loop.max_steps", "1",
+                    "--run.metric", "overshoot", "--grid.kp", "0"]
+        assert main(["grid", "--output-dir", str(tmp_path / "grid"), *settings,
+                     "--grid.ki", "0.01,1e300"]) == 0
+        rows = read_grid_csv(tmp_path / "grid" / "grid.csv")
+        assert [(row[1], row[3], row[4]) for row in rows] == [(0.01, 0.0, 0), (1e300, 0.0, 1)]
+        cell = [arg.replace("--grid.", "--dual.") for arg in settings]
+        for ki, code in (("0.01", 0), ("1e300", 3)):
+            assert main(["run", "--output-dir", str(tmp_path / f"run_{ki}"), *cell,
+                         "--dual.ki", ki]) == code
 
     def test_empty_axis_is_config_error(self, tmp_path):
         config = tmp_path / "grid.ini"

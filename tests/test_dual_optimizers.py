@@ -418,3 +418,32 @@ class TestArrayGains:
         bad[2, 1] = np.nan
         with pytest.raises(NumericalError, match=r"indices \[5\]"):
             checked_dual_step(state, config, bad)
+
+
+# Each config checks its gains when it is built: a finite real number or a
+# float array of finite entries (per-row gains) passes, anything else is a
+# ConfigurationError naming the class and the field.
+_VALID_GAINS = {NuPIConfig: {"nu": 0.0, "kp": 1.0, "ki": 0.1},
+                UMConfig: {"alpha": 0.1, "beta": 0.5, "gamma": 1.0},
+                GAConfig: {"step_size": 0.1}, AdamConfig: {"step_size": 0.1}}
+_GAIN_VALUES = {
+    "float": (0.5, True), "int": (2, True), "float32": (np.float32(0.5), True),
+    "rows": (np.full((3, 1), 0.5), True),
+    "none": (None, False), "string": ("3", False), "list": ([0.1], False),
+    "bool": (True, False), "nan": (np.nan, False), "-inf": (-np.inf, False),
+    "complex": (1j, False), "nan-row": (np.array([[0.5], [np.nan]]), False),
+    "int-rows": (np.ones((2, 1), dtype=int), False), "bool-rows": (np.ones(2, dtype=bool), False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GAIN_VALUES))
+@pytest.mark.parametrize("cls", list(_VALID_GAINS), ids=lambda cls: cls.__name__)
+def test_gains_checked_when_built(cls, kind):
+    value, accepted = _GAIN_VALUES[kind]
+    for name in cls.GAINS:
+        gains = {**_VALID_GAINS[cls], name: value}
+        if accepted:
+            assert getattr(cls(**gains), name) is value
+        else:
+            with pytest.raises(ConfigurationError, match=f"^{cls.__name__} {name} must be "):
+                cls(**gains)

@@ -973,6 +973,46 @@ def test_columns_stopping_together_match_run():
         assert _same(column.overshoot, traj.overshoot), k
 
 
+def test_final_record_obeys_the_non_finite_rule(tmp_path):
+    # GD at 1e300 takes x to about 1e302 in the first step, where f
+    # overflows. At max_steps 1 that is the final record, at max_steps 2 an
+    # ordinary one: both runs end on it, non-finite, after two evaluations,
+    # and the reference driver agrees.
+    problem = build_2d_benchmark()
+    trajectories = []
+    for max_steps in (1, 2):
+        config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=max_steps,
+                            dual_optimizer=NuPIConfig(nu=0.0, kp=0.0, ki=0.01),
+                            primal_optimizer=gd(1e300))
+        trajectories.append(_assert_matches_reference(problem, [-0.5, -2.0], config, tmp_path))
+    for traj in trajectories:
+        assert (traj.terminated_reason, traj.final.t) == (TerminationReason.NON_FINITE, 1)
+        assert traj.final.f == np.inf
+        assert traj.counters == {"values": 2, "primal_gradient": 1}
+    first, second = (traj.final for traj in trajectories)
+    for name in ("x", "f", "g", "h", "lam", "mu", "lagrangian"):
+        assert _same(getattr(first, name), getattr(second, name)), name
+
+
+def test_columns_whose_final_evaluation_overflows_match_run():
+    # The primal step 11 multiplies a by -10, so from a0 = 1e145 f = a^2 / 2
+    # overflows at t = 10 = max_steps, the final record: those rows end
+    # non-finite there, as at any other step, while from a0 = 1e144 f stays
+    # finite and the rows end max-steps.
+    problem = _split_plane()
+    x0 = np.array([[1e145, 0.0], [1e144, 0.0], [1e145, 1.0], [0.0, 1.0]])
+    ki = np.array([[1.0], [1.0], [0.01], [0.01]])
+    config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=10,
+                        dual_optimizer=NuPIConfig(nu=0.0, kp=0.0, ki=ki), primal_optimizer=gd(11.0))
+    columns = loop._run_columns(problem, x0, np.zeros(1), config, len(x0))
+    non_finite, max_steps = TerminationReason.NON_FINITE, TerminationReason.MAX_STEPS
+    assert [(c.terminated_reason, c.final.t) for c in columns] == [
+        (non_finite, 10), (max_steps, 10), (non_finite, 10), (max_steps, 10)]
+    for k, column in enumerate(columns):
+        _cell_matches_run(column, problem, x0[k], np.zeros(1), dataclasses.replace(
+            config, dual_optimizer=NuPIConfig(nu=0.0, kp=0.0, ki=float(ki[k, 0]))))
+
+
 def _cell_matches_run(column, problem, x0, theta0, config):
     """`column`, a `_run_columns` cell, against `run` of its row alone."""
     traj = run(problem, x0, theta0, config)
