@@ -10,6 +10,8 @@ Every other module indexes by this contract.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -88,6 +90,17 @@ def as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def is_finite_real(value) -> bool:
+    """Whether `value` is a real number, not a `bool`, that is finite as a
+    float; an int beyond the float range is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -267,7 +280,7 @@ def project_theta(theta, num_ineq: int) -> np.ndarray:
     theta = np.array(theta, dtype=np.float64, ndmin=1)
     if theta.ndim != 1:
         raise ConfigurationError(f"theta must be a vector, got shape {theta.shape}")
-    if not (isinstance(num_ineq, (int, np.integer)) and 0 <= num_ineq <= theta.size):
+    if not 0 <= as_int(num_ineq, "num_ineq") <= theta.size:
         raise ConfigurationError(
             f"num_ineq must be an integer in [0, {theta.size}], got {num_ineq!r}")
     return _project_theta(theta, num_ineq)
@@ -341,8 +354,9 @@ def _rel_error(analytic: np.ndarray, reference: np.ndarray) -> float:
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
-    """`np.random.default_rng(seed)`, with a negative seed reported as a
-    configuration error instead of numpy's ValueError."""
+    """`np.random.default_rng(seed)`, with a seed that is not an integer or
+    is negative reported as a configuration error, not numpy's error."""
+    seed = as_int(seed, "seed")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
@@ -357,6 +371,7 @@ def validate_gradients(problem: ConstrainedProblem, num_points: int,
     `values` at random points, one pass over (f, c) per point. Passes iff
     the max relative error is at most the report's `tolerance`, 1e-5, and
     all sampled evaluations, analytic and finite-difference, are finite."""
+    num_points = as_int(num_points, "num_points")
     if num_points < 1:
         raise ConfigurationError(f"num_points must be >= 1, got {num_points}")
     rng = seeded_rng(seed)

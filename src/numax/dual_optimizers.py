@@ -7,7 +7,8 @@ the `advance(config, e)` method that updates its mutable state in place.
 `checked_dual_step` checks the error and advances a copy (pure), `dual_step`
 advances the caller's state unchecked. No step projects: the driver writes
 the projected (and restarted) stacked theta back into the state
-(`replace_theta`) and the recursion continues from it.
+(`replace_theta`) and the recursion continues from it. The loop also steps
+x with GA's and Adam's rules, as ascent along grad_x L with the gain -eta.
 
 Because every rule is elementwise, one state can carry K independent
 columns: theta of shape (K, n), an error of the same shape, and a config
@@ -40,15 +41,13 @@ kp = 0 gives plain gradient ascent with step ki. The start xi_0 is e_0
 from __future__ import annotations
 
 import copy
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import ClassVar
 
 import numpy as np
 
-from .core import ConfigurationError, NumericalError, as_vector
+from .core import ConfigurationError, NumericalError, as_vector, is_finite_real
 
 
 def _checked_error(error, theta: np.ndarray) -> np.ndarray:
@@ -82,8 +81,7 @@ def _check_gains(config) -> None:
         if isinstance(value, np.ndarray):
             ok = value.dtype.kind == "f" and bool(np.isfinite(value).all())
         else:
-            ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                  and math.isfinite(value))
+            ok = is_finite_real(value)
         if not ok:
             raise ConfigurationError(f"{type(config).__name__} {name} must be a finite number "
                                      f"or a float array of them, got {value!r}")
@@ -102,6 +100,9 @@ class NuPIConfig:
 
     def __post_init__(self):
         _check_gains(self)
+        if not isinstance(self.xi0_policy, Xi0Policy):
+            raise ConfigurationError("NuPIConfig xi0_policy must be a Xi0Policy, "
+                                     f"got {self.xi0_policy!r}")
         object.__setattr__(self, "one_minus_nu", 1.0 - self.nu)
         object.__setattr__(self, "kp_one_minus_nu", self.kp * self.one_minus_nu)
 
@@ -211,14 +212,14 @@ def map_um_to_nupi(config: UMConfig) -> NuPIConfig:
     if np.any(config.beta == 1.0):
         raise ConfigurationError("beta = 1 has no nuPI equivalent")
     one_minus_beta = 1.0 - config.beta
-    kp = (-config.alpha * config.beta / (one_minus_beta * one_minus_beta)
-          * (1.0 - config.gamma * one_minus_beta))
-    return NuPIConfig(
-        nu=config.beta,
-        kp=kp,
-        ki=config.alpha / one_minus_beta,
-        xi0_policy=Xi0Policy.MATCH_UM,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        kp = (-config.alpha * config.beta / (one_minus_beta * one_minus_beta)
+              * (1.0 - config.gamma * one_minus_beta))
+        ki = config.alpha / one_minus_beta
+    if not (np.all(np.isfinite(kp)) and np.all(np.isfinite(ki))):
+        raise ConfigurationError("UMConfig alpha, beta and gamma map to a non-finite nuPI "
+                                 "kp or ki")
+    return NuPIConfig(nu=config.beta, kp=kp, ki=ki, xi0_policy=Xi0Policy.MATCH_UM)
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def apply_dual_restarts(theta: np.ndarray, num_ineq: int, ineq_violation) -> np.
                            theta[..., num_ineq:]], axis=-1)
 
 
-# Adam's moment decay rates and the denominator guard, on both sides.
+# Adam's moment decay rates and the denominator guard.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -285,22 +286,12 @@ class AdamState:
 
     def advance(self, config: AdamConfig, e: np.ndarray) -> AdamState:
         self.step_count += 1
-        self.m, self.v, increment = adam_moments(self.m, self.v, self.step_count,
-                                                 config.step_size, e)
-        self.theta = self.theta + increment
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * e
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * e * e
+        m_hat = self.m / (1.0 - ADAM_BETA1**self.step_count)
+        v_hat = self.v / (1.0 - ADAM_BETA2**self.step_count)
+        self.theta = self.theta + config.step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         return self
-
-
-def adam_moments(m: np.ndarray, v: np.ndarray, t: int, step_size: float,
-                 direction: np.ndarray) -> tuple:
-    """Adam's moment update at step t >= 1, shared by the dual and primal
-    sides: returns (m, v, increment) with the bias-corrected increment
-    step_size * m_hat / (sqrt(v_hat) + ADAM_EPS). No finiteness check."""
-    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * direction
-    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * direction * direction
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    return m, v, step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # Dispatch used by the optimization loop and the CLI: one rule per config

@@ -33,11 +33,11 @@ problem's evaluation path, `ConstrainedProblem.values` (f and c) and
 `primal_gradient` (grad f + Jc theta), through the problem's fused pair,
 which `check_fused` compares with its five callables at the start point;
 the Lagrangian (`lagrangian_value`); and the projection (`_project_theta`).
-`dual_optimizers` holds the multiplier updates, the dual restarts and the
-Adam moment update (`adam_moments`), which the primal Adam also uses. Once
-per run every gain becomes an array of its operand's shape (`gain_arrays`,
-`_PrimalOptimizer`), with the same bits as the scalar or (K, 1) gains. The
-dual state is advanced in place, and records fill the columns of `Records`.
+`dual_optimizers` holds the multiplier updates and the dual restarts; the
+primal step is GA's, Adam's or heavy-ball's rule (`_PRIMAL_RULES`) with the
+gain -eta. Once per run every gain of both players becomes an array of its
+operand's shape (`gain_arrays`), with the same bits as the scalar or (K, 1)
+gains; both states advance in place, and records fill `Records`' columns.
 
 A run whose dynamics settle ends, in float64, on an exact fixed point of
 the step map: every later iteration gives the same bits. Every
@@ -65,6 +65,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -74,12 +75,16 @@ from .core import (
     _project_theta,
     as_int,
     as_vector,
+    is_finite_real,
     lagrangian_value,
     read_csv,
 )
 from .dual_optimizers import (
+    AdamConfig,
+    AdamState,
     DualOptimizerConfig,
-    adam_moments,
+    GAConfig,
+    GAState,
     dual_step,
     apply_dual_restarts,
     gain_arrays,
@@ -112,9 +117,9 @@ class PrimalOptimizerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigurationError(f"primal {name} must be a number, got {value!r}")
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
+        if not (is_finite_real(self.step_size) and self.step_size > 0):
             raise ConfigurationError("primal step_size must be finite and positive")
-        if not math.isfinite(self.momentum):
+        if not is_finite_real(self.momentum):
             raise ConfigurationError(f"primal momentum must be finite, got {self.momentum!r}")
 
 
@@ -141,9 +146,21 @@ class LoopConfig:
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
             object.__setattr__(self, name, value)
-        if self.stop_tolerance is not None and not 0.0 <= self.stop_tolerance < math.inf:
-            raise ConfigurationError(
-                f"stop_tolerance must be finite and >= 0, got {self.stop_tolerance!r}")
+        if not isinstance(self.primal_optimizer, PrimalOptimizerConfig):
+            raise ConfigurationError("primal_optimizer must be a PrimalOptimizerConfig, "
+                                     f"got {self.primal_optimizer!r}")
+        if not isinstance(self.dual_restarts, (bool, np.bool_)):
+            raise ConfigurationError(f"dual_restarts must be a bool, got {self.dual_restarts!r}")
+        object.__setattr__(self, "dual_restarts", bool(self.dual_restarts))
+        tolerance = self.stop_tolerance
+        if tolerance is not None:
+            if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
+                raise ConfigurationError(
+                    f"stop_tolerance must be a number or None, got {tolerance!r}")
+            if not (is_finite_real(tolerance) and tolerance >= 0):
+                raise ConfigurationError(
+                    f"stop_tolerance must be finite and >= 0, got {tolerance!r}")
+            object.__setattr__(self, "stop_tolerance", float(tolerance))
 
 
 class TerminationReason(Enum):
@@ -272,40 +289,41 @@ class Trajectory:
         return np.array(blocks[name] if name in blocks else getattr(cols, name)[:n])
 
 
-@dataclass(init=False, eq=False)
-class _PrimalOptimizer:
-    """Gradient descent, heavy-ball momentum (v <- beta v + grad,
-    x <- x - eta v), or Adam (the dual side's `adam_moments`) on the primal
-    variables. The step size eta and the momentum beta are held as arrays of
-    x's shape, as the loop holds the dual gains (`gain_arrays`). A dataclass,
-    like the dual states, so that the loop reads its state through `fields`."""
+@dataclass(frozen=True)
+class _HeavyBallConfig:
+    GAINS: ClassVar[tuple] = ("step_size", "momentum")
 
-    kind: PrimalKind
-    step_size: np.ndarray
-    momentum: np.ndarray
-    velocity: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    t: int
+    step_size: float
+    momentum: float
 
-    def __init__(self, config: PrimalOptimizerConfig, dim: int | tuple):
-        self.kind = config.kind
-        self.step_size = np.full(dim, config.step_size, dtype=np.float64)
-        self.momentum = np.full(dim, config.momentum, dtype=np.float64)
-        self.velocity = np.zeros(dim)
-        self.m = np.zeros(dim)
-        self.v = np.zeros(dim)
-        self.t = 0
 
-    def step(self, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        if self.kind is PrimalKind.GRADIENT_DESCENT:
-            return x - self.step_size * grad
-        if self.kind is PrimalKind.GRADIENT_DESCENT_MOMENTUM:
-            self.velocity = self.momentum * self.velocity + grad
-            return x - self.step_size * self.velocity
-        self.t += 1
-        self.m, self.v, increment = adam_moments(self.m, self.v, self.t, self.step_size, grad)
-        return x - increment
+@dataclass
+class _HeavyBallState:
+    """Heavy-ball momentum: v <- momentum v + e, theta <- theta + step_size v,
+    from v = 0."""
+
+    theta: np.ndarray
+    velocity: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.velocity is None:
+            self.velocity = np.zeros_like(self.theta)
+
+    def advance(self, config: _HeavyBallConfig, e: np.ndarray) -> _HeavyBallState:
+        self.velocity = config.momentum * self.velocity + e
+        self.theta = self.theta + config.step_size * self.velocity
+        return self
+
+
+# Each primal kind's gains and state class: descent along grad_x L with step
+# eta is the ascent rule with the gain -eta, bit for bit (negation is exact,
+# and x + (-y) is x - y).
+_PRIMAL_RULES = {
+    PrimalKind.GRADIENT_DESCENT: (lambda c: GAConfig(-c.step_size), GAState),
+    PrimalKind.GRADIENT_DESCENT_MOMENTUM: (lambda c: _HeavyBallConfig(-c.step_size, c.momentum),
+                                           _HeavyBallState),
+    PrimalKind.ADAM: (lambda c: AdamConfig(-c.step_size), AdamState),
+}
 
 
 def _checked_start(problem: ConstrainedProblem, x0, theta0, lead: tuple = ()) -> tuple:
@@ -326,23 +344,23 @@ def _checked_start(problem: ConstrainedProblem, x0, theta0, lead: tuple = ()) ->
 
 
 def _fields(obj) -> list:
-    """(name, value) of each field of a dual state or the primal optimizer.
-    Read through `fields`, not `vars`: `vars` gives the instance a real
-    __dict__, which makes every later attribute access slower."""
+    """(name, value) of each field of a rule's state. Read through `fields`,
+    not `vars`: `vars` gives the instance a real __dict__, which makes every
+    later attribute access slower."""
     return [(f.name, getattr(obj, f.name)) for f in fields(obj)]
 
 
-def _keep_rows(rows, state, dual, primal, keeper, *arrays) -> tuple:
-    """Keep `rows` of every per-row array: the dual state's, the primal
-    optimizer's and the keeper's (in place), and the dual config's gains
-    (whose products it recomputes) and `arrays` (returned anew, in that
-    order)."""
-    for obj in (state, primal):
-        for name, value in _fields(obj):
+def _keep_rows(rows, players, keeper, *arrays) -> tuple:
+    """Keep `rows` of every per-row array: each player's (gains, state) pair's
+    state and the keeper's (in place), and the players' gains (whose products
+    it recomputes) and `arrays` (returned anew, in that order)."""
+    for _, state in players:
+        for name, value in _fields(state):
             if isinstance(value, np.ndarray):
-                setattr(obj, name, value[rows])
+                setattr(state, name, value[rows])
     keeper.drop(rows)
-    return (replace(dual, **{name: getattr(dual, name)[rows] for name in dual.GAINS}),
+    return (*(replace(gains, **{name: getattr(gains, name)[rows] for name in gains.GAINS})
+              for gains, _ in players),
             *(a[rows] for a in arrays))
 
 
@@ -369,13 +387,13 @@ def _finite_test(like: np.ndarray):
 _FIXED_POINT_EVERY = 256
 
 
-def _carried(x, state, primal, streak, last_dual_increment) -> list:
-    """What the loop carries from one iteration to the next: arrays (and
-    numpy scalars) by their bytes, so -0.0 and 0.0 or two NaN payloads
-    differ, anything else (None, a step count, an enum) as it is. The dual
-    config's gains are left out: they change only when rows are dropped,
-    which changes x's shape."""
-    values = [x, streak, last_dual_increment]
+def _carried(state, primal, streak, last_dual_increment) -> list:
+    """What the loop carries from one iteration to the next, x in the primal
+    state: arrays (and numpy scalars) by their bytes, so -0.0 and 0.0 or two
+    NaN payloads differ, anything else (None, a step count) as it is. The
+    gains are left out: they change only when rows are dropped, which
+    changes x's shape."""
+    values = [streak, last_dual_increment]
     values += [value for _, value in _fields(state) + _fields(primal)]
     return [v.tobytes() if isinstance(v, (np.ndarray, np.generic)) else v for v in values]
 
@@ -420,7 +438,8 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
     tolerance = config.stop_tolerance
     state = make_dual_state(config.dual_optimizer, theta)
     dual = gain_arrays(config.dual_optimizer, theta.shape)
-    primal = _PrimalOptimizer(config.primal_optimizer, x.shape)
+    gains, primal_state = _PRIMAL_RULES[config.primal_optimizer.kind]
+    primal_gains, primal = gain_arrays(gains(config.primal_optimizer), x.shape), primal_state(x)
     streak = np.zeros(x.shape[:-1], dtype=np.int64)
     last_dual_increment = np.full(x.shape[:-1], np.inf)  # none before the first dual step
     keep, finish = keeper.keep, keeper.finish
@@ -441,7 +460,7 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
             f, error = np.where(went, np.nan, f), np.where(went[..., None], np.nan, error)
             theta_t = np.where(np.isfinite(stepped), theta_t, stepped)
         if t % _FIXED_POINT_EVERY < 2:  # store the carried state at 0, compare at 1
-            now = _carried(x, state, primal, streak, last_dual_increment)
+            now = _carried(state, primal, streak, last_dual_increment)
             if t % _FIXED_POINT_EVERY == 0:
                 carried = now
             elif now == carried and stepped_finite and (tolerance is None or not any_true(
@@ -469,9 +488,10 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
                    TerminationReason.MAX_STEPS if last else TerminationReason.TOLERANCE)
             if done.all():
                 break
-            dual, x, error, streak, last_dual_increment = _keep_rows(
-                ~done, state, dual, primal, keeper, x, error, streak, last_dual_increment)
-            theta_t = state.theta
+            dual, primal_gains, error, streak, last_dual_increment = _keep_rows(
+                ~done, ((dual, state), (primal_gains, primal)), keeper, error, streak,
+                last_dual_increment)
+            x, theta_t = primal.theta, state.theta
         elif recorded:
             keep(True, t, x, f, error, theta_t)
 
@@ -488,7 +508,7 @@ def _descent_ascent(problem: ConstrainedProblem, x: np.ndarray, theta: np.ndarra
             last_dual_increment = np.zeros(x.shape[:-1])
 
         grad = primal_gradient(x, theta_t if simultaneous else state.theta)
-        x = primal.step(x, grad)
+        x = primal.advance(primal_gains, grad).theta
 
     return t + stepped_finite
 

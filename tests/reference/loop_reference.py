@@ -10,7 +10,11 @@ through the public pure `checked_dual_step` and every theta rewrite rebuilds
 the state, so no state here is updated in place. The dual restarts are this
 module's own copy of the rule on the split multipliers (lam, mu), so the
 library's rule on the stacked theta = [lam, mu] is checked against it.
-Test-only code.
+The primal steps are this module's own frozen copy, `_PrimalOptimizer` with
+its Adam moment update `adam_moments`, verbatim as the library wrote them
+before its primal optimizer became an update rule of the dual rules' shape
+(descent with step eta as ascent with the gain -eta), so the library's
+three primal rules are checked against it. Test-only code.
 """
 
 from __future__ import annotations
@@ -28,7 +32,14 @@ from numax.core import (
     project_theta,
 )
 from numax.dual_optimizers import checked_dual_step as dual_step, make_dual_state
-from numax.loop import LoopConfig, Scheme, StepRecord, TerminationReason, _PrimalOptimizer
+from numax.loop import (
+    LoopConfig,
+    PrimalKind,
+    PrimalOptimizerConfig,
+    Scheme,
+    StepRecord,
+    TerminationReason,
+)
 
 
 def apply_dual_restarts(lam: np.ndarray, mu: np.ndarray, ineq_violation) -> tuple:
@@ -45,6 +56,60 @@ def apply_dual_restarts(lam: np.ndarray, mu: np.ndarray, ineq_violation) -> tupl
 
 def replace_theta(state, theta: np.ndarray):
     return replace(state, theta=theta)
+
+
+# Adam's moment decay rates and the denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_moments(m: np.ndarray, v: np.ndarray, t: int, step_size: float,
+                 direction: np.ndarray) -> tuple:
+    """Adam's moment update at step t >= 1, shared by the dual and primal
+    sides: returns (m, v, increment) with the bias-corrected increment
+    step_size * m_hat / (sqrt(v_hat) + ADAM_EPS). No finiteness check."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * direction
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * direction * direction
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return m, v, step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+@dataclass(init=False, eq=False)
+class _PrimalOptimizer:
+    """Gradient descent, heavy-ball momentum (v <- beta v + grad,
+    x <- x - eta v), or Adam (the dual side's `adam_moments`) on the primal
+    variables. The step size eta and the momentum beta are held as arrays of
+    x's shape, as the loop holds the dual gains (`gain_arrays`). A dataclass,
+    like the dual states, so that the loop reads its state through `fields`."""
+
+    kind: PrimalKind
+    step_size: np.ndarray
+    momentum: np.ndarray
+    velocity: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    t: int
+
+    def __init__(self, config: PrimalOptimizerConfig, dim: int | tuple):
+        self.kind = config.kind
+        self.step_size = np.full(dim, config.step_size, dtype=np.float64)
+        self.momentum = np.full(dim, config.momentum, dtype=np.float64)
+        self.velocity = np.zeros(dim)
+        self.m = np.zeros(dim)
+        self.v = np.zeros(dim)
+        self.t = 0
+
+    def step(self, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        if self.kind is PrimalKind.GRADIENT_DESCENT:
+            return x - self.step_size * grad
+        if self.kind is PrimalKind.GRADIENT_DESCENT_MOMENTUM:
+            self.velocity = self.momentum * self.velocity + grad
+            return x - self.step_size * self.velocity
+        self.t += 1
+        self.m, self.v, increment = adam_moments(self.m, self.v, self.t, self.step_size, grad)
+        return x - increment
 
 
 @dataclass

@@ -16,9 +16,12 @@ from numax import (
     PrimalOptimizerConfig,
     Scheme,
     evaluate_lagrangian,
+    iris_csv_path,
     lagrangian_primal_gradient,
+    load_dataset_csv,
     project_theta,
     run,
+    train_validation_split,
     validate_gradients,
     write_trajectory_csv,
 )
@@ -304,12 +307,40 @@ class TestProjectDuals:
         (np.array([-1.0, 2.0]), -1),
         (np.array([-1.0, 2.0]), 1.0),
         (np.zeros((2, 2)), 1),
+        (np.array([-1.0, 2.0]), True),
     ])
     def test_num_ineq_outside_vector_rejected(self, theta, num_ineq):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError):
                 project_theta(theta, num_ineq)
+
+
+# Integer arguments go through `as_int`: a Python or numpy integer passes, a
+# bool or anything else is a ConfigurationError naming the argument.
+@pytest.mark.parametrize("call, message", [
+    (lambda data: train_validation_split(data, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda data: train_validation_split(data, seed="3"), "seed must be an integer, got '3'"),
+    (lambda data: train_validation_split(data, seed=True), "seed must be an integer, got True"),
+    (lambda data: train_validation_split(data, seed=-1), "seed must be >= 0, got -1"),
+    (lambda data: validate_gradients(single_ineq_line(), 2.5, 0),
+     "num_points must be an integer, got 2.5"),
+    (lambda data: validate_gradients(single_ineq_line(), 1, None),
+     "seed must be an integer, got None"),
+    (lambda data: validate_gradients(single_ineq_line(), 0, 0), "num_points must be >= 1, got 0"),
+    (lambda data: project_theta([-1.0, 2.0], True), "num_ineq must be an integer, got True"),
+    (lambda data: project_theta([-1.0, 2.0], 3), "num_ineq must be an integer in [0, 2], got 3"),
+], ids=["seed-float", "seed-string", "seed-bool", "seed-negative", "points-float",
+        "points-seed-none", "points-zero", "num-ineq-bool", "num-ineq-range"])
+def test_integer_arguments_checked(call, message):
+    data = load_dataset_csv(iris_csv_path())
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call(data)
+    train, _ = train_validation_split(data, seed=np.int64(3))
+    assert np.array_equal(train.points, train_validation_split(data, seed=3)[0].points)
+    report = validate_gradients(single_ineq_line(), np.int32(2), np.uint8(0))
+    assert report.passed and type(report.num_points) is int
+    np.testing.assert_array_equal(project_theta([-1.0, 2.0], np.int64(1)), [0.0, 2.0])
 
 
 class TestValidateGradients:

@@ -1,5 +1,7 @@
 """Tests for the multiplier update rules and their equivalences."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +169,19 @@ class TestMomentumMapping:
     def test_beta_one_rejected(self):
         with pytest.raises(ConfigurationError):
             map_um_to_nupi(UMConfig(alpha=0.5, beta=1.0, gamma=0.0))
+
+    @pytest.mark.parametrize("gains", [{"alpha": 1e308, "beta": 0.5},
+                                       {"alpha": 1.0, "beta": 1.0 - 2.0**-52, "gamma": 1e300},
+                                       {"alpha": np.array([[1e308], [0.1]]), "beta": 0.5}],
+                             ids=["kp", "gamma", "one-row"])
+    def test_non_finite_mapped_gain_names_the_um_gains(self, gains):
+        # kp overflows; the error is about the UM gains the caller wrote, not
+        # about a NuPIConfig kp of -inf, and numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="^UMConfig alpha, beta and gamma map "
+                                                         "to a non-finite nuPI kp or ki$"):
+                map_um_to_nupi(UMConfig(**gains))
 
     def test_iterate_equivalence_random_tuples(self):
         rng = np.random.default_rng(42)
@@ -433,6 +448,7 @@ _GAIN_VALUES = {
     "bool": (True, False), "nan": (np.nan, False), "-inf": (-np.inf, False),
     "complex": (1j, False), "nan-row": (np.array([[0.5], [np.nan]]), False),
     "int-rows": (np.ones((2, 1), dtype=int), False), "bool-rows": (np.ones(2, dtype=bool), False),
+    "huge-int": (10**400, False),
 }
 
 
@@ -447,3 +463,11 @@ def test_gains_checked_when_built(cls, kind):
         else:
             with pytest.raises(ConfigurationError, match=f"^{cls.__name__} {name} must be "):
                 cls(**gains)
+
+
+@pytest.mark.parametrize("policy", ["match-um", None, 0])
+def test_xi0_policy_must_be_a_policy(policy):
+    # any other value used to run as MATCH_UM
+    with pytest.raises(ConfigurationError,
+                       match=f"^NuPIConfig xi0_policy must be a Xi0Policy, got {policy!r}$"):
+        NuPIConfig(nu=0.0, kp=1.0, ki=0.1, xi0_policy=policy)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from numax import (
     AdamConfig,
@@ -15,12 +15,14 @@ from numax import (
     GAConfig,
     LoopConfig,
     NuPIConfig,
+    NumericalError,
     PrimalKind,
     PrimalOptimizerConfig,
     QPSystem,
     Scheme,
     TerminationReason,
     UMConfig,
+    Xi0Policy,
     benchmark2d_constrained_optimum,
     build_2d_benchmark,
     build_qp_problem,
@@ -40,8 +42,8 @@ from numax import (
 from numax import cli, loop
 from numax.cli import _compute_metric
 from numax.core import lagrangian_value
-from numax.loop import _PrimalOptimizer
 from reference import loop_reference
+from reference.loop_reference import _PrimalOptimizer
 
 
 def gd(step):
@@ -287,6 +289,34 @@ class TestLoopMechanics:
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(config, **{name: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("primal_optimizer", None, "primal_optimizer must be a PrimalOptimizerConfig, got None"),
+        ("primal_optimizer", 2.5, "primal_optimizer must be a PrimalOptimizerConfig, got 2.5"),
+        ("primal_optimizer", GAConfig(step_size=0.1),
+         "primal_optimizer must be a PrimalOptimizerConfig, got GAConfig(step_size=0.1)"),
+        ("dual_restarts", "no", "dual_restarts must be a bool, got 'no'"),
+        ("dual_restarts", None, "dual_restarts must be a bool, got None"),
+        ("dual_restarts", 2.5, "dual_restarts must be a bool, got 2.5"),
+        ("dual_restarts", 1, "dual_restarts must be a bool, got 1"),
+        ("dual_restarts", np.array([0.1, 0.2]), "dual_restarts must be a bool, got array([0.1, 0.2])"),
+        ("stop_tolerance", "3", "stop_tolerance must be a number or None, got '3'"),
+        ("stop_tolerance", [0.1], "stop_tolerance must be a number or None, got [0.1]"),
+        ("stop_tolerance", True, "stop_tolerance must be a number or None, got True"),
+        ("stop_tolerance", np.array(0.1), "stop_tolerance must be a number or None, got array(0.1)"),
+        pytest.param("stop_tolerance", 2**1024,
+                     f"stop_tolerance must be finite and >= 0, got {2**1024}",
+                     id="stop_tolerance-int-beyond-float"),
+    ])
+    def test_last_fields_checked(self, name, value, message):
+        config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5,
+                            dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(config, **{name: value})
+        numpy_config = dataclasses.replace(config, dual_restarts=np.True_,
+                                           stop_tolerance=np.float32(0.5))
+        assert numpy_config.dual_restarts is True and type(numpy_config.stop_tolerance) is float
+        assert dataclasses.replace(config, stop_tolerance=1).stop_tolerance == 1.0
+
     def test_numpy_integer_step_counts_run_as_ints(self, tmp_path):
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=40, record_every=3,
                             dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
@@ -326,6 +356,50 @@ class TestLoopMechanics:
         for rec in traj.steps:
             expected = evaluate_lagrangian(problem, rec.x, np.concatenate([rec.lam, rec.mu]))
             assert rec.lagrangian == expected
+
+
+# Any one field of the loop's configs set to a hostile value: building the
+# configs and running on benchmark2d ends in a Trajectory, a
+# ConfigurationError or a NumericalError, and numpy warns of nothing.
+_HOSTILE = [None, True, False, np.True_, 0, -1, 3, np.int64(3), 2.5, -1.0, 0.0, -0.0, 5e-324,
+            1e308, -1e308, 10**400, np.nan, np.inf, -np.inf, np.float32(0.5), 1j, "3", "",
+            [0.1], (0.1,), np.array(0.1), np.array([0.1]), np.array([0.1, 0.2]),
+            np.array([[0.1]]), np.array(["3"]), Scheme.SIMULTANEOUS, PrimalKind.ADAM,
+            Xi0Policy.MATCH_UM, GAConfig(step_size=0.1), gd(0.1)]
+_HOSTILE_BASE = {
+    LoopConfig: {"scheme": Scheme.ALTERNATING, "max_steps": 20, "dual_restarts": False,
+                 "record_every": 1, "stop_tolerance": None},
+    NuPIConfig: {"nu": 0.5, "kp": 1.0, "ki": 0.1, "xi0_policy": Xi0Policy.MATCH_ERROR},
+    UMConfig: {"alpha": 0.1, "beta": 0.5, "gamma": 1.0},
+    GAConfig: {"step_size": 0.1},
+    AdamConfig: {"step_size": 0.1},
+}
+
+
+@settings(max_examples=500)
+@given(dual=st.sampled_from([NuPIConfig, UMConfig, GAConfig, AdamConfig]),
+       kind=st.sampled_from(list(PrimalKind)),
+       target=st.sampled_from(["loop", "primal", "dual"]), data=st.data())
+def test_hostile_config_field_is_refused_or_runs(dual, kind, target, data):
+    cls = {"loop": LoopConfig, "primal": PrimalOptimizerConfig, "dual": dual}[target]
+    name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(cls) if f.init]))
+    value = data.draw(st.sampled_from(_HOSTILE))
+    # a valid step budget stays small
+    assume(not (name == "max_steps" and isinstance(value, (int, np.integer)) and value > 20))
+    fields = {"loop": dict(_HOSTILE_BASE[LoopConfig]), "dual": dict(_HOSTILE_BASE[dual]),
+              "primal": {"kind": kind, "step_size": 0.01, "momentum": 0.9}}
+    fields[target][name] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            loop_fields = {"dual_optimizer": dual(**fields["dual"]),
+                           "primal_optimizer": PrimalOptimizerConfig(**fields["primal"]),
+                           **fields["loop"]}
+            traj = run(build_2d_benchmark(), cli.BENCHMARK2D_DEFAULT_X0, np.zeros(1),
+                       LoopConfig(**loop_fields))
+        except (ConfigurationError, NumericalError):
+            return
+    assert isinstance(traj, loop.Trajectory) and len(traj.steps) >= 1
 
 
 _FINITE = st.floats(-1e6, 1e6, allow_nan=False)
