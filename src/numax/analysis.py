@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ConfigurationError, NumericalError
+from .core import ConfigurationError, NumericalError, as_floats, as_int, as_real
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def classify_mode(inputs: RatioInputs) -> Mode:
 @dataclass(frozen=True)
 class QPSystem:
     """Equality-constrained QP with PI gains attached: H (n x n, symmetric
-    PSD), A (c x n), b (c,), c_lin (n,)."""
+    PSD), A (c x n), b (c,), c_lin (n,); kp and ki are stored as floats."""
 
     H: np.ndarray
     A: np.ndarray
@@ -96,13 +96,15 @@ class QPSystem:
     ki: float
 
     def __post_init__(self):
-        H = np.atleast_2d(np.asarray(self.H, dtype=np.float64))
-        A = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
-        b = np.atleast_1d(np.asarray(self.b, dtype=np.float64))
-        c_lin = np.atleast_1d(np.asarray(self.c_lin, dtype=np.float64))
-        for name, value in dict(H=H, A=A, b=b, c_lin=c_lin, kp=self.kp, ki=self.ki).items():
+        H = np.atleast_2d(as_floats(self.H, "H"))
+        A = np.atleast_2d(as_floats(self.A, "A"))
+        b = np.atleast_1d(as_floats(self.b, "b"))
+        c_lin = np.atleast_1d(as_floats(self.c_lin, "c_lin"))
+        for name, value in dict(H=H, A=A, b=b, c_lin=c_lin).items():
             if not np.all(np.isfinite(value)):
                 raise ConfigurationError(f"{name} must be finite")
+        object.__setattr__(self, "kp", as_real(self.kp, "kp"))
+        object.__setattr__(self, "ki", as_real(self.ki, "ki"))
         n = H.shape[0]
         if H.shape != (n, n):
             raise ConfigurationError(f"H must be square, got {H.shape}")
@@ -321,20 +323,18 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
     from its first state with single R steps, and the flag falls on the
     sample where a stepwise integration puts it.
 
-    dt (default: `default_flow_dt`) must be finite and positive, t_end
-    finite and >= 0 with a step count t_end / dt of at most 1e9
-    (`_MAX_FLOW_STEPS`), and max_samples an integer >= 2; anything else is a
+    dt (default: `default_flow_dt`) is parsed by `as_real` as > 0, t_end as
+    >= 0, with a step count t_end / dt of at most 1e9 (`_MAX_FLOW_STEPS`),
+    and max_samples by `as_int` as >= 2; anything else is a
     ConfigurationError, raised before any work starts.
     """
-    if dt is not None and not (np.isfinite(dt) and dt > 0.0):
-        raise ConfigurationError(f"dt must be finite and positive, got {dt!r}")
-    if not (np.isfinite(t_end) and t_end >= 0.0):
-        raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end!r}")
-    if not (isinstance(max_samples, (int, np.integer)) and max_samples >= 2):
-        raise ConfigurationError(f"max_samples must be an integer >= 2, got {max_samples!r}")
+    if dt is not None:
+        dt = as_real(dt, "dt", 0, strict=True)
+    t_end = as_real(t_end, "t_end", 0)
+    max_samples = as_int(max_samples, "max_samples", 2)
     if dt is None:
         dt = default_flow_dt(sys)
-    if not float(t_end) / float(dt) <= _MAX_FLOW_STEPS:  # an infinite ratio fails too
+    if not t_end / dt <= _MAX_FLOW_STEPS:  # an infinite ratio fails too
         raise ConfigurationError(f"t_end / dt must be at most {_MAX_FLOW_STEPS:.0e} steps, "
                                  f"got {t_end!r} / {dt!r}")
     M = flow_state_matrix(sys)
@@ -360,7 +360,6 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
             R = R + term
         return R
 
-    R = rk4_operator(dt)
     states = np.empty((1 + strided + has_tail, dim))
     states[0] = z
     times = np.zeros(len(states))
@@ -368,8 +367,10 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
     stored = 1
     flagged = False
 
-    # `flagged` reports a diverging flow, so its overflow warnings are suppressed.
+    # `flagged` reports a diverging flow, so its overflow warnings are suppressed;
+    # R itself overflows for a huge dt, which flags the flow once it is applied.
     with np.errstate(over="ignore", invalid="ignore"):
+        R = rk4_operator(dt)
         block = min(_FLOW_BLOCK, strided)
         powers = np.empty((block, dim, dim))  # powers[k] = S^(k+1)
         if block:

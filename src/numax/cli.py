@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import QPSystem, classify_regime, critical_kp, eigen_1d
-from .core import (ConfigurationError, ConstrainedProblem, NumericalError, read_csv, read_text,
-                   validate_gradients)
+from .core import (ConfigurationError, ConstrainedProblem, NumericalError, as_int, read_csv,
+                   read_text, validate_gradients)
 from .dual_optimizers import (
     AdamConfig,
     GAConfig,
@@ -172,10 +172,11 @@ def _load_qp_json(path) -> QPSystem:
                                  f"and optional c, got {keys}")
     try:
         n = len(payload["H"])
-        return QPSystem(H=payload["H"], A=payload["A"], b=payload["b"],
-                        c_lin=payload.get("c", [0.0] * n), kp=0.0, ki=1.0)
+        H, A, b, c_lin = (np.asarray(payload.get(key, [0.0] * n), dtype=np.float64)
+                          for key in ("H", "A", "b", "c"))
     except (ValueError, TypeError) as exc:
         raise ConfigurationError(f"QP file {path} is malformed: {exc}") from exc
+    return QPSystem(H=H, A=A, b=b, c_lin=c_lin, kp=0.0, ki=1.0)
 
 
 def _build_problem(config, seed: int) -> ProblemBundle:
@@ -273,7 +274,7 @@ def _prepare(config, output_dir):
     """Everything `run` and `grid` share, checked before any step runs: the
     seed, the metric, the LoopConfig, the problem, the output directory and
     lambda* (SVM only, else None)."""
-    seed = _setting(config, "run", "seed", *_INT)
+    seed = as_int(_setting(config, "run", "seed", *_INT), "seed", 0)
     metric = config["run"]["metric"].lower()
     if metric not in _METRICS:
         raise ConfigurationError(f"[run] metric must be one of {_METRICS}, got {metric!r}")

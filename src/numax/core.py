@@ -84,12 +84,37 @@ def as_vector(value, length: int, name: str, lead: tuple = ()) -> np.ndarray:
     return v
 
 
-def as_int(value, name: str) -> int:
-    """`value` as an int. A Python or numpy integer is accepted, a `bool` is
-    not: anything else is a configuration error that names `name`."""
+def as_int(value, name: str, low: int | None = None) -> int:
+    """`value` as an int, at least `low` when given. A Python or numpy
+    integer is accepted, a `bool` is not: anything else, or an integer below
+    `low`, is a configuration error that names `name`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return _at_least(int(value), name, low)
+
+
+def as_real(value, name: str, low: float | None = None, strict: bool = False) -> float:
+    """`value` as a float that passes `is_finite_real` (numpy scalars do),
+    at least `low` (above it if `strict`) when given, or a configuration
+    error that names `name`: a string, `None` or an array is refused."""
+    if not is_finite_real(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return _at_least(float(value), name, low, strict)
+
+
+def _at_least(value, name: str, low, strict: bool = False):
+    if low is not None and (value <= low if strict else value < low):
+        raise ConfigurationError(f"{name} must be {'>' if strict else '>='} {low}, got {value!r}")
+    return value
+
+
+def as_floats(value, name: str) -> np.ndarray:
+    """`value` as a float64 array; what numpy cannot read as numbers is a
+    configuration error that names `name`."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{name} must be an array of numbers: {exc}") from exc
 
 
 def is_finite_real(value) -> bool:
@@ -101,6 +126,10 @@ def is_finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+# A problem's dimensions and their least values, as `as_int` parses them.
+_DIMENSIONS = {"dim_primal": 1, "num_ineq": 0, "num_eq": 0}
 
 
 @dataclass(frozen=True)
@@ -125,8 +154,9 @@ class ConstrainedProblem:
     All callables must be re-entrant and deterministic: the same input bits
     give the same output bits, as `check_fused` and the loop's fixed-point
     rule (`numax.loop`) assume. Instances are immutable after construction
-    and safe to share across threads. The dimensions are integers (a numpy
-    integer is stored as an `int`; a `bool` is refused). The built-in
+    and safe to share across threads. The dimensions are integers, parsed
+    by `as_int`: dim_primal >= 1, num_ineq and num_eq >= 0 (a numpy integer
+    is stored as an `int`; a `bool` is refused). The built-in
     problems' callables also take a stack of points x of shape (K,
     dim_primal) and return one result per row, each bit for bit the
     one-point result; the evaluation path below accepts such stacks too. The
@@ -147,12 +177,8 @@ class ConstrainedProblem:
     eval_primal_gradient: Callable[[np.ndarray, np.ndarray], np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("dim_primal", "num_ineq", "num_eq"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if self.dim_primal < 1:
-            raise ConfigurationError("dim_primal must be positive")
-        if self.num_ineq < 0 or self.num_eq < 0:
-            raise ConfigurationError("constraint counts must be non-negative")
+        for name, low in _DIMENSIONS.items():
+            object.__setattr__(self, name, as_int(getattr(self, name), name, low))
         for name in [spec.name for spec in fields(self)][3:]:
             if not callable(value := getattr(self, name)):
                 hint = ("; build the problem with ConstrainedProblem.from_values"
@@ -169,6 +195,8 @@ class ConstrainedProblem:
         when given, is `eval_primal_gradient`; otherwise that is grad f + Jc
         theta from one `derivatives` call. The five callables are views of
         the two: g and h slice c once `as_vector` has checked it."""
+        dim_primal, num_ineq, num_eq = map(as_int, (dim_primal, num_ineq, num_eq),
+                                           _DIMENSIONS, _DIMENSIONS.values())
         num_constraints = num_ineq + num_eq
 
         def c(x):
@@ -356,10 +384,7 @@ def _rel_error(analytic: np.ndarray, reference: np.ndarray) -> float:
 def seeded_rng(seed: int) -> np.random.Generator:
     """`np.random.default_rng(seed)`, with a seed that is not an integer or
     is negative reported as a configuration error, not numpy's error."""
-    seed = as_int(seed, "seed")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(as_int(seed, "seed", 0))
 
 
 # Overflow at a sampled point is reported as a failure; suppress the numpy
@@ -371,9 +396,7 @@ def validate_gradients(problem: ConstrainedProblem, num_points: int,
     `values` at random points, one pass over (f, c) per point. Passes iff
     the max relative error is at most the report's `tolerance`, 1e-5, and
     all sampled evaluations, analytic and finite-difference, are finite."""
-    num_points = as_int(num_points, "num_points")
-    if num_points < 1:
-        raise ConfigurationError(f"num_points must be >= 1, got {num_points}")
+    num_points = as_int(num_points, "num_points", 1)
     rng = seeded_rng(seed)
     report = GradientCheckReport(num_points=num_points, tolerance=_GRADIENT_CHECK_TOLERANCE)
     m = problem.num_constraints

@@ -60,7 +60,6 @@ counters are those of stepping on.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -74,8 +73,8 @@ from .core import (
     ConstrainedProblem,
     _project_theta,
     as_int,
+    as_real,
     as_vector,
-    is_finite_real,
     lagrangian_value,
     read_csv,
 )
@@ -113,14 +112,9 @@ class PrimalOptimizerConfig:
     def __post_init__(self):
         if not isinstance(self.kind, PrimalKind):
             raise ConfigurationError(f"primal kind must be a PrimalKind, got {self.kind!r}")
-        for name in ("step_size", "momentum"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigurationError(f"primal {name} must be a number, got {value!r}")
-        if not (is_finite_real(self.step_size) and self.step_size > 0):
-            raise ConfigurationError("primal step_size must be finite and positive")
-        if not is_finite_real(self.momentum):
-            raise ConfigurationError(f"primal momentum must be finite, got {self.momentum!r}")
+        object.__setattr__(self, "step_size",
+                           as_real(self.step_size, "primal step_size", 0, strict=True))
+        object.__setattr__(self, "momentum", as_real(self.momentum, "primal momentum"))
 
 
 # Consecutive recorded steps whose violation and dual increment must sit at or
@@ -142,25 +136,16 @@ class LoopConfig:
         if not isinstance(self.scheme, Scheme):
             raise ConfigurationError(f"scheme must be a Scheme, got {self.scheme!r}")
         for name in ("max_steps", "record_every"):
-            value = as_int(getattr(self, name), name)
-            if value < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, as_int(getattr(self, name), name, 1))
         if not isinstance(self.primal_optimizer, PrimalOptimizerConfig):
             raise ConfigurationError("primal_optimizer must be a PrimalOptimizerConfig, "
                                      f"got {self.primal_optimizer!r}")
         if not isinstance(self.dual_restarts, (bool, np.bool_)):
             raise ConfigurationError(f"dual_restarts must be a bool, got {self.dual_restarts!r}")
         object.__setattr__(self, "dual_restarts", bool(self.dual_restarts))
-        tolerance = self.stop_tolerance
-        if tolerance is not None:
-            if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
-                raise ConfigurationError(
-                    f"stop_tolerance must be a number or None, got {tolerance!r}")
-            if not (is_finite_real(tolerance) and tolerance >= 0):
-                raise ConfigurationError(
-                    f"stop_tolerance must be finite and >= 0, got {tolerance!r}")
-            object.__setattr__(self, "stop_tolerance", float(tolerance))
+        if self.stop_tolerance is not None:
+            object.__setattr__(self, "stop_tolerance",
+                               as_real(self.stop_tolerance, "stop_tolerance", 0))
 
 
 class TerminationReason(Enum):

@@ -31,19 +31,21 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import QPSystem
-from .core import ConfigurationError, ConstrainedProblem, NumericalError, read_csv, seeded_rng
+from .core import (ConfigurationError, ConstrainedProblem, NumericalError, as_floats, as_int,
+                   as_real, read_csv, seeded_rng)
 
 
 @dataclass(frozen=True)
 class SvmDataset:
-    """Feature matrix (m x d) with labels in {-1, +1}; both classes present."""
+    """Feature matrix (m x d) of finite numbers with labels in {-1, +1};
+    both classes present."""
 
     points: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
-        labels = np.atleast_1d(np.asarray(self.labels, dtype=np.float64))
+        points = np.atleast_2d(as_floats(self.points, "points"))
+        labels = np.atleast_1d(as_floats(self.labels, "labels"))
         if points.shape[0] != labels.size:
             raise ConfigurationError(
                 f"{points.shape[0]} points but {labels.size} labels")
@@ -53,6 +55,8 @@ class SvmDataset:
             raise ConfigurationError("labels must be -1 or +1")
         if not (np.any(labels == 1.0) and np.any(labels == -1.0)):
             raise ConfigurationError("both classes must be present")
+        if not np.all(np.isfinite(points)):
+            raise ConfigurationError("points must be finite")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)
 
@@ -74,7 +78,8 @@ def iris_csv_path() -> Path:
 def load_dataset_csv(path) -> SvmDataset:
     """Read a dataset CSV: d feature columns then one label column with
     values in {-1, +1} or {0, 1}; a 0 label is remapped to -1. Lines starting
-    with '#' are ignored. Row order is preserved."""
+    with '#' are ignored. Row order is preserved. A non-finite feature is
+    refused with the line that holds it."""
     _, _, rows = read_csv(path, "dataset")
     if not rows:
         raise ConfigurationError(f"{path}: empty dataset")
@@ -87,6 +92,8 @@ def load_dataset_csv(path) -> SvmDataset:
         if label not in (-1.0, 1.0):
             raise ConfigurationError(
                 f"{path}:{lineno}: label must be in {{-1, 0, +1}}, got {values[-1]}")
+        if not all(map(math.isfinite, values[:-1])):
+            raise ConfigurationError(f"{path}:{lineno}: features must be finite")
         labels.append(label)
     points = np.array([values[:-1] for _, values in rows])
     try:
@@ -97,7 +104,9 @@ def load_dataset_csv(path) -> SvmDataset:
 
 def train_validation_split(data: SvmDataset, seed: int,
                            train_fraction: float = 0.7) -> tuple:
-    """Seeded shuffle, then the first ceil(train_fraction * m) rows train."""
+    """Seeded shuffle, then the first ceil(train_fraction * m) rows train;
+    train_fraction is a real in (0, 1)."""
+    train_fraction = as_real(train_fraction, "train_fraction")
     if not 0.0 < train_fraction < 1.0:
         raise ConfigurationError("train_fraction must be in (0, 1)")
     rng = seeded_rng(seed)
@@ -189,8 +198,9 @@ def svm_dual_oracle(data: SvmDataset, max_pgd_iters: int = 20000) -> SvmSolution
     iterations, and the first one within `_SVM_KKT_TOL` is returned.
     Independent of the descent-ascent loop. Raises if the data is not
     linearly separable (the dual is unbounded) or the polish after the last
-    iteration cannot drive the KKT residual below it.
+    iteration cannot drive the KKT residual below it; max_pgd_iters >= 1.
     """
+    max_pgd_iters = as_int(max_pgd_iters, "max_pgd_iters", 1)
     X, y = data.points, data.labels
     Q = (y[:, None] * y[None, :]) * (X @ X.T)
     lipschitz = float(np.max(np.linalg.eigvalsh(Q)))

@@ -528,8 +528,13 @@ def test_diverging_flow_is_flagged_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = simulate_flow(sys, [1.0], [0.0], dt=0.05, t_end=120 * 0.05)
+        # a dt so long that the RK4 matrix itself overflows, applied or not
+        huge = simulate_flow(sys, [1.0], [0.0], dt=1e100, t_end=1e101)
+        unused = simulate_flow(sys, [1.0], [0.0], dt=1e308, t_end=1.0)
     assert res.flagged
     assert np.all(np.isfinite(res.x)) and res.times[-1] < 120 * 0.05
+    assert huge.flagged and huge.times.tolist() == [0.0]
+    assert not unused.flagged and unused.times.tolist() == [0.0, 1.0]
 
 
 class TestKktSolve:

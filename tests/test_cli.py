@@ -430,6 +430,7 @@ def _qp_args(payload):
 
 
 _BINARY = b"\x89PNG\x00\xff\xfe"  # not UTF-8
+_NON_FINITE_DATA = b"1.0,2.0,1\nnan,0.5,-1\n3.0,1.0,1\n0.0,0.0,0\n"
 
 
 def _file_args(content, *flags):
@@ -459,6 +460,8 @@ _BAD_SETTINGS = {
     "fractional_record_every": ["--loop.record_every", "1.5"],
     "non_numeric_seed": ["--run.seed", "x"],
     "negative_seed": ["--run.seed", "-1"],
+    "non_finite_data_unsplit": lambda tmp_path: [
+        *_file_args(_NON_FINITE_DATA, "--problem.path")(tmp_path), "--problem.split", "false"],
     "unknown_metric": ["--run.metric", "bogus"],
     "unknown_dual_kind": ["--dual.kind", "bogus"],
     "unknown_primal_kind": ["--loop.primal_kind", "bogus"],
@@ -548,6 +551,7 @@ _BAD_TOOL_ARGS = {
     "oracle-svm-nan_train_fraction": ["oracle-svm", "--train-fraction", "nan"],
     "oracle-svm-non_integer_seed": ["oracle-svm", "--seed", "x"],
     "oracle-svm-binary_data": ["oracle-svm", "--data", "{binary}"],
+    "oracle-svm-non_finite_data": ["oracle-svm", "--data", "{nonfinite}", "--no-split"],
     "oracle-svm-out_is_a_directory": ["oracle-svm", "--out", "."],
     "sweep-regime-out_is_a_directory": ["sweep-regime", "--h", "1", "--a", "-1", "--ki", "1",
                                         "--out", "."],
@@ -565,8 +569,10 @@ def test_bad_tool_argument_exits_2_with_one_line(tmp_path, capsys, monkeypatch, 
     monkeypatch.delenv("NUMAX_OUTPUT_DIR", raising=False)
     (tmp_path / "binary.dat").write_bytes(_BINARY)
     (tmp_path / "noheader.ini").write_text("kind = svm\n")
+    (tmp_path / "nonfinite.csv").write_bytes(_NON_FINITE_DATA)
     before = sorted(tmp_path.iterdir())
-    paths = {"missing": "missing.csv", "binary": "binary.dat", "noheader": "noheader.ini"}
+    paths = {"missing": "missing.csv", "binary": "binary.dat", "noheader": "noheader.ini",
+             "nonfinite": "nonfinite.csv"}
     argv = [arg.format(**paths) for arg in _BAD_TOOL_ARGS[case]]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -575,6 +581,21 @@ def test_bad_tool_argument_exits_2_with_one_line(tmp_path, capsys, monkeypatch, 
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("kind", ["svm", "benchmark2d", "qp"])
+def test_negative_seed_refused_for_every_problem_kind(tmp_path, capsys, command, kind):
+    qp_file = tmp_path / "qp.json"
+    qp_file.write_text(json.dumps({"H": [[1.0]], "A": [[1.0]], "b": [1.0]}))
+    out = tmp_path / "out"
+    argv = [command, "--problem.kind", kind, "--problem.path", str(qp_file) if kind == "qp" else "",
+            "--run.seed", "-1", "--loop.max_steps", "5", "--grid.kp", "1", "--grid.ki", "1",
+            "--output-dir", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "configuration error: seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 _TRAJECTORY_HEAD = "# terminated_reason: max-steps\nt,f,linf_g,linf_h,lagrangian,lambda_0,x_0\n"

@@ -14,18 +14,22 @@ from numax import (
     NuPIConfig,
     PrimalKind,
     PrimalOptimizerConfig,
+    QPSystem,
     Scheme,
+    SvmDataset,
     evaluate_lagrangian,
     iris_csv_path,
     lagrangian_primal_gradient,
     load_dataset_csv,
     project_theta,
     run,
+    simulate_flow,
+    svm_dual_oracle,
     train_validation_split,
     validate_gradients,
     write_trajectory_csv,
 )
-from numax.core import central_difference_jacobian, lagrangian_value
+from numax.core import as_int, as_real, central_difference_jacobian, lagrangian_value
 
 
 def unconstrained_square():
@@ -144,12 +148,15 @@ class TestConstraints:
             problem.check_fused(np.zeros(1), np.zeros(1))
 
 
+# The ids name each rule; the messages are `as_int`'s.
 @pytest.mark.parametrize("dims, message", [
-    ((0, 0, 1), "dim_primal must be positive"),
-    ((-2, 1, 0), "dim_primal must be positive"),
-    ((1, -1, 0), "constraint counts must be non-negative"),
-    ((1, 0, -1), "constraint counts must be non-negative"),
-])
+    ((0, 0, 1), "dim_primal must be >= 1, got 0"),
+    ((-2, 1, 0), "dim_primal must be >= 1, got -2"),
+    ((1, -1, 0), "num_ineq must be >= 0, got -1"),
+    ((1, 0, -1), "num_eq must be >= 0, got -1"),
+], ids=["dims0-dim_primal must be positive", "dims1-dim_primal must be positive",
+        "dims2-constraint counts must be non-negative",
+        "dims3-constraint counts must be non-negative"])
 def test_dimensions_checked(dims, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         ConstrainedProblem.from_values(*dims, lambda x: (0.0, x), lambda x: (x, x))
@@ -427,3 +434,66 @@ class TestValidateGradients:
         assert report.failures == [message.format(k=k, x=x) for k, x in enumerate(samples)]
         assert not report.passed and report.max_rel_error_jacobian == 0.0
         assert (report.max_rel_error_objective == 0.0) == (where == "f")
+
+
+def _qp(**fields):
+    return QPSystem(**{"H": [[2.0]], "A": [[1.0]], "b": [1.0], "c_lin": [0.0], "kp": 1.0,
+                       "ki": 1.0, **fields})
+
+
+# Scalar arguments are parsed by `as_int` and `as_real`, array fields by
+# `as_floats`: what they refuse is a ConfigurationError that names the argument.
+@pytest.mark.parametrize("call, message", [
+    (lambda data: _qp(kp="3"), "kp must be a finite number, got '3'"),
+    (lambda data: _qp(ki=np.nan), "ki must be a finite number, got nan"),
+    (lambda data: simulate_flow(_qp(), [0.0], [0.0], dt="0.1"),
+     "dt must be a finite number, got '0.1'"),
+    (lambda data: simulate_flow(_qp(), [0.0], [0.0], dt=0), "dt must be > 0, got 0.0"),
+    (lambda data: simulate_flow(_qp(), [0.0], [0.0], t_end=-1), "t_end must be >= 0, got -1.0"),
+    (lambda data: simulate_flow(_qp(), [0.0], [0.0], max_samples=2.0),
+     "max_samples must be an integer, got 2.0"),
+    (lambda data: train_validation_split(data, 0, train_fraction=None),
+     "train_fraction must be a finite number, got None"),
+    (lambda data: train_validation_split(data, 0, train_fraction=1.5),
+     "train_fraction must be in (0, 1)"),
+    (lambda data: svm_dual_oracle(data, max_pgd_iters=2.5),
+     "max_pgd_iters must be an integer, got 2.5"),
+    (lambda data: svm_dual_oracle(data, max_pgd_iters=0), "max_pgd_iters must be >= 1, got 0"),
+    (lambda data: _qp(H="a"), "H must be an array of numbers: could not convert string to "
+                              "float: 'a'"),
+    (lambda data: SvmDataset(points=[[1.0], [2.0]], labels=["a", "b"]),
+     "labels must be an array of numbers: could not convert string to float: 'a'"),
+    (lambda data: SvmDataset(points=[[1.0], [np.inf]], labels=[1, -1]), "points must be finite"),
+], ids=["qp-kp-string", "qp-ki-nan", "flow-dt-string", "flow-dt-zero", "flow-t-end-negative",
+        "flow-samples-float", "split-fraction-none", "split-fraction-range", "oracle-iters-float",
+        "oracle-iters-zero", "qp-H-string", "svm-labels-strings", "svm-points-inf"])
+def test_arguments_parsed(call, message):
+    data = load_dataset_csv(iris_csv_path())
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call(data)
+
+
+def test_parsers():
+    assert as_int(np.int64(3), "n", 3) == 3 and type(as_int(np.int8(-1), "n")) is int
+    assert type(_qp(kp=np.float32(0.5), ki=2).ki) is float
+    assert as_real(np.float32(0.5), "x", 0.5) == 0.5 and type(as_real(2, "x")) is float
+    for value, low, strict, message in [
+        (True, None, False, "x must be a finite number, got True"),
+        (np.array(0.5), None, False, "x must be a finite number, got array(0.5)"),
+        (10**400, None, False, f"x must be a finite number, got {10**400}"),
+        (0.5, 0.5, True, "x must be > 0.5, got 0.5"),
+        (-1e-300, 0, False, "x must be >= 0, got -1e-300"),
+    ]:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            as_real(value, "x", low, strict)
+    with pytest.raises(ConfigurationError, match="^n must be >= 2, got 1$"):
+        as_int(1, "n", 2)
+
+
+def test_non_finite_dataset_cell_names_its_line(tmp_path):
+    path = tmp_path / "d.csv"
+    for cell in ("nan", "inf", "-inf"):
+        path.write_text(f"# features then label\n1.0,2.0,1\n\n0.5,{cell},-1\n3.0,1.0,1\n0,0,0\n")
+        with pytest.raises(ConfigurationError,
+                           match=f"^{re.escape(str(path))}:4: features must be finite$"):
+            load_dataset_csv(path)

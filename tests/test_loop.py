@@ -20,6 +20,7 @@ from numax import (
     PrimalOptimizerConfig,
     QPSystem,
     Scheme,
+    SvmDataset,
     TerminationReason,
     UMConfig,
     Xi0Policy,
@@ -36,6 +37,8 @@ from numax import (
     read_trajectory_csv,
     train_validation_split,
     run,
+    simulate_flow,
+    svm_dual_oracle,
     validate_gradients,
     write_trajectory_csv,
 )
@@ -243,19 +246,21 @@ class TestLoopMechanics:
                        dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
         with pytest.raises(ConfigurationError, match="Scheme"):
             dataclasses.replace(config, scheme="simultaneous")
-        for step in (np.nan, np.inf, 0.0):
-            with pytest.raises(ConfigurationError, match="finite and positive"):
+        for step, rule in ((np.nan, "a finite number, got nan"),
+                           (np.inf, "a finite number, got inf"), (0.0, "> 0, got 0.0")):
+            with pytest.raises(ConfigurationError,
+                               match=f"^primal step_size must be {re.escape(rule)}$"):
                 gd(step)
 
     @pytest.mark.parametrize("name, value, message", [
         ("kind", "gd", "primal kind must be a PrimalKind, got 'gd'"),
         ("kind", None, "primal kind must be a PrimalKind, got None"),
-        ("step_size", "3", "primal step_size must be a number, got '3'"),
-        ("step_size", None, "primal step_size must be a number, got None"),
-        ("step_size", True, "primal step_size must be a number, got True"),
-        ("momentum", np.nan, "primal momentum must be finite, got nan"),
-        ("momentum", -np.inf, "primal momentum must be finite, got -inf"),
-        ("momentum", "0.9", "primal momentum must be a number, got '0.9'"),
+        ("step_size", "3", "primal step_size must be a finite number, got '3'"),
+        ("step_size", None, "primal step_size must be a finite number, got None"),
+        ("step_size", True, "primal step_size must be a finite number, got True"),
+        ("momentum", np.nan, "primal momentum must be a finite number, got nan"),
+        ("momentum", -np.inf, "primal momentum must be a finite number, got -inf"),
+        ("momentum", "0.9", "primal momentum must be a finite number, got '0.9'"),
     ])
     def test_primal_config_fields_checked(self, name, value, message):
         # an unknown kind would otherwise fall through the step to Adam
@@ -263,18 +268,21 @@ class TestLoopMechanics:
             dataclasses.replace(gd(0.1), **{name: value})
         assert dataclasses.replace(gd(0.1), step_size=np.float32(0.5), momentum=0).momentum == 0
 
-    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, np.nan, np.inf])
-    def test_stop_tolerance_must_be_finite_and_non_negative(self, tolerance):
+    @pytest.mark.parametrize("tolerance, rule", [
+        (-1.0, ">= 0, got -1.0"), (-1e-300, ">= 0, got -1e-300"),
+        (np.nan, "a finite number, got nan"), (np.inf, "a finite number, got inf"),
+    ], ids=["-1.0", "-1e-300", "nan", "inf"])
+    def test_stop_tolerance_must_be_finite_and_non_negative(self, tolerance, rule):
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5,
                             dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
-        with pytest.raises(ConfigurationError, match="stop_tolerance must be finite and >= 0"):
+        with pytest.raises(ConfigurationError, match=f"^stop_tolerance must be {re.escape(rule)}$"):
             dataclasses.replace(config, stop_tolerance=tolerance)
         assert dataclasses.replace(config, stop_tolerance=0.0).stop_tolerance == 0.0
 
     @pytest.mark.parametrize("name, value, message", [
-        ("max_steps", 0, "max_steps must be >= 1"),
-        ("record_every", 0, "record_every must be >= 1"),
-        ("record_every", np.int64(-3), "record_every must be >= 1"),
+        ("max_steps", 0, "max_steps must be >= 1, got 0"),
+        ("record_every", 0, "record_every must be >= 1, got 0"),
+        ("record_every", np.int64(-3), "record_every must be >= 1, got -3"),
         ("max_steps", 2.5, "max_steps must be an integer, got 2.5"),
         ("record_every", 1.5, "record_every must be an integer, got 1.5"),
         ("max_steps", "3", "max_steps must be an integer, got '3'"),
@@ -299,12 +307,12 @@ class TestLoopMechanics:
         ("dual_restarts", 2.5, "dual_restarts must be a bool, got 2.5"),
         ("dual_restarts", 1, "dual_restarts must be a bool, got 1"),
         ("dual_restarts", np.array([0.1, 0.2]), "dual_restarts must be a bool, got array([0.1, 0.2])"),
-        ("stop_tolerance", "3", "stop_tolerance must be a number or None, got '3'"),
-        ("stop_tolerance", [0.1], "stop_tolerance must be a number or None, got [0.1]"),
-        ("stop_tolerance", True, "stop_tolerance must be a number or None, got True"),
-        ("stop_tolerance", np.array(0.1), "stop_tolerance must be a number or None, got array(0.1)"),
+        ("stop_tolerance", "3", "stop_tolerance must be a finite number, got '3'"),
+        ("stop_tolerance", [0.1], "stop_tolerance must be a finite number, got [0.1]"),
+        ("stop_tolerance", True, "stop_tolerance must be a finite number, got True"),
+        ("stop_tolerance", np.array(0.1), "stop_tolerance must be a finite number, got array(0.1)"),
         pytest.param("stop_tolerance", 2**1024,
-                     f"stop_tolerance must be finite and >= 0, got {2**1024}",
+                     f"stop_tolerance must be a finite number, got {2**1024}",
                      id="stop_tolerance-int-beyond-float"),
     ])
     def test_last_fields_checked(self, name, value, message):
@@ -400,6 +408,45 @@ def test_hostile_config_field_is_refused_or_runs(dual, kind, target, data):
         except (ConfigurationError, NumericalError):
             return
     assert isinstance(traj, loop.Trajectory) and len(traj.steps) >= 1
+
+
+# One argument of a library call set to a hostile value, with small budgets:
+# the call returns, or raises a ConfigurationError or a NumericalError, and
+# numpy warns of nothing. Each entry is (call, its arguments' valid values).
+_SMALL_SVM = SvmDataset(points=[[0.0, 0.0], [3.0, 3.0], [1.0, 0.0], [4.0, 3.0],
+                                [0.0, 1.0], [3.0, 4.0], [1.0, 1.0], [4.0, 4.0]],
+                        labels=[-1.0, 1.0] * 4)
+_SMALL_QP = {"H": [[2.0]], "A": [[1.0]], "b": [1.0], "c_lin": [0.0], "kp": 1.0, "ki": 1.0}
+_HOSTILE_CALLS = {
+    "dimensions": (lambda args: ConstrainedProblem.from_values(
+        **args, values=lambda x: (0.0, x), derivatives=lambda x: (x, x)),
+        {"dim_primal": 1, "num_ineq": 1, "num_eq": 0}),
+    "qp": (lambda args: QPSystem(**args), _SMALL_QP),
+    "flow": (lambda args: simulate_flow(QPSystem(**_SMALL_QP), [0.0], [0.0], **args),
+             {"dt": 0.1, "t_end": 1.0, "max_samples": 5}),
+    "split": (lambda args: train_validation_split(_SMALL_SVM, **args),
+              {"seed": 0, "train_fraction": 0.5}),
+    "oracle": (lambda args: svm_dual_oracle(_SMALL_SVM, **args), {"max_pgd_iters": 400}),
+    "gradients": (lambda args: validate_gradients(one_sided_line(), **args),
+                  {"num_points": 2, "seed": 0}),
+}
+
+
+@settings(max_examples=500)
+@given(call=st.sampled_from(sorted(_HOSTILE_CALLS)), data=st.data())
+def test_hostile_argument_is_refused_or_returns(call, data):
+    function, valid = _HOSTILE_CALLS[call]
+    name = data.draw(st.sampled_from(sorted(valid)))
+    value = data.draw(st.sampled_from(_HOSTILE))
+    # a valid iteration budget stays small
+    assume(not (name in ("max_pgd_iters", "num_points")
+                and isinstance(value, (int, np.integer)) and value > 1000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            function({**valid, name: value})
+        except (ConfigurationError, NumericalError):
+            pass
 
 
 _FINITE = st.floats(-1e6, 1e6, allow_nan=False)
