@@ -277,14 +277,28 @@ def flow_initial_state(sys: QPSystem, x0, mu0) -> np.ndarray:
     return np.concatenate([x0, mu0, xdot0, mudot0])
 
 
-# simulate_flow advances this many stored samples per matrix product.
+# simulate_flow stacks this many powers of its step matrix, or more while the
+# stack stays within _FLOW_STACK floats (256 KB); one product with the stack
+# advances as many stored samples.
 _FLOW_BLOCK = 128
+_FLOW_STACK = 1 << 15
 # Sample times are summed over at most this many steps at a time: a horizon
 # can span far more steps than it stores samples.
 _TIME_CHUNK = 1 << 16
 # The most RK4 steps one horizon may span. Summing the sample times costs
 # about 5 ns per step, so this many take about 5 s; a longer horizon is refused.
 _MAX_FLOW_STEPS = 10**9
+
+
+def _flow_block(dim: int, strided: int) -> int:
+    """How many stored samples one product of `simulate_flow` advances: the
+    number of powers S, S^2, ... it stacks for a state of size `dim`."""
+    return min(strided, max(_FLOW_BLOCK, _FLOW_STACK // dim**2))
+
+
+def _finite_rows(a: np.ndarray) -> int:
+    """How many leading rows of the 2-D array `a` are finite."""
+    return int(np.logical_and.accumulate(np.isfinite(a).all(axis=1)).sum())
 
 
 def _stride_times(dt: float, stride: int, count: int) -> np.ndarray:
@@ -298,12 +312,16 @@ def _stride_times(dt: float, stride: int, count: int) -> np.ndarray:
         increments = np.full(stop - start + 1, dt)
         increments[0] = t
         elapsed = np.cumsum(increments)  # elapsed[j]: the time after start + j steps
-        k = np.arange(start // stride + 1, stop // stride + 1)
-        times[k - 1] = elapsed[k * stride - start]
+        first = start // stride + 1  # the first sample of this chunk, counted from 1
+        times[first - 1:stop // stride] = elapsed[first * stride - start::stride]
         t = elapsed[-1]
     return times
 
 
+# `flagged` reports a diverging flow, so its overflow warnings are suppressed:
+# huge entries overflow M, and a huge dt overflows R, which flags the flow once
+# it is applied.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
                   t_end: float = 10.0, max_samples: int = 20001) -> FlowResult:
     """Integrate the linear flow with classical fixed-step RK4.
@@ -312,16 +330,21 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
     final shorter step R_rem so that the last sample lands exactly on t_end.
     When the horizon spans more steps than max_samples, only every stride-th
     state is stored. The stored states are advanced in blocks: with S =
-    R^stride and P_k = S^k for k = 1..B (B = 128), one product P[:m] @ z
-    gives the next m samples from the last one. The full steps left over
-    after the last whole stride, and R_rem, are applied one at a time. The
-    sample times are summed step by step, as t += dt would.
+    R^stride and P_k = S^k for k = 1..B, one product P[:m] @ z gives the
+    next m samples from the last one. B = min(samples, max(128, 2^15 /
+    dim^2)) (`_flow_block`), so the stack of powers holds 128 of them or at
+    most 256 KB, and it is built by doubling, in log2 B products. The full
+    steps left over after the last whole stride, and R_rem, are applied one
+    at a time. The sample times are summed step by step, as t += dt would.
 
     The run stops, flagged, at the first stored state that is not finite.
     The powers of S can overflow before the state does (a diverging flow
-    from a tiny start), so a block with a non-finite row is stepped again
-    from its first state with single R steps, and the flag falls on the
-    sample where a stepwise integration puts it.
+    from a tiny start), so only the finite powers are used, and the first
+    non-finite row of a block is stepped again from the row before with
+    single R steps: the flag falls on the sample where a stepwise
+    integration puts it. Huge entries, which overflow M itself, flag the
+    flow without a warning too; a start that overflows is returned, flagged,
+    as the only sample.
 
     dt (default: `default_flow_dt`) is parsed by `as_real` as > 0, t_end as
     >= 0, with a step count t_end / dt of at most 1e9 (`_MAX_FLOW_STEPS`),
@@ -367,47 +390,53 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
     stored = 1
     flagged = False
 
-    # `flagged` reports a diverging flow, so its overflow warnings are suppressed;
-    # R itself overflows for a huge dt, which flags the flow once it is applied.
-    with np.errstate(over="ignore", invalid="ignore"):
-        R = rk4_operator(dt)
-        block = min(_FLOW_BLOCK, strided)
-        powers = np.empty((block, dim, dim))  # powers[k] = S^(k+1)
-        if block:
-            powers[0] = np.linalg.matrix_power(R, stride)
-        for k in range(1, block):
-            np.matmul(powers[k - 1], powers[0], out=powers[k])
-        stacked = powers.reshape(block * dim, dim)
+    R = rk4_operator(dt)
+    block = _flow_block(dim, strided)
+    stacked = np.empty((block * dim, dim))  # rows k dim .. (k + 1) dim - 1 hold S^(k+1)
+    if block:
+        stacked[:dim] = np.linalg.matrix_power(R, stride)
+    done = 1
+    while done < block:  # S^(done+1) .. S^(done+more) = (S^1 .. S^more) S^done
+        more = min(done, block - done)
+        np.matmul(stacked[:more * dim], stacked[(done - 1) * dim:done * dim],
+                  out=stacked[done * dim:(done + more) * dim])
+        done += more
+    # An overflowed power overflows every sample it gives: use the finite ones.
+    block = _finite_rows(stacked.reshape(block, dim * dim))
 
-        while stored <= strided and not flagged:
-            m = min(block, strided + 1 - stored)
-            out = states[stored:stored + m]  # contiguous rows, so the reshape is a view
-            np.matmul(stacked[:m * dim], states[stored - 1], out=out.reshape(m * dim))
-            if not np.isfinite(out).all():
-                z = states[stored - 1]
-                for row in range(m):
-                    for _ in range(stride):
-                        z = R @ z
-                    if not np.isfinite(z).all():
-                        flagged = True
-                        m = row
-                        break
-                    out[row] = z
+    while stored <= strided and not flagged:
+        m = min(block, strided + 1 - stored)
+        out = states[stored:stored + m]  # contiguous rows, so the reshape is a view
+        np.matmul(stacked[:m * dim], states[stored - 1], out=out.reshape(m * dim))
+        if m and np.isfinite(out).all():  # checked whole first: 10x cheaper than by rows
             stored += m
+            continue
+        # Keep the rows before the first non-finite one (none if no power of S
+        # is finite), and step that sample again from the row before, so the
+        # flag falls where a stepwise integration puts it.
+        stored += _finite_rows(out)
+        z = states[stored - 1]
+        for _ in range(stride):
+            z = R @ z
+        if np.isfinite(z).all():
+            states[stored] = z
+            stored += 1
+        else:
+            flagged = True
 
-        if has_tail and not flagged:
-            z, t = states[stored - 1], times[stored - 1]
-            for _ in range(num_full - strided * stride):
-                z = R @ z
-                t += dt
-            if has_remainder:
-                z = rk4_operator(remainder) @ z
-                t += remainder
-            if np.isfinite(z).all():
-                states[stored], times[stored] = z, t
-                stored += 1
-            else:
-                flagged = True
+    if has_tail and not flagged:
+        z, t = states[stored - 1], times[stored - 1]
+        for _ in range(num_full - strided * stride):
+            z = R @ z
+            t += dt
+        if has_remainder:
+            z = rk4_operator(remainder) @ z
+            t += remainder
+        if np.isfinite(z).all():
+            states[stored], times[stored] = z, t
+            stored += 1
+        else:
+            flagged = True
 
     arr = states[:stored]
     return FlowResult(

@@ -270,11 +270,16 @@ def _echo_config(config, path: Path) -> None:
     path.write_text("\n".join(lines))
 
 
+def _seed(config) -> int:
+    """The `[run] seed` of every command: an integer >= 0."""
+    return as_int(_setting(config, "run", "seed", *_INT), "seed", 0)
+
+
 def _prepare(config, output_dir):
     """Everything `run` and `grid` share, checked before any step runs: the
     seed, the metric, the LoopConfig, the problem, the output directory and
     lambda* (SVM only, else None)."""
-    seed = as_int(_setting(config, "run", "seed", *_INT), "seed", 0)
+    seed = _seed(config)
     metric = config["run"]["metric"].lower()
     if metric not in _METRICS:
         raise ConfigurationError(f"[run] metric must be one of {_METRICS}, got {metric!r}")
@@ -431,7 +436,7 @@ def read_regime_sweep_csv(path):
 
 def cmd_validate_gradients(args) -> int:
     config = _load_config(args.config, args.overrides)
-    seed = _setting(config, "run", "seed", *_INT)
+    seed = _seed(config)
     bundle = _build_problem(config, seed)
     report = validate_gradients(bundle.problem, num_points=args.points, seed=seed)
     print(report.summary())
@@ -440,7 +445,7 @@ def cmd_validate_gradients(args) -> int:
 
 def cmd_oracle_svm(args) -> int:
     config = _load_config(None, args.overrides)
-    data = _build_problem(config, _setting(config, "run", "seed", *_INT)).train_data
+    data = _build_problem(config, _seed(config)).train_data
     solution = svm_dual_oracle(data)
     payload = {
         "num_points": data.num_points,

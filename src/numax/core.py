@@ -74,8 +74,9 @@ def read_csv(path, what: str, header: tuple | None = None, text_columns: int = 0
 
 def as_vector(value, length: int, name: str, lead: tuple = ()) -> np.ndarray:
     """Coerce to a float64 vector of the given length, or to a stack of such
-    vectors with leading shape `lead`, or raise."""
-    v = np.asarray(value, dtype=np.float64)
+    vectors with leading shape `lead`, or a configuration error that names
+    `name`."""
+    v = as_floats(value, name)
     if v.ndim == 0 and length == 1 and not lead:
         v = v.reshape(1)
     expected = lead + (length,)

@@ -72,6 +72,7 @@ from .core import (
     ConfigurationError,
     ConstrainedProblem,
     _project_theta,
+    as_floats,
     as_int,
     as_real,
     as_vector,
@@ -315,11 +316,12 @@ def _checked_start(problem: ConstrainedProblem, x0, theta0, lead: tuple = ()) ->
     """x0 and theta0 = [lam, mu] as new float64 arrays of shape lead +
     (dim_primal,) and lead + (num_constraints,), each given once for every
     row or once per row. Both must be finite and lam >= 0."""
-    x = as_vector(x0, problem.dim_primal, "x0", lead if np.ndim(x0) > 1 else ())
+    x0 = as_floats(x0, "x0")  # parsed first: np.ndim fails on a ragged list
+    x = as_vector(x0, problem.dim_primal, "x0", lead if x0.ndim > 1 else ())
     if not np.all(np.isfinite(x)):
         raise ConfigurationError("x0 must be finite")
-    theta = as_vector(theta0, problem.num_constraints, "theta0",
-                      lead if np.ndim(theta0) > 1 else ())
+    theta0 = as_floats(theta0, "theta0")
+    theta = as_vector(theta0, problem.num_constraints, "theta0", lead if theta0.ndim > 1 else ())
     if not np.all(np.isfinite(theta)):
         raise ConfigurationError("initial multipliers must be finite")
     if np.any(theta[..., :problem.num_ineq] < 0.0):

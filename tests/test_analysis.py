@@ -1,6 +1,7 @@
 """Tests for update-ratio interpretation, QP spectra, damping regimes, and
 the continuous-time flow."""
 
+import math
 import time
 import warnings
 
@@ -440,10 +441,10 @@ def _assert_matches_reference(got, ref):
 
 
 @pytest.mark.parametrize("steps, remainder, max_samples, stride", [
-    (434, 0.0, 20001, 1),
-    (434, 0.5, 20001, 1),
-    (1302, 0.0, 435, 3),
-    (901, 0.5, 452, 2),  # one full step left over after the last stride, then R_rem
+    (2950, 0.0, 20001, 1),
+    (2950, 0.5, 20001, 1),
+    (8850, 0.0, 2951, 3),
+    (5901, 0.5, 2952, 2),  # one full step left over after the last stride, then R_rem
 ])
 def test_long_flow_matches_stepwise_reference(steps, remainder, max_samples, stride):
     sys = QPSystem(H=[[2.0, 0.3], [0.3, 1.0]], A=[[1.0, -0.5]], b=[0.2],
@@ -455,8 +456,52 @@ def test_long_flow_matches_stepwise_reference(steps, remainder, max_samples, str
                                        max_samples=max_samples)
     _assert_matches_reference(got, ref)
     assert ref.times[1] == pytest.approx(stride * dt)  # the case has the stride it names
-    assert steps // stride > 3 * analysis._FLOW_BLOCK  # three full blocks and a partial one
-    assert (steps // stride) % analysis._FLOW_BLOCK
+    strided = steps // stride
+    block = analysis._flow_block(flow_state_matrix(sys).shape[0], strided)
+    assert strided > 3 * block and strided % block  # three full blocks and a partial one
+
+
+def test_flow_whose_powers_overflow_in_the_first_block_matches_stepwise_reference():
+    # From 1e-300 the state overflows about twice as late as the powers of R.
+    sys = QPSystem(H=[[-40.0]], A=[[1.0]], b=[0.0], c_lin=[0.0], kp=1.0, ki=1.0)
+    dt, t_end = 0.01, 200.0
+    got = simulate_flow(sys, [1e-300], [0.0], dt=dt, t_end=t_end)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = flow_reference.simulate_flow(sys, [1e-300], [0.0], dt=dt, t_end=t_end)
+        M = dt * flow_state_matrix(sys)
+        R = sum(np.linalg.matrix_power(M, k) / math.factorial(k) for k in range(5))  # RK4
+        block = analysis._flow_block(len(M), round(t_end / dt))
+        assert not np.isfinite(np.linalg.matrix_power(R, block)).all()
+    assert got.flagged and ref.flagged
+    assert len(got.times) == len(ref.times) > block
+    _assert_matches_reference(got, ref)
+
+
+def test_unstable_flow_at_its_equilibrium_costs_what_a_stable_one_does():
+    # Started at its KKT point the flow stays there, while the powers of
+    # S = R^100 overflow after about 18 of them: only those are multiplied,
+    # so the samples are not stepped one R at a time.
+    def best_time(sys):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            res = simulate_flow(sys, [0.0], [0.0], dt=0.01, t_end=2000.0, max_samples=2001)
+            times.append(time.perf_counter() - start)
+        assert not res.flagged and len(res.times) == 2001 and not np.any(res.x)
+        return min(times)
+
+    unstable, stable = (QPSystem(H=[[h]], A=[[1.0]], b=[0.0], c_lin=[0.0], kp=1.0, ki=1.0)
+                        for h in (-40.0, 40.0))
+    assert best_time(unstable) < 4 * best_time(stable)
+
+
+def _summed_times(dt, stride, count):
+    t, expected = 0.0, []
+    for step in range(1, stride * count + 1):
+        t += dt
+        if step % stride == 0:
+            expected.append(t)
+    return expected
 
 
 @pytest.mark.parametrize("dt, stride, count", [
@@ -464,12 +509,17 @@ def test_long_flow_matches_stepwise_reference(steps, remainder, max_samples, str
     (0.7, 3, 30000),    # samples that straddle chunk boundaries
 ])
 def test_sample_times_are_summed_step_by_step(dt, stride, count):
-    t, expected = 0.0, []
-    for step in range(1, stride * count + 1):
-        t += dt
-        if step % stride == 0:
-            expected.append(t)
-    assert np.array_equal(analysis._stride_times(dt, stride, count), expected)
+    assert np.array_equal(analysis._stride_times(dt, stride, count),
+                          _summed_times(dt, stride, count))
+
+
+@given(dt=st.one_of(st.floats(1e-6, 10.0), st.integers(-30, 3).map(lambda e: 2.0 ** e)),
+       stride=st.integers(1, 70000), data=st.data())
+def test_sample_times_match_the_literal_sum_bit_for_bit(dt, stride, data):
+    # random and dyadic steps; up to three chunks of summed steps
+    count = data.draw(st.integers(1, 3 * analysis._TIME_CHUNK // stride + 1))
+    assert np.array_equal(analysis._stride_times(dt, stride, count),
+                          _summed_times(dt, stride, count))
 
 
 def test_benchmark_bilinear_flow_matches_reference_and_keeps_norm():
@@ -531,10 +581,15 @@ def test_diverging_flow_is_flagged_without_warning():
         # a dt so long that the RK4 matrix itself overflows, applied or not
         huge = simulate_flow(sys, [1.0], [0.0], dt=1e100, t_end=1e101)
         unused = simulate_flow(sys, [1.0], [0.0], dt=1e308, t_end=1.0)
+        # entries so large that M itself overflows, and with x0 = 1 the start too
+        huge_entries = QPSystem(H=[[1e308]], A=[[1.0]], b=[1.0], c_lin=[0.0], kp=10.0, ki=1.0)
+        overflowing = [simulate_flow(huge_entries, [x0], [0.0], dt=0.1, t_end=1.0)
+                       for x0 in (0.0, 1.0)]
     assert res.flagged
     assert np.all(np.isfinite(res.x)) and res.times[-1] < 120 * 0.05
     assert huge.flagged and huge.times.tolist() == [0.0]
     assert not unused.flagged and unused.times.tolist() == [0.0, 1.0]
+    assert all(flow.flagged and flow.times.tolist() == [0.0] for flow in overflowing)
 
 
 class TestKktSolve:

@@ -534,6 +534,7 @@ _BAD_TOOL_ARGS = {
     "validate-gradients-missing_data": ["validate-gradients", "--problem", "svm",
                                         "--data", "{missing}"],
     "oracle-svm-negative_seed": ["oracle-svm", "--seed", "-1"],
+    "oracle-svm-negative_unsplit_seed": ["oracle-svm", "--no-split", "--seed", "-1"],
     "oracle-svm-missing_data": ["oracle-svm", "--data", "{missing}"],
     **{f"sweep-regime-{flag[2:]}_{value}":
        ["sweep-regime", *(token for pair in {**_SWEEP_ARGS, flag: value}.items() for token in pair)]

@@ -252,6 +252,18 @@ class TestLoopMechanics:
                                match=f"^primal step_size must be {re.escape(rule)}$"):
                 gd(step)
 
+    @pytest.mark.parametrize("x0, theta0, name", [
+        (["a", "b"], np.zeros(1), "x0"),  # ValueError from numpy
+        ([[0.0], [0.0, 1.0]], np.zeros(1), "x0"),  # ragged: ValueError
+        ([None, {}], np.zeros(1), "x0"),  # TypeError
+        (np.zeros(2), [1j], "theta0"),  # TypeError
+    ])
+    def test_non_numeric_start_names_its_argument(self, x0, theta0, name):
+        config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5,
+                            dual_optimizer=GAConfig(step_size=0.1), primal_optimizer=gd(0.1))
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an array of numbers: "):
+            run(build_2d_benchmark(), x0, theta0, config)
+
     @pytest.mark.parametrize("name, value, message", [
         ("kind", "gd", "primal kind must be a PrimalKind, got 'gd'"),
         ("kind", None, "primal kind must be a PrimalKind, got None"),

@@ -147,6 +147,7 @@ def _table() -> list:
                                             "--run.seed", "-1", "--grid.kp", "1",
                                             "--grid.ki", "0.1", "--loop.max_steps", "20"]),
         ("oracle-seed-negative", ["oracle-svm", "--seed", "-1"]),
+        ("oracle-seed-negative-no-split", ["oracle-svm", "--no-split", "--seed", "-1"]),
         ("oracle-non-finite-data", ["oracle-svm", "--data", "nonfinite.csv", "--no-split"]),
         ("run-non-finite-data", ["run", "--problem.path", "nonfinite.csv",
                                  "--problem.split", "false"]),
