@@ -21,21 +21,28 @@ regimes.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .core import ConfigurationError, NumericalError, as_floats, as_int, as_real
+from .core import ConfigurationError, NumericalError, as_floats, as_int, as_real, as_vector
 
 
 @dataclass(frozen=True)
 class RatioInputs:
+    """One nuPI update's gains, xi_{t-1} and e_t, each parsed by `as_real`."""
+
     kp: float
     ki: float
     nu: float
     xi_prev: float
     e_t: float
+
+    def __post_init__(self):
+        for spec in fields(self):
+            object.__setattr__(self, spec.name, as_real(getattr(self, spec.name), spec.name))
 
 
 def update_mix(inputs: RatioInputs) -> float:
@@ -86,7 +93,9 @@ def classify_mode(inputs: RatioInputs) -> Mode:
 @dataclass(frozen=True)
 class QPSystem:
     """Equality-constrained QP with PI gains attached: H (n x n, symmetric
-    PSD), A (c x n), b (c,), c_lin (n,); kp and ki are stored as floats."""
+    PSD), A (c x n), b (c,), c_lin (n,), each an array of finite numbers of
+    that shape, with n the rows of H and c the rows of A (a 1-D H or A is
+    refused); kp and ki are stored as floats."""
 
     H: np.ndarray
     A: np.ndarray
@@ -96,30 +105,15 @@ class QPSystem:
     ki: float
 
     def __post_init__(self):
-        H = np.atleast_2d(as_floats(self.H, "H"))
-        A = np.atleast_2d(as_floats(self.A, "A"))
-        b = np.atleast_1d(as_floats(self.b, "b"))
-        c_lin = np.atleast_1d(as_floats(self.c_lin, "c_lin"))
-        for name, value in dict(H=H, A=A, b=b, c_lin=c_lin).items():
-            if not np.all(np.isfinite(value)):
-                raise ConfigurationError(f"{name} must be finite")
+        # n and c are the rows of H and A; a 0-D H or A has shape (), which is refused
+        n, c = (len(v) if v.ndim else 1 for v in (as_floats(self.H, "H"), as_floats(self.A, "A")))
+        for name, shape in {"H": (n, n), "A": (c, n), "b": (c,), "c_lin": (n,)}.items():
+            parsed = as_vector(getattr(self, name), shape[-1], name, shape[:-1], finite=True)
+            object.__setattr__(self, name, parsed)
         object.__setattr__(self, "kp", as_real(self.kp, "kp"))
         object.__setattr__(self, "ki", as_real(self.ki, "ki"))
-        n = H.shape[0]
-        if H.shape != (n, n):
-            raise ConfigurationError(f"H must be square, got {H.shape}")
-        if np.max(np.abs(H - H.T), initial=0.0) > 1e-12:
+        if np.max(np.abs(self.H - self.H.T), initial=0.0) > 1e-12:
             raise ConfigurationError("H must be symmetric to 1e-12")
-        if A.shape[1] != n:
-            raise ConfigurationError(f"A has {A.shape[1]} columns, expected {n}")
-        if b.shape != (A.shape[0],):
-            raise ConfigurationError(f"b must have length {A.shape[0]}, got {b.size}")
-        if c_lin.shape != (n,):
-            raise ConfigurationError(f"c_lin must have length {n}, got {c_lin.size}")
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c_lin", c_lin)
 
     @property
     def dim_primal(self) -> int:
@@ -144,7 +138,10 @@ def eigen_1d(h: float, a: float, kp: float, ki: float) -> tuple:
     """Closed-form spectrum of -U for one primal variable and one constraint:
 
         lambda = [-(h + kp a^2) +- sqrt((h + kp a^2)^2 - 4 a^2 ki)] / 2
+
+    Each argument is parsed by `as_real`.
     """
+    h, a, kp, ki = map(as_real, (h, a, kp, ki), ("h", "a", "kp", "ki"))
     s = h + kp * a * a
     disc = s * s - 4.0 * a * a * ki
     root = cmath.sqrt(complex(disc, 0.0))
@@ -166,11 +163,14 @@ def critical_kp(h: float, a: float, ki: float) -> CriticalGains:
     """kp* = (-h +- 2|a| sqrt(ki)) / a^2. The eigenvalue at kp* is
     -(h + kp* a^2)/2, so only the larger root can give a convergent system:
     every rounded operation here is monotone, so h + kp_minus a^2 never
-    exceeds h + kp_plus a^2 in floating point either."""
+    exceeds h + kp_plus a^2 in floating point either. Each argument is
+    parsed by `as_real`."""
+    h, a = map(as_real, (h, a), ("h", "a"))
     if a == 0.0:
         raise ConfigurationError("critical_kp requires a != 0")
-    if ki < 0.0:
+    if isinstance(ki, numbers.Real) and ki < 0.0:  # -inf too, before as_real refuses it
         raise ConfigurationError("critical_kp requires ki >= 0")
+    ki = as_real(ki, "ki")
     a2 = a * a
     spread = 2.0 * abs(a) * np.sqrt(ki)
     kp_plus = (-h + spread) / a2
@@ -205,8 +205,10 @@ _REPEAT_TOL = 1e-9
 
 def classify_regime(eigenvalues) -> DampingRegime:
     """Classify the spectrum of -U (continuous-time convention: negative
-    real parts converge). A non-finite eigenvalue is a NumericalError."""
-    eigs = tuple(complex(v) for v in np.atleast_1d(np.asarray(eigenvalues, dtype=complex)))
+    real parts converge), given as complex numbers in an array of any shape.
+    What numpy cannot read as complex numbers is a ConfigurationError, a
+    non-finite eigenvalue a NumericalError."""
+    eigs = tuple(as_floats(eigenvalues, "eigenvalues", dtype=complex).ravel().tolist())
     if not eigs:
         raise ConfigurationError("classify_regime requires at least one eigenvalue")
     if not all(cmath.isfinite(v) for v in eigs):
@@ -258,20 +260,22 @@ class FlowResult:
 
 
 def default_flow_dt(sys: QPSystem) -> float:
-    """Fixed integration step 0.01 / max(1, spectral radius of U)."""
-    radius = float(np.max(np.abs(np.linalg.eigvals(qp_system_matrix(sys)))))
+    """Fixed integration step 0.01 / max(1, spectral radius of U). Entries so
+    large that U or its spectral radius overflows leave no step to take: a
+    NumericalError (an explicit dt flags such a flow instead)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        U = qp_system_matrix(sys)
+        radius = float(np.max(np.abs(np.linalg.eigvals(U)))) if np.isfinite(U).all() else np.inf
+    if not np.isfinite(radius):
+        raise NumericalError("the spectral radius of U overflows, so there is no default dt")
     return 0.01 / max(1.0, radius)
 
 
 def flow_initial_state(sys: QPSystem, x0, mu0) -> np.ndarray:
     """Initial state consistent with the first-order flow: xdot(0) follows
     the primal descent direction and mudot(0) the PI ascent direction."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    mu0 = np.atleast_1d(np.asarray(mu0, dtype=np.float64))
-    if x0.shape != (sys.dim_primal,):
-        raise ConfigurationError(f"x0 must have length {sys.dim_primal}")
-    if mu0.shape != (sys.num_constraints,):
-        raise ConfigurationError(f"mu0 must have length {sys.num_constraints}")
+    x0 = as_vector(x0, sys.dim_primal, "x0")
+    mu0 = as_vector(mu0, sys.num_constraints, "mu0")
     xdot0 = -(sys.H @ x0 + sys.c_lin + sys.A.T @ mu0)
     mudot0 = sys.ki * (sys.A @ x0 - sys.b) + sys.kp * (sys.A @ xdot0)
     return np.concatenate([x0, mu0, xdot0, mudot0])

@@ -170,13 +170,13 @@ def _load_qp_json(path) -> QPSystem:
     if not isinstance(payload, dict) or not {"A", "H", "b"} <= set(keys) <= {"A", "H", "b", "c"}:
         raise ConfigurationError(f"QP file {path} must hold an object with keys H, A, b "
                                  f"and optional c, got {keys}")
+    H = payload["H"]
+    # a missing c is zeros; QPSystem refuses an H that is not a list before it reads c
+    c_lin = payload.get("c", [0.0] * len(H) if isinstance(H, list) else [])
     try:
-        n = len(payload["H"])
-        H, A, b, c_lin = (np.asarray(payload.get(key, [0.0] * n), dtype=np.float64)
-                          for key in ("H", "A", "b", "c"))
-    except (ValueError, TypeError) as exc:
-        raise ConfigurationError(f"QP file {path} is malformed: {exc}") from exc
-    return QPSystem(H=H, A=A, b=b, c_lin=c_lin, kp=0.0, ki=1.0)
+        return QPSystem(H=H, A=payload["A"], b=payload["b"], c_lin=c_lin, kp=0.0, ki=1.0)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"QP file {path}: {exc}") from exc
 
 
 def _build_problem(config, seed: int) -> ProblemBundle:
@@ -312,11 +312,14 @@ def cmd_run(args) -> int:
         "max_violation": _compute_metric("max_violation", trajectory, lambda_star),
     }
     if bundle.kind == "svm":
-        w = trajectory.final.x[:-1]
-        b = float(trajectory.final.x[-1])
-        summary["train_accuracy"] = svm_train_accuracy(bundle.train_data, w, b)
+        x = trajectory.final.x
+
+        def accuracy(data):  # a state that is not finite has no accuracy
+            return svm_train_accuracy(data, x[:-1], x[-1]) if np.isfinite(x).all() else math.nan
+
+        summary["train_accuracy"] = accuracy(bundle.train_data)
         if bundle.valid_data is not None:
-            summary["validation_accuracy"] = svm_train_accuracy(bundle.valid_data, w, b)
+            summary["validation_accuracy"] = accuracy(bundle.valid_data)
         summary["dist_to_lambda_star"] = _compute_metric(
             "dist_to_lambda_star", trajectory, lambda_star)
     summary["metric_value"] = _compute_metric(metric, trajectory, lambda_star)

@@ -72,11 +72,11 @@ def read_csv(path, what: str, header: tuple | None = None, text_columns: int = 0
     return comments, head, rows
 
 
-def as_vector(value, length: int, name: str, lead: tuple = ()) -> np.ndarray:
+def as_vector(value, length: int, name: str, lead: tuple = (), finite: bool = False) -> np.ndarray:
     """Coerce to a float64 vector of the given length, or to a stack of such
     vectors with leading shape `lead`, or a configuration error that names
-    `name`."""
-    v = as_floats(value, name)
+    `name`; with `finite`, every entry must be finite (see `as_floats`)."""
+    v = as_floats(value, name, finite)
     if v.ndim == 0 and length == 1 and not lead:
         v = v.reshape(1)
     expected = lead + (length,)
@@ -109,13 +109,18 @@ def _at_least(value, name: str, low, strict: bool = False):
     return value
 
 
-def as_floats(value, name: str) -> np.ndarray:
-    """`value` as a float64 array; what numpy cannot read as numbers is a
-    configuration error that names `name`."""
+def as_floats(value, name: str, finite: bool = False, dtype=np.float64) -> np.ndarray:
+    """`value` as a float64 array (or of `dtype`, complex for a spectrum), the
+    one rule for every array argument; what numpy cannot read as numbers, and
+    with `finite` a non-finite entry, is a configuration error naming `name`.
+    Per-step values go without `finite`: the drivers flag them themselves."""
     try:
-        return np.asarray(value, dtype=np.float64)
+        v = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{name} must be an array of numbers: {exc}") from exc
+    if finite and not np.isfinite(v).all():
+        raise ConfigurationError(f"{name} must be finite")
+    return v
 
 
 def is_finite_real(value) -> bool:
@@ -306,7 +311,7 @@ def project_theta(theta, num_ineq: int) -> np.ndarray:
     block is untouched. Idempotent, and normalizes -0.0 to +0.0. theta is
     converted to a new float64 vector, and num_ineq must be an integer in
     [0, len(theta)]."""
-    theta = np.array(theta, dtype=np.float64, ndmin=1)
+    theta = np.array(as_floats(theta, "theta"), ndmin=1)  # a copy
     if theta.ndim != 1:
         raise ConfigurationError(f"theta must be a vector, got shape {theta.shape}")
     if not 0 <= as_int(num_ineq, "num_ineq") <= theta.size:
@@ -336,18 +341,23 @@ _GRADIENT_CHECK_TOLERANCE = 1e-5
 
 def central_difference_jacobian(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                                 num_outputs: int) -> np.ndarray:
-    """Finite-difference (transpose) Jacobian, shape (len(x), num_outputs)."""
-    x = np.asarray(x, dtype=np.float64)
-    jac = np.empty((x.size, num_outputs))
+    """Finite-difference (transpose) Jacobian, shape (len(x), num_outputs),
+    of `func`, whose values must have num_outputs entries; x is a vector of
+    finite numbers."""
+    x = as_floats(x, "x", finite=True)
+    if x.ndim != 1:
+        raise ConfigurationError(f"x must be a vector, got shape {x.shape}")
+    num_outputs = as_int(num_outputs, "num_outputs", 0)
+    rows = []  # not preallocated: a num_outputs that func does not give is refused first
     for i in range(x.size):
         h = FD_REL_STEP * max(1.0, abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        jac[i, :] = (np.asarray(func(xp), dtype=np.float64) -
-                     np.asarray(func(xm), dtype=np.float64)) / (2.0 * h)
-    return jac
+        rows.append((as_vector(func(xp), num_outputs, "func(x)") -
+                     as_vector(func(xm), num_outputs, "func(x)")) / (2.0 * h))
+    return np.array(rows).reshape(x.size, num_outputs)
 
 
 @dataclass

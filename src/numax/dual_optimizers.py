@@ -36,6 +36,14 @@ moving average of the errors. nu = 0 gives a classical PI controller;
 kp = 0 gives plain gradient ascent with step ki. The start xi_0 is e_0
 (`Xi0Policy.MATCH_ERROR`, the default) or (1 - nu) * e_0 (`MATCH_UM`, which
 `map_um_to_nupi` sets so that nuPI reproduces unified momentum).
+
+The nuPI, unified-momentum and GA rules and `map_um_to_nupi` use only +, -,
+* and / (`1 - nu` is written with an int, whose bits for a float nu are
+those of `1.0 - nu`), so they are exact over any number type that numpy
+object arrays carry: with `fractions.Fraction` gains and states built
+directly on object arrays, the identities above hold with no rounding.
+Adam is not exact: it takes a square root. `make_dual_state` and
+`gain_arrays` cast to float64, which is the loop's path.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import ConfigurationError, NumericalError, as_vector, is_finite_real
+from .core import ConfigurationError, NumericalError, as_floats, as_vector, is_finite_real
 
 
 def _checked_error(error, theta: np.ndarray) -> np.ndarray:
@@ -103,7 +111,7 @@ class NuPIConfig:
         if not isinstance(self.xi0_policy, Xi0Policy):
             raise ConfigurationError("NuPIConfig xi0_policy must be a Xi0Policy, "
                                      f"got {self.xi0_policy!r}")
-        object.__setattr__(self, "one_minus_nu", 1.0 - self.nu)
+        object.__setattr__(self, "one_minus_nu", 1 - self.nu)
         object.__setattr__(self, "kp_one_minus_nu", self.kp * self.one_minus_nu)
 
 
@@ -120,7 +128,7 @@ def nupi_config_warnings(config: NuPIConfig) -> list:
     """Soft validation; out-of-range values are permitted but flagged, for a
     scalar gain or elementwise for per-row gains."""
     warnings = []
-    ki, nu = np.asarray(config.ki), np.asarray(config.nu)
+    ki, nu = as_floats(config.ki, "ki"), as_floats(config.nu, "nu")
     if np.any(bad := ki <= 0):
         warnings.append(f"{_named('ki', config.ki, bad)} is not positive; "
                         "the integral term will not ascend")
@@ -171,7 +179,7 @@ class UMConfig:
 
 
 def um_config_warnings(config: UMConfig) -> list:
-    beta, gamma = np.asarray(config.beta), np.asarray(config.gamma)
+    beta, gamma = as_floats(config.beta, "beta"), as_floats(config.gamma, "gamma")
     with np.errstate(divide="ignore"):  # beta = 1 has no interval to test
         bound = 1.0 / (1.0 - beta)
     if not np.any(bad := (beta < 1.0) & ~((0.0 <= gamma) & (gamma <= bound))):
@@ -211,12 +219,13 @@ def map_um_to_nupi(config: UMConfig) -> NuPIConfig:
     """
     if np.any(config.beta == 1.0):
         raise ConfigurationError("beta = 1 has no nuPI equivalent")
-    one_minus_beta = 1.0 - config.beta
+    one_minus_beta = 1 - config.beta
     with np.errstate(over="ignore", invalid="ignore"):
         kp = (-config.alpha * config.beta / (one_minus_beta * one_minus_beta)
-              * (1.0 - config.gamma * one_minus_beta))
+              * (1 - config.gamma * one_minus_beta))
         ki = config.alpha / one_minus_beta
-    if not (np.all(np.isfinite(kp)) and np.all(np.isfinite(ki))):
+    # read through float copies: np.isfinite refuses a Fraction
+    if not (np.isfinite(as_floats(kp, "kp")).all() and np.isfinite(as_floats(ki, "ki")).all()):
         raise ConfigurationError("UMConfig alpha, beta and gamma map to a non-finite nuPI "
                                  "kp or ki")
     return NuPIConfig(nu=config.beta, kp=kp, ki=ki, xi0_policy=Xi0Policy.MATCH_UM)
@@ -330,7 +339,7 @@ def gain_arrays(config: DualOptimizerConfig, shape: tuple) -> DualOptimizerConfi
 
 def make_dual_state(config: DualOptimizerConfig, theta0):
     """The rule's state at theta0 (a float64 copy, at least 1-D), before any step."""
-    return _rule(config)[0](np.array(theta0, dtype=np.float64, ndmin=1))
+    return _rule(config)[0](np.array(as_floats(theta0, "theta0"), ndmin=1))
 
 
 def dual_step(state, config: DualOptimizerConfig, error):

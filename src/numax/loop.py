@@ -316,14 +316,10 @@ def _checked_start(problem: ConstrainedProblem, x0, theta0, lead: tuple = ()) ->
     """x0 and theta0 = [lam, mu] as new float64 arrays of shape lead +
     (dim_primal,) and lead + (num_constraints,), each given once for every
     row or once per row. Both must be finite and lam >= 0."""
-    x0 = as_floats(x0, "x0")  # parsed first: np.ndim fails on a ragged list
+    x0 = as_floats(x0, "x0", finite=True)  # parsed first: np.ndim fails on a ragged list
     x = as_vector(x0, problem.dim_primal, "x0", lead if x0.ndim > 1 else ())
-    if not np.all(np.isfinite(x)):
-        raise ConfigurationError("x0 must be finite")
-    theta0 = as_floats(theta0, "theta0")
+    theta0 = as_floats(theta0, "theta0", finite=True)
     theta = as_vector(theta0, problem.num_constraints, "theta0", lead if theta0.ndim > 1 else ())
-    if not np.all(np.isfinite(theta)):
-        raise ConfigurationError("initial multipliers must be finite")
     if np.any(theta[..., :problem.num_ineq] < 0.0):
         raise ConfigurationError("initial inequality multipliers must be >= 0")
     return (np.array(np.broadcast_to(x, lead + x.shape[-1:])),

@@ -32,7 +32,7 @@ import numpy as np
 
 from .analysis import QPSystem
 from .core import (ConfigurationError, ConstrainedProblem, NumericalError, as_floats, as_int,
-                   as_real, read_csv, seeded_rng)
+                   as_real, as_vector, read_csv, seeded_rng)
 
 
 @dataclass(frozen=True)
@@ -44,19 +44,16 @@ class SvmDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        points = np.atleast_2d(as_floats(self.points, "points"))
-        labels = np.atleast_1d(as_floats(self.labels, "labels"))
-        if points.shape[0] != labels.size:
-            raise ConfigurationError(
-                f"{points.shape[0]} points but {labels.size} labels")
+        points = as_floats(self.points, "points", finite=True)
+        if points.ndim != 2:
+            raise ConfigurationError(f"points must have shape (m, d), got {points.shape}")
+        labels = as_vector(self.labels, len(points), "labels")
         if points.shape[0] < 2:
             raise ConfigurationError("dataset needs at least two points")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ConfigurationError("labels must be -1 or +1")
         if not (np.any(labels == 1.0) and np.any(labels == -1.0)):
             raise ConfigurationError("both classes must be present")
-        if not np.all(np.isfinite(points)):
-            raise ConfigurationError("points must be finite")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)
 
@@ -144,8 +141,10 @@ def build_svm_problem(data: SvmDataset) -> ConstrainedProblem:
 
 
 def svm_train_accuracy(data: SvmDataset, w: np.ndarray, b: float) -> float:
-    """Fraction of points with strictly positive margin y_i (w'x_i + b)."""
-    margins = data.labels * (data.points @ np.asarray(w, dtype=np.float64) + b)
+    """Fraction of points with strictly positive margin y_i (w'x_i + b); w
+    has one entry per feature and b is a finite number."""
+    w, b = as_vector(w, data.num_features, "w"), as_real(b, "b")
+    margins = data.labels * (data.points @ w + b)
     return float(np.mean(margins > 0.0))
 
 

@@ -2,6 +2,7 @@
 the continuous-time flow."""
 
 import math
+import re
 import time
 import warnings
 
@@ -156,13 +157,13 @@ class TestSystemMatrix:
         np.testing.assert_array_equal(qp_system_matrix(sys), [[1.0, 1.0], [-1.0, 0.0]])
 
     @pytest.mark.parametrize("b, c_lin, message", [
-        ([0.0, 1.0], [0.0, 0.0], r"^b must have length 1, got 2$"),
-        ([], [0.0, 0.0], r"^b must have length 1, got 0$"),
-        ([0.0], [0.0], r"^c_lin must have length 2, got 1$"),
-        ([0.0], [0.0, 0.0, 0.0], r"^c_lin must have length 2, got 3$"),
+        ([0.0, 1.0], [0.0, 0.0], "b must have shape (1,), got (2,)"),
+        ([], [0.0, 0.0], "b must have shape (1,), got (0,)"),
+        ([0.0], [0.0], "c_lin must have shape (2,), got (1,)"),
+        ([0.0], [0.0, 0.0, 0.0], "c_lin must have shape (2,), got (3,)"),
     ])
     def test_vector_lengths_checked(self, b, c_lin, message):
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             QPSystem(H=np.eye(2), A=[[1.0, 0.0]], b=b, c_lin=c_lin, kp=0.0, ki=1.0)
 
     def test_symmetry_enforced(self):
@@ -306,14 +307,14 @@ class TestClassifyRegime:
 
 class TestSimulateFlow:
     @pytest.mark.parametrize("x0, mu0, message", [
-        ([2.0], [1.0], r"^x0 must have length 2$"),
-        ([2.0, 0.0, 1.0], [1.0], r"^x0 must have length 2$"),
-        ([2.0, 0.0], [], r"^mu0 must have length 1$"),
-        ([2.0, 0.0], [1.0, 0.5], r"^mu0 must have length 1$"),
+        ([2.0], [1.0], "x0 must have shape (2,), got (1,)"),
+        ([2.0, 0.0, 1.0], [1.0], "x0 must have shape (2,), got (3,)"),
+        ([2.0, 0.0], [], "mu0 must have shape (1,), got (0,)"),
+        ([2.0, 0.0], [1.0, 0.5], "mu0 must have shape (1,), got (2,)"),
     ])
     def test_start_lengths_checked(self, x0, mu0, message):
         sys = QPSystem(H=np.eye(2), A=[[1.0, 0.0]], b=[0.0], c_lin=[0.0, 0.0], kp=0.0, ki=1.0)
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             simulate_flow(sys, x0, mu0, t_end=1.0)
 
     def test_critical_damping_monotone_after_transient(self):
@@ -585,6 +586,11 @@ def test_diverging_flow_is_flagged_without_warning():
         huge_entries = QPSystem(H=[[1e308]], A=[[1.0]], b=[1.0], c_lin=[0.0], kp=10.0, ki=1.0)
         overflowing = [simulate_flow(huge_entries, [x0], [0.0], dt=0.1, t_end=1.0)
                        for x0 in (0.0, 1.0)]
+        # with no dt to flag the flow at, the default dt is refused
+        for no_dt in (lambda: default_flow_dt(huge_entries),
+                      lambda: simulate_flow(huge_entries, [0.0], [0.0])):
+            with pytest.raises(NumericalError, match="^the spectral radius of U overflows"):
+                no_dt()
     assert res.flagged
     assert np.all(np.isfinite(res.x)) and res.times[-1] < 120 * 0.05
     assert huge.flagged and huge.times.tolist() == [0.0]

@@ -98,6 +98,17 @@ class TestRun:
         assert "train_accuracy" in summary
         assert summary["metric"] == "dist_to_lambda_star"
 
+    def test_svm_run_whose_state_overflows_has_no_accuracy(self, tmp_path, capsys):
+        # w and b overflow to +-inf: numerical failure (exit 3), accuracy nan, no warning
+        out = tmp_path / "out"
+        assert main(["run", "--output-dir", str(out), "--loop.primal_kind", "gd",
+                     "--loop.primal_step_size", "1e300", "--dual.kp", "0", "--dual.ki", "1e10",
+                     "--loop.max_steps", "300"]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["terminated_reason"] == "non-finite"
+        assert summary["train_accuracy"] == summary["validation_accuracy"] == "nan"
+        assert "Warning" not in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, tmp_path):
         config = tmp_path / "run.ini"
         write_benchmark_config(config, max_steps=80)
@@ -519,6 +530,22 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, co
     assert err.count("\n") == 1
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, reason", [
+    ({"H": [[1.0, 0.0], [0.0]], "A": [[1.0, 0.0]], "b": [1.0]}, "H must be an array of numbers: "),
+    ({"H": [[1.0]], "A": [[1.0]], "b": [float("nan")]}, "b must be finite"),
+    ({"H": [[1.0]], "A": [[1.0]], "b": [1.0, 2.0]}, "b must have shape (1,), got (2,)"),
+    ({"H": 5, "A": [[1.0]], "b": [1.0]}, "H must have shape (1, 1), got ()"),
+    ({"H": [[1.0, 0.0], [0.0, 1.0]], "A": [1.0, 0.0], "b": [1.0]},
+     "A must have shape (2, 2), got (2,)"),
+], ids=["ragged-H", "nan-b", "b-length", "scalar-H", "flat-A"])
+def test_qp_file_refusal_names_the_file(tmp_path, capsys, payload, reason):
+    # QPSystem parses the file's arrays; the CLI only names the file
+    assert main(["run", *_qp_args(payload)(tmp_path), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: QP file {tmp_path / 'qp.json'}: {reason}")
+    assert err.count("\n") == 1
 
 
 _SWEEP_ARGS = {"--h": "1", "--a": "-1", "--ki": "1", "--kp-min": "-5", "--kp-max": "5"}

@@ -10,21 +10,28 @@ import pytest
 from numax import (
     ConfigurationError,
     ConstrainedProblem,
+    GAConfig,
     LoopConfig,
     NuPIConfig,
     PrimalKind,
     PrimalOptimizerConfig,
     QPSystem,
+    RatioInputs,
     Scheme,
     SvmDataset,
+    classify_regime,
+    critical_kp,
+    eigen_1d,
     evaluate_lagrangian,
     iris_csv_path,
     lagrangian_primal_gradient,
     load_dataset_csv,
+    make_dual_state,
     project_theta,
     run,
     simulate_flow,
     svm_dual_oracle,
+    svm_train_accuracy,
     train_validation_split,
     validate_gradients,
     write_trajectory_csv,
@@ -441,8 +448,12 @@ def _qp(**fields):
                        "ki": 1.0, **fields})
 
 
-# Scalar arguments are parsed by `as_int` and `as_real`, array fields by
-# `as_floats`: what they refuse is a ConfigurationError that names the argument.
+_NOT_A_NUMBER = "must be an array of numbers: could not convert string to float: 'a'"
+
+
+# Scalar arguments are parsed by `as_int` and `as_real`, array arguments by
+# `as_floats` and `as_vector` (with `finite` where a non-finite entry means
+# nothing): what they refuse is a ConfigurationError that names the argument.
 @pytest.mark.parametrize("call, message", [
     (lambda data: _qp(kp="3"), "kp must be a finite number, got '3'"),
     (lambda data: _qp(ki=np.nan), "ki must be a finite number, got nan"),
@@ -464,9 +475,41 @@ def _qp(**fields):
     (lambda data: SvmDataset(points=[[1.0], [2.0]], labels=["a", "b"]),
      "labels must be an array of numbers: could not convert string to float: 'a'"),
     (lambda data: SvmDataset(points=[[1.0], [np.inf]], labels=[1, -1]), "points must be finite"),
+    (lambda data: project_theta(["a"], 0), f"theta {_NOT_A_NUMBER}"),
+    (lambda data: make_dual_state(GAConfig(step_size=0.1), ["a"]), f"theta0 {_NOT_A_NUMBER}"),
+    (lambda data: simulate_flow(_qp(), ["a"], [0.0]), f"x0 {_NOT_A_NUMBER}"),
+    (lambda data: central_difference_jacobian(lambda z: z, ["a"], 1), f"x {_NOT_A_NUMBER}"),
+    (lambda data: central_difference_jacobian(lambda z: z, [[0.0]], 1),
+     "x must be a vector, got shape (1, 1)"),
+    (lambda data: central_difference_jacobian(lambda z: z, [np.inf], 1), "x must be finite"),
+    (lambda data: central_difference_jacobian(lambda z: z, [0.0, 1.0], 1),
+     "func(x) must have shape (1,), got (2,)"),
+    (lambda data: svm_train_accuracy(data, ["a", "b"], 0.0), f"w {_NOT_A_NUMBER}"),
+    (lambda data: svm_train_accuracy(data, [1.0, 2.0], 0.0), "w must have shape (4,), got (2,)"),
+    (lambda data: svm_train_accuracy(data, np.zeros(4), "0"), "b must be a finite number, got '0'"),
+    (lambda data: run(_on_line(lambda x: x[0] - 1.0), [0.0, 0.0], [np.nan], _ON_LINE_RUN),
+     "theta0 must be finite"),
+    (lambda data: _qp(H=[2.0]), "H must have shape (1, 1), got (1,)"),
+    (lambda data: _qp(A=[1.0, 0.0]), "A must have shape (2, 1), got (2,)"),
+    (lambda data: _qp(b=[np.nan]), "b must be finite"),
+    (lambda data: SvmDataset(points=[1.0, 2.0], labels=[1, -1]),
+     "points must have shape (m, d), got (2,)"),
+    (lambda data: SvmDataset(points=[[1.0], [2.0]], labels=[1, -1, 1]),
+     "labels must have shape (2,), got (3,)"),
+    (lambda data: critical_kp("a", 1.0, 1.0), "h must be a finite number, got 'a'"),
+    (lambda data: eigen_1d(np.inf, 1.0, 1.0, 1.0), "h must be a finite number, got inf"),
+    (lambda data: RatioInputs(kp="a", ki=1.0, nu=0.0, xi_prev=1.0, e_t=1.0),
+     "kp must be a finite number, got 'a'"),
+    (lambda data: classify_regime(["a"]),
+     "eigenvalues must be an array of numbers: complex() arg is a malformed string"),
 ], ids=["qp-kp-string", "qp-ki-nan", "flow-dt-string", "flow-dt-zero", "flow-t-end-negative",
         "flow-samples-float", "split-fraction-none", "split-fraction-range", "oracle-iters-float",
-        "oracle-iters-zero", "qp-H-string", "svm-labels-strings", "svm-points-inf"])
+        "oracle-iters-zero", "qp-H-string", "svm-labels-strings", "svm-points-inf",
+        "project-theta", "dual-state-theta0", "flow-x0", "jacobian-x-strings",
+        "jacobian-x-matrix", "jacobian-x-inf", "jacobian-outputs", "accuracy-w-strings",
+        "accuracy-w-length", "accuracy-b-string", "run-theta0-nan", "qp-H-1d", "qp-A-1d",
+        "qp-b-nan", "svm-points-1d", "svm-labels-count", "critical-h-string", "eigen-h-inf",
+        "ratio-kp-string", "regime-strings"])
 def test_arguments_parsed(call, message):
     data = load_dataset_csv(iris_csv_path())
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):

@@ -1,6 +1,7 @@
 """Tests for the multiplier update rules and their equivalences."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from numax import (
     AdamConfig,
     ConfigurationError,
     GAConfig,
+    GAState,
     NuPIConfig,
+    NuPIState,
     NumericalError,
     UMConfig,
+    UMState,
     Xi0Policy,
     apply_dual_restarts,
     checked_dual_step,
@@ -221,6 +225,74 @@ class TestCumulativeForm:
                 running += e
                 cumulative.append(kp * xi + ki * running)
             np.testing.assert_allclose(recursive, cumulative, rtol=0, atol=1e-9)
+
+
+# The paper's identities in exact arithmetic: Fraction gains, and states
+# built directly on object arrays of Fractions (make_dual_state casts to
+# float64), compared with zero tolerance. Re-associating a sum is exact over
+# the rationals, so these properties cannot catch a reordered sum; a
+# comparison of float bits with frozen copies of the rules can.
+_RATIONAL = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 20))  # in [-60, 60]
+_MOMENTUM = st.builds(Fraction, st.integers(-9, 9), st.just(10))  # in [-0.9, 0.9]
+
+
+@st.composite
+def _exact_start(draw):
+    """theta0 and a run of errors, object arrays of Fractions of one length."""
+    dim, steps = draw(st.integers(1, 3)), draw(st.integers(1, 20))
+    vector = st.lists(_RATIONAL, min_size=dim, max_size=dim).map(
+        lambda values: np.array(values, dtype=object))
+    return draw(vector), draw(st.lists(vector, min_size=steps, max_size=steps))
+
+
+def _exact_run(state, config, errors) -> list:
+    """theta after each step of `state`'s rule over `errors`; every entry
+    must still be a Fraction, so no step rounded through a float."""
+    thetas = [state.advance(config, e).theta.tolist() for e in errors]
+    assert all(type(v) is Fraction for theta in thetas for v in theta)
+    return thetas
+
+
+class TestExactIdentities:
+    @given(alpha=_RATIONAL, beta=_MOMENTUM, gamma=_RATIONAL, start=_exact_start())
+    def test_nupi_reproduces_unified_momentum(self, alpha, beta, gamma, start):
+        theta0, errors = start
+        um = UMConfig(alpha=alpha, beta=beta, gamma=gamma)
+        assert (_exact_run(NuPIState(theta0), map_um_to_nupi(um), errors)
+                == _exact_run(UMState(theta0), um, errors))
+
+    @given(nu=_RATIONAL, ki=_RATIONAL, policy=st.sampled_from(Xi0Policy), start=_exact_start())
+    def test_kp_zero_is_gradient_ascent(self, nu, ki, policy, start):
+        theta0, errors = start
+        config = NuPIConfig(nu=nu, kp=Fraction(0), ki=ki, xi0_policy=policy)
+        assert (_exact_run(NuPIState(theta0), config, errors)
+                == _exact_run(GAState(theta0), GAConfig(step_size=ki), errors))
+
+    @given(gain=_RATIONAL, start=_exact_start())
+    def test_kp_equal_ki_with_nu_zero_is_optimistic_gradient_ascent(self, gain, start):
+        # theta_{t+1} = theta_t + gain (2 e_t - e_{t-1}), with e_{-1} = 0 (xi_0 = e_0)
+        theta0, errors = start
+        config = NuPIConfig(nu=Fraction(0), kp=gain, ki=gain)
+        expected, theta, previous = [], theta0, 0 * theta0
+        for e in errors:
+            theta, previous = theta + gain * (2 * e - previous), e
+            expected.append(theta.tolist())
+        assert _exact_run(NuPIState(theta0), config, errors) == expected
+
+    @given(nu=_MOMENTUM, kp=_RATIONAL, ki=_RATIONAL, policy=st.sampled_from(Xi0Policy),
+           start=_exact_start())
+    def test_cumulative_form_equals_recursion(self, nu, kp, ki, policy, start):
+        # theta_{t+1} = theta_0 + ki (e_0 + ... + e_t) + kp xi_t, with the EMA
+        # summed out: xi_t = nu^t xi_0 + (1 - nu) sum_{s=1..t} nu^(t-s) e_s
+        theta0, errors = start
+        xi0 = errors[0] if policy is Xi0Policy.MATCH_ERROR else (1 - nu) * errors[0]
+        expected = []
+        for t in range(len(errors)):
+            xi = nu**t * xi0 + sum(((1 - nu) * nu**(t - s) * errors[s] for s in range(1, t + 1)),
+                                   0 * xi0)
+            expected.append((theta0 + ki * sum(errors[:t + 1]) + kp * xi).tolist())
+        config = NuPIConfig(nu=nu, kp=kp, ki=ki, xi0_policy=policy)
+        assert _exact_run(NuPIState(theta0), config, errors) == expected
 
 
 _FLOATS = st.floats(-1e6, 1e6, allow_nan=False)

@@ -19,6 +19,7 @@ from numax import (
     PrimalKind,
     PrimalOptimizerConfig,
     QPSystem,
+    RatioInputs,
     Scheme,
     SvmDataset,
     TerminationReason,
@@ -29,22 +30,28 @@ from numax import (
     build_qp_problem,
     build_svm_problem,
     checked_dual_step,
+    classify_mode,
+    classify_regime,
+    critical_kp,
+    eigen_1d,
     evaluate_lagrangian,
     iris_csv_path,
     load_dataset_csv,
     make_dual_state,
     map_um_to_nupi,
+    project_theta,
     read_trajectory_csv,
     train_validation_split,
     run,
     simulate_flow,
     svm_dual_oracle,
+    svm_train_accuracy,
     validate_gradients,
     write_trajectory_csv,
 )
 from numax import cli, loop
 from numax.cli import _compute_metric
-from numax.core import lagrangian_value
+from numax.core import central_difference_jacobian, lagrangian_value
 from reference import loop_reference
 from reference.loop_reference import _PrimalOptimizer
 
@@ -424,41 +431,61 @@ def test_hostile_config_field_is_refused_or_runs(dual, kind, target, data):
 
 # One argument of a library call set to a hostile value, with small budgets:
 # the call returns, or raises a ConfigurationError or a NumericalError, and
-# numpy warns of nothing. Each entry is (call, its arguments' valid values).
+# numpy warns of nothing. Each entry is (call, its arguments' valid values);
+# the arrays a caller hands the library are arguments here too.
 _SMALL_SVM = SvmDataset(points=[[0.0, 0.0], [3.0, 3.0], [1.0, 0.0], [4.0, 3.0],
                                 [0.0, 1.0], [3.0, 4.0], [1.0, 1.0], [4.0, 4.0]],
                         labels=[-1.0, 1.0] * 4)
 _SMALL_QP = {"H": [[2.0]], "A": [[1.0]], "b": [1.0], "c_lin": [0.0], "kp": 1.0, "ki": 1.0}
+_SHORT_RUN = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5, primal_optimizer=gd(0.002),
+                        dual_optimizer=NuPIConfig(nu=0.5, kp=1.0, ki=0.1))
 _HOSTILE_CALLS = {
     "dimensions": (lambda args: ConstrainedProblem.from_values(
         **args, values=lambda x: (0.0, x), derivatives=lambda x: (x, x)),
         {"dim_primal": 1, "num_ineq": 1, "num_eq": 0}),
     "qp": (lambda args: QPSystem(**args), _SMALL_QP),
-    "flow": (lambda args: simulate_flow(QPSystem(**_SMALL_QP), [0.0], [0.0], **args),
-             {"dt": 0.1, "t_end": 1.0, "max_samples": 5}),
+    "flow": (lambda args: simulate_flow(QPSystem(**_SMALL_QP), **args),
+             {"x0": [0.0], "mu0": [0.0], "dt": 0.1, "t_end": 1.0, "max_samples": 5}),
     "split": (lambda args: train_validation_split(_SMALL_SVM, **args),
               {"seed": 0, "train_fraction": 0.5}),
     "oracle": (lambda args: svm_dual_oracle(_SMALL_SVM, **args), {"max_pgd_iters": 400}),
     "gradients": (lambda args: validate_gradients(one_sided_line(), **args),
                   {"num_points": 2, "seed": 0}),
+    "project": (lambda args: project_theta(**args), {"theta": [-0.5, 0.5], "num_ineq": 1}),
+    "dual-state": (lambda args: make_dual_state(**args),
+                   {"config": GAConfig(step_size=0.1), "theta0": [0.0]}),
+    "accuracy": (lambda args: svm_train_accuracy(_SMALL_SVM, **args), {"w": [1.0, 1.0], "b": -3.5}),
+    "jacobian": (lambda args: central_difference_jacobian(lambda z: 2.0 * z, **args),
+                 {"x": [0.5], "num_outputs": 1}),
+    "run": (lambda args: run(build_2d_benchmark(), **args, config=_SHORT_RUN),
+            {"x0": cli.BENCHMARK2D_DEFAULT_X0, "theta0": [0.0]}),
+    "svm-data": (lambda args: SvmDataset(**args),
+                 {"points": _SMALL_SVM.points, "labels": _SMALL_SVM.labels}),
+    "critical-gains": (lambda args: critical_kp(**args), {"h": 1.0, "a": -1.0, "ki": 1.0}),
+    "spectrum": (lambda args: eigen_1d(**args), {"h": 1.0, "a": -1.0, "kp": 1.0, "ki": 1.0}),
+    "ratio": (lambda args: classify_mode(RatioInputs(**args)),
+              {"kp": 1.0, "ki": 0.1, "nu": 0.5, "xi_prev": 1.0, "e_t": 0.5}),
+    "regime": (lambda args: classify_regime(**args), {"eigenvalues": [-1.0, -2.0]}),
 }
 
 
-@settings(max_examples=500)
-@given(call=st.sampled_from(sorted(_HOSTILE_CALLS)), data=st.data())
-def test_hostile_argument_is_refused_or_returns(call, data):
-    function, valid = _HOSTILE_CALLS[call]
-    name = data.draw(st.sampled_from(sorted(valid)))
-    value = data.draw(st.sampled_from(_HOSTILE))
-    # a valid iteration budget stays small
-    assume(not (name in ("max_pgd_iters", "num_points")
-                and isinstance(value, (int, np.integer)) and value > 1000))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            function({**valid, name: value})
-        except (ConfigurationError, NumericalError):
-            pass
+def test_hostile_argument_is_refused_or_returns():
+    # every (call, argument, hostile value): about 1500 calls, in under a second
+    for call, (function, valid) in _HOSTILE_CALLS.items():
+        for name in valid:
+            for value in _HOSTILE:
+                # a valid iteration budget stays small
+                if (name in ("max_pgd_iters", "num_points")
+                        and isinstance(value, (int, np.integer)) and value > 1000):
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        function({**valid, name: value})
+                    except (ConfigurationError, NumericalError):
+                        pass
+                    except Exception as exc:  # a bare error or a numpy warning
+                        pytest.fail(f"{call} with {name} = {value!r} raised {exc!r}")
 
 
 _FINITE = st.floats(-1e6, 1e6, allow_nan=False)

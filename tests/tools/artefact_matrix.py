@@ -69,6 +69,7 @@ INPUTS = {
     "ragged.json": '{"H": [[1.0, 0.0], [0.0]], "A": [[1.0, 0.0]], "b": [1.0]}\n',
     "nan_b.json": '{"H": [[1.0]], "A": [[1.0]], "b": [NaN]}\n',
     "words.json": '{"H": [["a"]], "A": [[1.0]], "b": [1.0]}\n',
+    "b_length.json": '{"H": [[1.0]], "A": [[1.0]], "b": [1.0, 2.0]}\n',
     "bad.json": "{H: [[1]]",
 }
 
@@ -160,6 +161,7 @@ def _table() -> list:
         ("qp-ragged", ["run", "--problem.kind", "qp", "--problem.path", "ragged.json"]),
         ("qp-nan-b", ["run", "--problem.kind", "qp", "--problem.path", "nan_b.json"]),
         ("qp-words", ["run", "--problem.kind", "qp", "--problem.path", "words.json"]),
+        ("qp-b-length", ["run", "--problem.kind", "qp", "--problem.path", "b_length.json"]),
         ("qp-not-json", ["run", "--problem.kind", "qp", "--problem.path", "bad.json"]),
         ("missing-data", ["run", "--problem.path", "missing.csv"]),
         ("unknown-override", ["run", "--loop.bogus", "1"]),
