@@ -139,13 +139,17 @@ def eigen_1d(h: float, a: float, kp: float, ki: float) -> tuple:
 
         lambda = [-(h + kp a^2) +- sqrt((h + kp a^2)^2 - 4 a^2 ki)] / 2
 
-    Each argument is parsed by `as_real`.
+    Each argument is parsed by `as_real`; entries so large that the formula
+    overflows are a NumericalError.
     """
     h, a, kp, ki = map(as_real, (h, a, kp, ki), ("h", "a", "kp", "ki"))
     s = h + kp * a * a
     disc = s * s - 4.0 * a * a * ki
     root = cmath.sqrt(complex(disc, 0.0))
-    return ((-s + root) / 2.0, (-s - root) / 2.0)
+    eigs = ((-s + root) / 2.0, (-s - root) / 2.0)
+    if not all(cmath.isfinite(v) for v in eigs):
+        raise NumericalError(f"eigenvalues overflow: h + kp a^2 = {s}, discriminant {disc}")
+    return eigs
 
 
 @dataclass(frozen=True)
@@ -286,11 +290,9 @@ def flow_initial_state(sys: QPSystem, x0, mu0) -> np.ndarray:
 # advances as many stored samples.
 _FLOW_BLOCK = 128
 _FLOW_STACK = 1 << 15
-# Sample times are summed over at most this many steps at a time: a horizon
-# can span far more steps than it stores samples.
-_TIME_CHUNK = 1 << 16
-# The most RK4 steps one horizon may span. Summing the sample times costs
-# about 5 ns per step, so this many take about 5 s; a longer horizon is refused.
+# The most RK4 steps one horizon may span; a longer horizon is refused. The
+# full steps left over after the last whole stride, and a sample stepped again,
+# are applied one R at a time, and a stride can span t_end / dt steps.
 _MAX_FLOW_STEPS = 10**9
 
 
@@ -303,23 +305,6 @@ def _flow_block(dim: int, strided: int) -> int:
 def _finite_rows(a: np.ndarray) -> int:
     """How many leading rows of the 2-D array `a` are finite."""
     return int(np.logical_and.accumulate(np.isfinite(a).all(axis=1)).sum())
-
-
-def _stride_times(dt: float, stride: int, count: int) -> np.ndarray:
-    """The time after each of the first `count` multiples of `stride` steps,
-    summed one step at a time exactly as `t += dt` would (np.cumsum adds in
-    order)."""
-    times = np.empty(count)
-    t = 0.0
-    for start in range(0, count * stride, _TIME_CHUNK):
-        stop = min(count * stride, start + _TIME_CHUNK)
-        increments = np.full(stop - start + 1, dt)
-        increments[0] = t
-        elapsed = np.cumsum(increments)  # elapsed[j]: the time after start + j steps
-        first = start // stride + 1  # the first sample of this chunk, counted from 1
-        times[first - 1:stop // stride] = elapsed[first * stride - start::stride]
-        t = elapsed[-1]
-    return times
 
 
 # `flagged` reports a diverging flow, so its overflow warnings are suppressed:
@@ -339,7 +324,9 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
     dim^2)) (`_flow_block`), so the stack of powers holds 128 of them or at
     most 256 KB, and it is built by doubling, in log2 B products. The full
     steps left over after the last whole stride, and R_rem, are applied one
-    at a time. The sample times are summed step by step, as t += dt would.
+    at a time. The k-th stored sample is at time float(k stride) dt, rounded
+    once; a last sample that ends with R_rem is at t_end itself, and one that
+    ends after whole steps only at (number of full steps) dt.
 
     The run stops, flagged, at the first stored state that is not finite.
     The powers of S can overflow before the state does (a diverging flow
@@ -390,7 +377,9 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
     states = np.empty((1 + strided + has_tail, dim))
     states[0] = z
     times = np.zeros(len(states))
-    times[1:1 + strided] = _stride_times(dt, stride, strided)
+    times[1:1 + strided] = np.arange(1, strided + 1) * stride * dt
+    if has_tail:
+        times[-1] = t_end if has_remainder else num_full * dt
     stored = 1
     flagged = False
 
@@ -429,15 +418,13 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
             flagged = True
 
     if has_tail and not flagged:
-        z, t = states[stored - 1], times[stored - 1]
+        z = states[stored - 1]
         for _ in range(num_full - strided * stride):
             z = R @ z
-            t += dt
         if has_remainder:
             z = rk4_operator(remainder) @ z
-            t += remainder
         if np.isfinite(z).all():
-            states[stored], times[stored] = z, t
+            states[stored] = z
             stored += 1
         else:
             flagged = True

@@ -138,6 +138,9 @@ class LoopConfig:
             raise ConfigurationError(f"scheme must be a Scheme, got {self.scheme!r}")
         for name in ("max_steps", "record_every"):
             object.__setattr__(self, name, as_int(getattr(self, name), name, 1))
+        if not isinstance(self.dual_optimizer, DualOptimizerConfig):
+            raise ConfigurationError("dual_optimizer must be a NuPIConfig, UMConfig, GAConfig "
+                                     f"or AdamConfig, got {self.dual_optimizer!r}")
         if not isinstance(self.primal_optimizer, PrimalOptimizerConfig):
             raise ConfigurationError("primal_optimizer must be a PrimalOptimizerConfig, "
                                      f"got {self.primal_optimizer!r}")

@@ -142,9 +142,12 @@ def build_svm_problem(data: SvmDataset) -> ConstrainedProblem:
 
 def svm_train_accuracy(data: SvmDataset, w: np.ndarray, b: float) -> float:
     """Fraction of points with strictly positive margin y_i (w'x_i + b); w
-    has one entry per feature and b is a finite number."""
+    has one entry per feature and b is a finite number. A margin that
+    overflows to +-inf counts by its sign, and a NaN margin (inf - inf) is
+    not positive."""
     w, b = as_vector(w, data.num_features, "w"), as_real(b, "b")
-    margins = data.labels * (data.points @ w + b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = data.labels * (data.points @ w + b)
     return float(np.mean(margins > 0.0))
 
 

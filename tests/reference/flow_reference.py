@@ -1,10 +1,11 @@
 """The flow integrator as it was when every RK4 step was one matrix-vector
 product in a Python loop.
 
-`simulate_flow` is kept verbatim: one step of the constant RK4 map per
-iteration, a shorter final step so that the last sample lands on t_end,
-every `stride`-th state stored, and the run flagged at the first stored
-state that is not finite. Test-only code.
+`simulate_flow` keeps the stepping verbatim: one step of the constant RK4
+map per iteration, a shorter final step so that the last sample lands on
+t_end, every `stride`-th state stored, and the run flagged at the first
+stored state that is not finite. The time after i full steps is i dt,
+rounded once, and after the shorter step t_end itself. Test-only code.
 """
 
 from __future__ import annotations
@@ -59,15 +60,14 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
     times = [0.0]
     states = [z.copy()]
     flagged = False
-    t = 0.0
 
     for i in range(total_steps):
         if has_remainder and i == num_full:
             z = R_rem @ z
-            t += remainder
+            t = t_end
         else:
             z = R @ z
-            t += dt
+            t = (i + 1) * dt
         if (i + 1) % stride == 0 or i == total_steps - 1:
             if not np.all(np.isfinite(z)):
                 flagged = True

@@ -199,6 +199,14 @@ class TestEigen1D:
             for c, n in zip(closed, numeric):
                 assert abs(c - n) <= 1e-10 * max(1.0, abs(n))
 
+    @pytest.mark.parametrize("h, a, kp, ki", [(1e200, 1.0, 1.0, 1.0), (1.0, 1e200, 1.0, 1.0),
+                                              (1.0, 1.0, 1.0, 1e308), (-1e308, 1.0, -1e308, 1.0)])
+    def test_overflow_refused(self, h, a, kp, ki):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^eigenvalues overflow: h \\+ kp a\\^2 = "):
+                eigen_1d(h, a, kp, ki)
+
 
 class TestCriticalKp:
     def test_fig9_parameters(self):
@@ -269,6 +277,11 @@ class TestClassifyRegime:
     def test_no_eigenvalue_rejected(self, eigenvalues):
         with pytest.raises(ConfigurationError, match="at least one eigenvalue"):
             classify_regime(eigenvalues)
+
+    def test_non_finite_eigenvalue_refused(self):
+        # what eigen_1d returned for h = 1e200 before it refused the overflow
+        with pytest.raises(NumericalError, match=re.escape("non-finite eigenvalues ((inf+nanj)")):
+            classify_regime([complex(np.inf, np.nan), complex(-np.inf, np.nan)])
 
     def test_boundaries_by_bisection(self):
         # Fig. 9 parameters: regime transitions at kp = -3, -1, +1
@@ -478,6 +491,21 @@ def test_flow_whose_powers_overflow_in_the_first_block_matches_stepwise_referenc
     _assert_matches_reference(got, ref)
 
 
+@pytest.mark.parametrize("t_end, max_samples", [(15.0, 2), (30.0, 3)])
+def test_sample_stepped_again_matches_stepwise_reference(t_end, max_samples):
+    # S = R^1500 overflows while the state from 1e-300 reaches only about 1e220
+    # after 1500 steps: that sample is stepped again one R at a time and is
+    # finite; 1500 steps later the state overflows and the flow is flagged.
+    sys = QPSystem(H=[[-80.0]], A=[[1.0]], b=[0.0], c_lin=[0.0], kp=0.0, ki=1.0)
+    got = simulate_flow(sys, [1e-300], [0.0], dt=0.01, t_end=t_end, max_samples=max_samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = flow_reference.simulate_flow(sys, [1e-300], [0.0], dt=0.01, t_end=t_end,
+                                           max_samples=max_samples)
+    _assert_matches_reference(got, ref)
+    assert got.times.tolist() == [0.0, 15.0] and 1e220 < got.x[-1, 0] < 1e221
+    assert got.flagged == (t_end == 30.0)
+
+
 def test_unstable_flow_at_its_equilibrium_costs_what_a_stable_one_does():
     # Started at its KKT point the flow stays there, while the powers of
     # S = R^100 overflow after about 18 of them: only those are multiplied,
@@ -496,31 +524,24 @@ def test_unstable_flow_at_its_equilibrium_costs_what_a_stable_one_does():
     assert best_time(unstable) < 4 * best_time(stable)
 
 
-def _summed_times(dt, stride, count):
-    t, expected = 0.0, []
-    for step in range(1, stride * count + 1):
-        t += dt
-        if step % stride == 0:
-            expected.append(t)
-    return expected
-
-
-@pytest.mark.parametrize("dt, stride, count", [
-    (0.013, 70000, 3),  # a stride longer than one chunk of summed steps
-    (0.7, 3, 30000),    # samples that straddle chunk boundaries
-])
-def test_sample_times_are_summed_step_by_step(dt, stride, count):
-    assert np.array_equal(analysis._stride_times(dt, stride, count),
-                          _summed_times(dt, stride, count))
-
-
-@given(dt=st.one_of(st.floats(1e-6, 10.0), st.integers(-30, 3).map(lambda e: 2.0 ** e)),
-       stride=st.integers(1, 70000), data=st.data())
-def test_sample_times_match_the_literal_sum_bit_for_bit(dt, stride, data):
-    # random and dyadic steps; up to three chunks of summed steps
-    count = data.draw(st.integers(1, 3 * analysis._TIME_CHUNK // stride + 1))
-    assert np.array_equal(analysis._stride_times(dt, stride, count),
-                          _summed_times(dt, stride, count))
+@given(dt=st.one_of(st.floats(1e-4, 10.0), st.integers(-13, 3).map(lambda e: 2.0 ** e)),
+       steps=st.integers(0, 4000), remainder=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+       data=st.data())
+def test_sample_times_are_step_counts_times_dt(dt, steps, remainder, data):
+    # At most 4000 steps, so that t_end / dt rounds to within 1e-12 of steps + remainder.
+    total = steps + (remainder > 0)
+    max_samples = data.draw(st.integers(2, max(2, total + 2)))
+    stride = max(1, -(-total // (max_samples - 1)))
+    t_end = (steps + remainder) * dt
+    # The flow from its equilibrium at 0 stays there, so every sample is stored.
+    sys = QPSystem(H=[[1.0]], A=[[1.0]], b=[0.0], c_lin=[0.0], kp=1.0, ki=1.0)
+    res = simulate_flow(sys, [0.0], [0.0], dt=dt, t_end=t_end, max_samples=max_samples)
+    expected = [float(k * stride) * dt for k in range(steps // stride + 1)]
+    if remainder:
+        expected.append(t_end)
+    elif steps % stride:
+        expected.append(steps * dt)
+    assert not res.flagged and res.times.tolist() == expected
 
 
 def test_benchmark_bilinear_flow_matches_reference_and_keeps_norm():

@@ -333,6 +333,12 @@ class TestLoopMechanics:
         pytest.param("stop_tolerance", 2**1024,
                      f"stop_tolerance must be a finite number, got {2**1024}",
                      id="stop_tolerance-int-beyond-float"),
+        ("dual_optimizer", "nupi", "dual_optimizer must be a NuPIConfig, UMConfig, GAConfig or "
+         "AdamConfig, got 'nupi'"),
+        ("dual_optimizer", None, "dual_optimizer must be a NuPIConfig, UMConfig, GAConfig or "
+         "AdamConfig, got None"),
+        ("dual_optimizer", gd(0.1), "dual_optimizer must be a NuPIConfig, UMConfig, GAConfig or "
+         f"AdamConfig, got {gd(0.1)!r}"),
     ])
     def test_last_fields_checked(self, name, value, message):
         config = LoopConfig(scheme=Scheme.ALTERNATING, max_steps=5,
@@ -546,6 +552,14 @@ class TestTrajectoryCsv:
         assert lines[0].startswith("#")
         assert lines[2].split(",")[:5] == ["t", "f", "linf_g", "linf_h", "lagrangian"]
         assert "mu_0" in lines[2] and "x_0" in lines[2]
+
+    def test_empty_trajectory_refused(self, tmp_path):
+        empty = loop.Trajectory(steps=loop.Records(1, 1, 0, 1),
+                                terminated_reason=loop.TerminationReason.MAX_STEPS)
+        path = tmp_path / "t.csv"
+        with pytest.raises(ConfigurationError, match="^cannot serialize an empty trajectory$"):
+            write_trajectory_csv(empty, path)
+        assert not path.exists()
 
 
 def test_csv_writer_matches_plain_formatting(tmp_path, monkeypatch):

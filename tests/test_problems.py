@@ -1,5 +1,8 @@
 """Tests for the built-in benchmark problems and their oracles."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +65,16 @@ class TestSvmDataset:
             SvmDataset(points=[[1.0]], labels=[1.0, -1.0])
         with pytest.raises(ConfigurationError, match="two points"):
             SvmDataset(points=[[1.0]], labels=[1.0])
+
+
+def test_accuracy_of_overflowing_margins_without_warning():
+    data = load_dataset_csv(iris_csv_path())  # 50 points of each class, every feature > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # every w'x overflows to +inf, so a margin is +inf exactly for label +1
+        assert svm_train_accuracy(data, [1e308] * 4, 0.0) == 0.5
+        # every w'x is inf - inf = NaN, and a NaN margin is not positive
+        assert svm_train_accuracy(data, [1e308, -1e308, 0.0, 0.0], 0.0) == 0.0
 
 
 class TestBuildSvmProblem:
@@ -389,6 +402,13 @@ class TestLoadDatasetCsv:
         with pytest.raises(ConfigurationError, match="empty"):
             load_dataset_csv(path)
 
+    def test_one_column_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# labels only\n1\n-1\n")
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}:2: need at least "
+                                                     "one feature column and a label$"):
+            load_dataset_csv(path)
+
 
 class TestSplit:
     def test_deterministic_and_disjoint(self):
@@ -411,3 +431,8 @@ class TestSplit:
         data = load_dataset_csv(iris_csv_path())
         with pytest.raises(ConfigurationError):
             train_validation_split(data, seed=0, train_fraction=1.5)
+
+    def test_split_without_validation_rows_rejected(self):
+        # ceil(0.99 * 2) = 2 training rows of 2
+        with pytest.raises(ConfigurationError, match="^split leaves no validation rows$"):
+            train_validation_split(two_point_dataset(), seed=0, train_fraction=0.99)

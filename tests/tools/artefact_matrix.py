@@ -122,6 +122,7 @@ def _table() -> list:
         ("sweep-regime", ["sweep-regime", "--h", "1", "--a", "-1", "--ki", "1",
                           "--samples", "51", "--out", "sweep.csv"]),
         ("sweep-regime-default-path", ["sweep-regime", "--h", "0.5", "--a", "2", "--ki", "0.3"]),
+        ("sweep-huge-h", ["sweep-regime", "--h", "1e200", "--a", "1", "--ki", "1"]),
         ("validate-gradients-svm", ["validate-gradients", "--problem", "svm"]),
         ("validate-gradients-benchmark2d", ["validate-gradients", "--problem", "benchmark2d"]),
         ("validate-gradients-qp", ["validate-gradients", "--problem", "qp", "--data", "qp.json"]),
