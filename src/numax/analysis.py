@@ -260,7 +260,7 @@ class FlowResult:
     mu: np.ndarray
     xdot: np.ndarray
     mudot: np.ndarray
-    flagged: bool  # True when integration stopped early on non-finite state
+    flagged: bool  # True when a state, the start included, is not finite
 
 
 def default_flow_dt(sys: QPSystem) -> float:
@@ -290,9 +290,9 @@ def flow_initial_state(sys: QPSystem, x0, mu0) -> np.ndarray:
 # advances as many stored samples.
 _FLOW_BLOCK = 128
 _FLOW_STACK = 1 << 15
-# The most RK4 steps one horizon may span; a longer horizon is refused. The
-# full steps left over after the last whole stride, and a sample stepped again,
-# are applied one R at a time, and a stride can span t_end / dt steps.
+# The most RK4 steps one horizon may span; a longer horizon is refused. A
+# sample stepped one R at a time takes a whole stride or the full steps left
+# over after the last one, and a stride can span t_end / dt steps.
 _MAX_FLOW_STEPS = 10**9
 
 
@@ -322,20 +322,22 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
     R^stride and P_k = S^k for k = 1..B, one product P[:m] @ z gives the
     next m samples from the last one. B = min(samples, max(128, 2^15 /
     dim^2)) (`_flow_block`), so the stack of powers holds 128 of them or at
-    most 256 KB, and it is built by doubling, in log2 B products. The full
-    steps left over after the last whole stride, and R_rem, are applied one
-    at a time. The k-th stored sample is at time float(k stride) dt, rounded
-    once; a last sample that ends with R_rem is at t_end itself, and one that
-    ends after whole steps only at (number of full steps) dt.
+    most 256 KB, and it is built by doubling, in log2 B products. Any other
+    sample is stepped from the one before it one R at a time: the tail (the
+    full steps left over after the last whole stride, then R_rem) and a
+    strided sample that the finite powers of S do not give. The k-th stored
+    sample is at time float(k stride) dt, rounded once; a last sample that
+    ends with R_rem is at t_end itself, and one that ends after whole steps
+    only at (number of full steps) dt.
 
-    The run stops, flagged, at the first stored state that is not finite.
-    The powers of S can overflow before the state does (a diverging flow
-    from a tiny start), so only the finite powers are used, and the first
-    non-finite row of a block is stepped again from the row before with
-    single R steps: the flag falls on the sample where a stepwise
-    integration puts it. Huge entries, which overflow M itself, flag the
-    flow without a warning too; a start that overflows is returned, flagged,
-    as the only sample.
+    The run stops, flagged, at the first state that is not finite. The
+    powers of S can overflow before the state does (a diverging flow from a
+    tiny start), so only the finite powers are used, and the first
+    non-finite row of a block is stepped again from the row before: the flag
+    falls on the sample where a stepwise integration puts it. Huge entries,
+    which overflow M itself, flag the flow without a warning too; a start
+    that overflows is returned, flagged, as the only sample, whatever the
+    horizon.
 
     dt (default: `default_flow_dt`) is parsed by `as_real` as > 0, t_end as
     >= 0, with a step count t_end / dt of at most 1e9 (`_MAX_FLOW_STEPS`),
@@ -380,8 +382,6 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
     times[1:1 + strided] = np.arange(1, strided + 1) * stride * dt
     if has_tail:
         times[-1] = t_end if has_remainder else num_full * dt
-    stored = 1
-    flagged = False
 
     R = rk4_operator(dt)
     block = _flow_block(dim, strided)
@@ -397,37 +397,28 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
     # An overflowed power overflows every sample it gives: use the finite ones.
     block = _finite_rows(stacked.reshape(block, dim * dim))
 
-    while stored <= strided and not flagged:
-        m = min(block, strided + 1 - stored)
+    stored = 1
+    while stored < len(states):
+        m = min(block, strided + 1 - stored)  # 0 in the tail and with no finite power
         out = states[stored:stored + m]  # contiguous rows, so the reshape is a view
         np.matmul(stacked[:m * dim], states[stored - 1], out=out.reshape(m * dim))
         if m and np.isfinite(out).all():  # checked whole first: 10x cheaper than by rows
             stored += m
             continue
-        # Keep the rows before the first non-finite one (none if no power of S
-        # is finite), and step that sample again from the row before, so the
-        # flag falls where a stepwise integration puts it.
+        # Step the next sample one R at a time from the last finite row: a
+        # strided sample the finite powers of S do not give (the flag falls
+        # where a stepwise integration puts it), or the tail, then R_rem.
         stored += _finite_rows(out)
+        tail = stored > strided
         z = states[stored - 1]
-        for _ in range(stride):
+        for _ in range(num_full - strided * stride if tail else stride):
             z = R @ z
-        if np.isfinite(z).all():
-            states[stored] = z
-            stored += 1
-        else:
-            flagged = True
-
-    if has_tail and not flagged:
-        z = states[stored - 1]
-        for _ in range(num_full - strided * stride):
-            z = R @ z
-        if has_remainder:
+        if tail and has_remainder:
             z = rk4_operator(remainder) @ z
-        if np.isfinite(z).all():
-            states[stored] = z
-            stored += 1
-        else:
-            flagged = True
+        if not np.isfinite(z).all():
+            break
+        states[stored] = z
+        stored += 1
 
     arr = states[:stored]
     return FlowResult(
@@ -436,7 +427,7 @@ def simulate_flow(sys: QPSystem, x0, mu0, dt: float | None = None,
         mu=arr[:, n:n + c],
         xdot=arr[:, n + c:2 * n + c],
         mudot=arr[:, 2 * n + c:],
-        flagged=flagged,
+        flagged=stored < len(states) or not np.isfinite(states[0]).all(),
     )
 
 

@@ -603,10 +603,11 @@ def test_diverging_flow_is_flagged_without_warning():
         # a dt so long that the RK4 matrix itself overflows, applied or not
         huge = simulate_flow(sys, [1.0], [0.0], dt=1e100, t_end=1e101)
         unused = simulate_flow(sys, [1.0], [0.0], dt=1e308, t_end=1.0)
-        # entries so large that M itself overflows, and with x0 = 1 the start too
+        # entries so large that M itself overflows, and with x0 = 1 or 10 the
+        # start too, which flags the flow whatever its horizon
         huge_entries = QPSystem(H=[[1e308]], A=[[1.0]], b=[1.0], c_lin=[0.0], kp=10.0, ki=1.0)
-        overflowing = [simulate_flow(huge_entries, [x0], [0.0], dt=0.1, t_end=1.0)
-                       for x0 in (0.0, 1.0)]
+        overflowing = [simulate_flow(huge_entries, [x0], [0.0], dt=0.1, t_end=t_end)
+                       for x0, t_end in ((0.0, 1.0), (1.0, 1.0), (10.0, 0.0))]
         # with no dt to flag the flow at, the default dt is refused
         for no_dt in (lambda: default_flow_dt(huge_entries),
                       lambda: simulate_flow(huge_entries, [0.0], [0.0])):

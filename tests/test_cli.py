@@ -747,6 +747,20 @@ class TestSweepRegime:
         assert by_kp[5.0] == "overdamped"
         assert "critical_kp" in out.read_text().splitlines()[1]
 
+    @pytest.mark.parametrize("env_dir", ["from_env", None])
+    def test_default_out_path(self, tmp_path, monkeypatch, capsys, env_dir):
+        # Without --out the sweep goes to regime_sweep.csv under
+        # $NUMAX_OUTPUT_DIR, or under numax_output when it is unset.
+        monkeypatch.chdir(tmp_path)
+        if env_dir:
+            monkeypatch.setenv("NUMAX_OUTPUT_DIR", env_dir)
+        else:
+            monkeypatch.delenv("NUMAX_OUTPUT_DIR", raising=False)
+        assert main(["sweep-regime", "--h", "1", "--a", "-1", "--ki", "1", "--samples", "3"]) == 0
+        out = Path(env_dir or "numax_output") / "regime_sweep.csv"
+        assert capsys.readouterr().out == f"sweep complete: {out} (5 rows)\n"
+        assert len(read_regime_sweep_csv(tmp_path / out)) == 5
+
     def test_a_zero_rejected(self, tmp_path):
         assert main(["sweep-regime", "--h", "1", "--a", "0", "--ki", "1",
                      "--out", str(tmp_path / "s.csv")]) == 2

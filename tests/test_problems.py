@@ -174,6 +174,15 @@ class TestSvmDualOracle:
         with pytest.raises(ConfigurationError, match="separable"):
             svm_dual_oracle(data, max_pgd_iters=2000)
 
+    def test_unbounded_dual_refused_early(self):
+        # The same overlap at scale 1e-3 drives lam past 1e10 at iteration 396
+        # of 20000, so the oracle never reaches its last polish.
+        data = SvmDataset(points=[[0.0], [0.0], [1e-3], [1e-3]],
+                          labels=[1.0, -1.0, 1.0, -1.0])
+        with pytest.raises(ConfigurationError, match="^data is not linearly separable: "
+                                                     "dual objective is unbounded$"):
+            svm_dual_oracle(data)
+
 
 class TestBenchmark2D:
     def test_feasible_point(self):
